@@ -10,7 +10,10 @@ the forward pass is an error.
 Conventions:
 
 - float32 for training, float64 for gradient checking; operations keep
-  the dtype of their inputs.
+  the dtype of their inputs. A constant (a Python or numpy scalar, or an
+  array that is not a Tensor) passed to ``add``, ``sub`` or ``mul`` takes
+  the dtype of the Tensor operand, so ``mul(w, 0.5)`` on a float32 ``w``
+  stays float32 (numpy would promote a float64 0-d array).
 - Broadcasting follows trailing-dimension alignment (numpy rules).
 - Gradients accumulate by summation over all paths.
 """
@@ -144,8 +147,17 @@ def _check_broadcast(a_shape, b_shape):
             )
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as Tensors; a constant takes the other operand's dtype."""
+    if isinstance(a, Tensor) and not isinstance(b, Tensor):
+        return a, Tensor(b, dtype=a.dtype)
+    if isinstance(b, Tensor) and not isinstance(a, Tensor):
+        return Tensor(a, dtype=b.dtype), b
+    return as_tensor(a), as_tensor(b)
+
+
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _check_broadcast(a.shape, b.shape)
     out = Tensor(a.data + b.data)
 
@@ -159,7 +171,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _check_broadcast(a.shape, b.shape)
     out = Tensor(a.data - b.data)
 
@@ -173,7 +185,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     _check_broadcast(a.shape, b.shape)
     out = Tensor(a.data * b.data)
 
@@ -187,16 +199,19 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product under numpy's batched rule: the last two axes multiply
+    as matrices and any leading axes broadcast, e.g. (n, m, d) @ (d, k)."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"cannot matmul shapes {tuple(a.shape)} and {tuple(b.shape)}")
+    _check_broadcast(a.shape[:-2], b.shape[:-2])
     out = Tensor(a.data @ b.data)
 
     def backward_fn(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return _record(out, (a, b), backward_fn)
 
@@ -361,7 +376,8 @@ def transpose(t, axes=None) -> Tensor:
 
 
 def gather_rows(t, indices) -> Tensor:
-    """Row lookup t[indices]; the gradient scatters into the taken rows."""
+    """Row lookup t[indices] for indices of any shape; the gradient scatters
+    into the taken rows."""
     t = as_tensor(t)
     idx = np.asarray(indices, dtype=np.int64)
     if t.data.ndim != 2:

@@ -1,38 +1,25 @@
 """Clinical-record tower: item embedding plus a small pre-norm
 multi-head self-attention encoder that pools to one feature vector.
 
-Categorical values become embedding-table rows; each continuous
-covariate becomes one extra token through a learned 1->d projection, so
-a record with m categorical items and p covariates enters the encoder
-as an (m+p) x d token matrix. Tokens are an unordered set: there is no
-positional encoding, and mean pooling keeps the output permutation
-invariant.
+A batch of n records enters as an (n, m) array of item indices (m
+categorical fields, the same for every record) plus, per continuous
+covariate, an (n,) array of values. Item indices become embedding-table
+rows; each covariate becomes one extra token through a learned 1->d
+projection, so the encoder sees an (n, m+p, d) token tensor for p
+covariates and runs every record and every head in one batched pass.
+Tokens are an unordered set: there is no positional encoding, and mean
+pooling keeps the output permutation invariant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, VocabularyError
 from .params import ParameterStore, uniform_fan_in
-
-
-@dataclass
-class ClinicalRecord:
-    patient_id: str
-    items: list[str]                 # categorical values as "field=value"
-    covariates: dict[str, float | None]  # e.g. {"age": 61.0}; None = missing
-    survival_days: float
-    event: int
-
-    def __post_init__(self):
-        if self.survival_days <= 0:
-            raise ConfigError(f"survival time must be positive, got {self.survival_days}")
-        if self.event not in (0, 1):
-            raise ConfigError(f"event flag must be 0 or 1, got {self.event}")
 
 
 @dataclass
@@ -45,19 +32,13 @@ class FieldStats:
 
 @dataclass
 class ClinicalVocabulary:
-    """Dense item -> index map plus the continuous-field registry."""
+    """Dense item -> embedding-row index map."""
 
     items: dict[str, int]
-    continuous: dict[str, FieldStats] = field(default_factory=dict)
 
     @property
     def size(self) -> int:
         return len(self.items)
-
-    @classmethod
-    def from_records(cls, records) -> "ClinicalVocabulary":
-        values = sorted({item for r in records for item in r.items})
-        return cls(items={v: i for i, v in enumerate(values)})
 
     def encode_items(self, items) -> np.ndarray:
         indices = []
@@ -117,11 +98,11 @@ def init_clinical_params(
         layer = f"{prefix}.layer{i}"
         store.add(f"{layer}.ln1.gain", np.ones(d, dtype=dtype), decay=False)
         store.add(f"{layer}.ln1.bias", np.zeros(d, dtype=dtype), decay=False)
-        for j in range(config.heads):
-            head = f"{layer}.head{j}"
-            store.add(f"{head}.wq", uniform_fan_in(rng, (d, h), d, dtype))
-            store.add(f"{head}.wk", uniform_fan_in(rng, (d, h), d, dtype))
-            store.add(f"{head}.wv", uniform_fan_in(rng, (d, h), d, dtype))
+        # head j owns columns j*h:(j+1)*h of each projection; drawing q, k, v
+        # head by head keeps the initial values of a given seed fixed
+        draws = [uniform_fan_in(rng, (d, h), d, dtype) for _ in range(3 * config.heads)]
+        for offset, name in enumerate(("wq", "wk", "wv")):
+            store.add(f"{layer}.attn.{name}", np.concatenate(draws[offset::3], axis=1))
         # residual-branch output projections start at zero for a stable start
         store.add(f"{layer}.attn_out.weight", np.zeros((d, d), dtype=dtype))
         store.add(f"{layer}.attn_out.bias", np.zeros(d, dtype=dtype))
@@ -138,108 +119,84 @@ def init_clinical_params(
 def embed_tokens(
     store: ParameterStore,
     token_indices: np.ndarray,
-    covariates: dict[str, float],
+    covariates: dict[str, np.ndarray],
     prefix: str = "clinical",
 ) -> ad.Tensor:
-    """Token matrix for one record: embedding rows plus covariate tokens."""
-    rows = [ad.gather_rows(store[f"{prefix}.embed.weight"], token_indices)]
+    """(n, m) item indices and {field: (n,)} covariates -> (n, m+p, d) tokens.
+
+    Covariate tokens follow the item tokens in sorted field order; a field
+    left out of ``covariates`` contributes no token.
+    """
+    tokens = [ad.gather_rows(store[f"{prefix}.embed.weight"], token_indices)]
     for name in sorted(covariates):
+        values = np.asarray(covariates[name]).reshape(-1, 1, 1)
         w = store[f"{prefix}.cont.{name}.weight"]
-        b = store[f"{prefix}.cont.{name}.bias"]
-        rows.append(ad.add(ad.mul(w, float(covariates[name])), ad.reshape(b, (1, -1))))
-    return ad.concat(rows, axis=0) if len(rows) > 1 else rows[0]
+        tokens.append(ad.add(ad.mul(w, values), store[f"{prefix}.cont.{name}.bias"]))
+    return ad.concat(tokens, axis=1) if len(tokens) > 1 else tokens[0]
 
 
-def embed_record(
-    store: ParameterStore,
-    record: ClinicalRecord,
-    vocab: ClinicalVocabulary,
-    prefix: str = "clinical",
-) -> ad.Tensor:
-    indices = vocab.encode_items(record.items)
-    covariates = {k: float(v) for k, v in record.covariates.items() if v is not None}
-    return embed_tokens(store, indices, covariates, prefix=prefix)
+def multi_head_attention(store, config, x, layer_prefix):
+    """Scaled dot-product self-attention of (n, m, d) tokens, all heads at once.
 
+    The (d, d) projections are split into heads by reshaping their output
+    to (n, m, heads, head_dim). Returns the (n, m, d) output and the
+    (n, heads, m, m) attention weights.
+    """
+    n, m, d = x.shape
+    heads, h = config.heads, config.head_dim
 
-def self_attention(c, wq, wk, wv, return_weights: bool = False):
-    """Single-head scaled dot-product self-attention over token rows."""
-    h = wq.shape[1]
-    q = ad.matmul(c, wq)
-    k = ad.matmul(c, wk)
-    v = ad.matmul(c, wv)
-    logits = ad.mul(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(h))
+    def project(name, axes):
+        out = ad.matmul(x, store[f"{layer_prefix}.attn.{name}"])
+        return ad.transpose(ad.reshape(out, (n, m, heads, h)), axes)
+
+    q = project("wq", (0, 2, 1, 3))    # (n, heads, m, h)
+    k_t = project("wk", (0, 2, 3, 1))  # (n, heads, h, m)
+    v = project("wv", (0, 2, 1, 3))
+    logits = ad.mul(ad.matmul(q, k_t), 1.0 / np.sqrt(h))
     weights = ad.softmax(logits, axis=-1)
-    attended = ad.matmul(weights, v)
-    if return_weights:
-        return attended, weights
-    return attended
-
-
-def multi_head_attention(store, config, x, layer_prefix, return_weights=False):
-    outputs = []
-    all_weights = []
-    for j in range(config.heads):
-        head = f"{layer_prefix}.head{j}"
-        att, w = self_attention(
-            x, store[f"{head}.wq"], store[f"{head}.wk"], store[f"{head}.wv"], return_weights=True
-        )
-        outputs.append(att)
-        all_weights.append(w)
-    merged = ad.concat(outputs, axis=1)
+    merged = ad.reshape(ad.transpose(ad.matmul(weights, v), (0, 2, 1, 3)), (n, m, d))
     out = ad.add(
         ad.matmul(merged, store[f"{layer_prefix}.attn_out.weight"]),
-        ad.reshape(store[f"{layer_prefix}.attn_out.bias"], (1, -1)),
+        store[f"{layer_prefix}.attn_out.bias"],
     )
-    if return_weights:
-        return out, all_weights
-    return out
+    return out, weights
 
 
 def encode_clinical(
     store: ParameterStore,
     config: ClinicalEncoderConfig,
-    token_matrix: ad.Tensor,
+    tokens: ad.Tensor,
     prefix: str = "clinical",
     return_weights: bool = False,
 ):
-    """Encode an (m x d) token matrix to a (1 x d) clinical feature vector."""
-    if token_matrix.shape[1] != config.embed_dim:
+    """Encode (n, m, d) token tensors to (n, d) clinical feature vectors.
+
+    With ``return_weights`` the attention encoder also returns one
+    (n, heads, m, m) weight tensor per layer.
+    """
+    if tokens.data.ndim != 3 or tokens.shape[-1] != config.embed_dim:
         raise ConfigError(
-            f"token matrix width {token_matrix.shape[1]} != embed_dim {config.embed_dim}"
+            f"tokens must have shape (n, m, {config.embed_dim}), got {tuple(tokens.shape)}"
         )
     if config.encoder == "mlp":
-        pooled = ad.reshape(ad.mean_over(token_matrix, (0,)), (1, -1))
+        pooled = ad.mean_over(tokens, (1,))
         hidden = ad.relu(ad.add(
-            ad.matmul(pooled, store[f"{prefix}.mlp_enc.w1"]),
-            ad.reshape(store[f"{prefix}.mlp_enc.b1"], (1, -1)),
+            ad.matmul(pooled, store[f"{prefix}.mlp_enc.w1"]), store[f"{prefix}.mlp_enc.b1"]
         ))
-        out = ad.add(
-            ad.matmul(hidden, store[f"{prefix}.mlp_enc.w2"]),
-            ad.reshape(store[f"{prefix}.mlp_enc.b2"], (1, -1)),
-        )
+        out = ad.add(ad.matmul(hidden, store[f"{prefix}.mlp_enc.w2"]), store[f"{prefix}.mlp_enc.b2"])
         return (out, []) if return_weights else out
 
-    x = token_matrix
+    x = tokens
     collected = []
     for i in range(config.layers):
         layer = f"{prefix}.layer{i}"
         normed = ad.layer_norm(x, store[f"{layer}.ln1.gain"], store[f"{layer}.ln1.bias"])
-        if return_weights:
-            attended, weights = multi_head_attention(store, config, normed, layer, return_weights=True)
-            collected.extend(weights)
-        else:
-            attended = multi_head_attention(store, config, normed, layer)
+        attended, weights = multi_head_attention(store, config, normed, layer)
+        collected.append(weights)
         x = ad.add(x, attended)
         normed2 = ad.layer_norm(x, store[f"{layer}.ln2.gain"], store[f"{layer}.ln2.bias"])
-        hidden = ad.relu(ad.add(
-            ad.matmul(normed2, store[f"{layer}.mlp.w1"]),
-            ad.reshape(store[f"{layer}.mlp.b1"], (1, -1)),
-        ))
-        mlp_out = ad.add(
-            ad.matmul(hidden, store[f"{layer}.mlp.w2"]),
-            ad.reshape(store[f"{layer}.mlp.b2"], (1, -1)),
-        )
-        x = ad.add(x, mlp_out)
+        hidden = ad.relu(ad.add(ad.matmul(normed2, store[f"{layer}.mlp.w1"]), store[f"{layer}.mlp.b1"]))
+        x = ad.add(x, ad.add(ad.matmul(hidden, store[f"{layer}.mlp.w2"]), store[f"{layer}.mlp.b2"]))
     final = ad.layer_norm(x, store[f"{prefix}.final_ln.gain"], store[f"{prefix}.final_ln.bias"])
-    pooled = ad.reshape(ad.mean_over(final, (0,)), (1, -1))
+    pooled = ad.mean_over(final, (1,))
     return (pooled, collected) if return_weights else pooled

@@ -537,43 +537,59 @@ def load_dataset(path) -> SurvivalDataset:
     patients: dict[str, RawPatient] = {}
     split: dict[str, str] = {}
     samples: list[Sample] = []
+    sample_lines: list[int] = []
     for lineno, line in enumerate(lines, start=1):
         if not line:
             continue
         key, value = _parse_kv(line, lineno)
-        if key.startswith("vocab."):
-            vocab_items[value] = int(key.split(".", 1)[1])
-        elif key.startswith("stat."):
-            kv = _parse_fields(value)
-            stats[key.split(".", 1)[1]] = FieldStats(
-                min=float(kv["min"]), max=float(kv["max"]),
-                mean=float(kv["mean"]), std=float(kv["std"]),
-            )
-        elif key.startswith("patient."):
-            pid = key.split(".", 1)[1]
-            kv = _parse_fields(value)
-            categorical = dict(item.split("=", 1) for item in kv["items"].split(","))
-            age = None if kv["age"] == "missing" else float(kv["age"])
-            patients[pid] = RawPatient(pid, categorical, age, float(kv["days"]), int(kv["event"]))
-            split[pid] = kv["split"]
-            if kv["split"] not in SPLITS:
-                raise FormatError(f"manifest line {lineno}: bad split {kv['split']!r}")
-        elif key.startswith("sample."):
-            kv = _parse_fields(value)
-            covariates = {}
-            if kv["cov"]:
-                for part in kv["cov"].split(";"):
-                    k, v = part.split("=", 1)
-                    covariates[k] = float(v)
-            tokens = np.array([int(t) for t in kv["tokens"].split(",")], dtype=np.int64)
-            samples.append(
-                Sample(kv["patient"], int(kv["aug"]), tokens, covariates,
-                       float(kv["target"]), int(kv["event"]))
-            )
-        else:
-            header[key] = value
+        try:
+            if key.startswith("vocab."):
+                vocab_items[value] = int(key.split(".", 1)[1])
+            elif key.startswith("stat."):
+                kv = _parse_fields(value)
+                stats[key.split(".", 1)[1]] = FieldStats(
+                    min=float(kv["min"]), max=float(kv["max"]),
+                    mean=float(kv["mean"]), std=float(kv["std"]),
+                )
+            elif key.startswith("patient."):
+                pid = key.split(".", 1)[1]
+                kv = _parse_fields(value)
+                categorical = dict(item.split("=", 1) for item in kv["items"].split(","))
+                age = None if kv["age"] == "missing" else float(kv["age"])
+                if kv["split"] not in SPLITS:
+                    raise ValueError(f"bad split {kv['split']!r}")
+                patients[pid] = RawPatient(pid, categorical, age, float(kv["days"]), int(kv["event"]))
+                split[pid] = kv["split"]
+            elif key.startswith("sample."):
+                kv = _parse_fields(value)
+                covariates = {}
+                if kv["cov"]:
+                    for part in kv["cov"].split(";"):
+                        k, v = part.split("=", 1)
+                        covariates[k] = float(v)
+                tokens = np.array([int(t) for t in kv["tokens"].split(",")], dtype=np.int64)
+                samples.append(
+                    Sample(kv["patient"], int(kv["aug"]), tokens, covariates,
+                           float(kv["target"]), int(kv["event"]))
+                )
+                sample_lines.append(lineno)
+            else:
+                header[key] = value
+        except KeyError as exc:
+            raise FormatError(f"manifest line {lineno}: {key} lacks field {exc}") from None
+        except ValueError as exc:
+            raise FormatError(f"manifest line {lineno}: malformed {key} entry: {exc}") from None
     if int(header.get("version", "-1")) != _MANIFEST_VERSION:
         raise FormatError(f"{manifest}: unsupported version {header.get('version')!r}")
+    # a batch stacks its tokens into one (n, m) index array for the embedding
+    # table, so every sample needs one in-range token per categorical field
+    n_fields = len(header["categorical_fields"].split(","))
+    for lineno, s in zip(sample_lines, samples):
+        tokens = s.tokens.tolist()
+        if len(tokens) != n_fields or min(tokens) < 0 or max(tokens) >= len(vocab_items):
+            raise FormatError(
+                f"manifest line {lineno}: need {n_fields} tokens in [0, {len(vocab_items)}), got {tokens}"
+            )
     volumes = {}
     for pid in patients:
         volumes[pid] = load_volume(root / "volumes" / f"{pid}.psnv")

@@ -39,18 +39,20 @@ def fuse_predict(store: ParameterStore, features: ad.Tensor, prefix="head") -> a
 def frame_difference(volume: np.ndarray, direction: str) -> np.ndarray:
     """Consecutive-slice subtraction along the frame axis, zero-padded.
 
+    The frame axis is -3, so this takes one (f,h,w) volume or any stack
+    (..., f, h, w) of them, such as an (n,1,f,h,w) batch.
     forward: out[i] = v[i+1] - v[i], last slice zero.
     backward: out[i] = v[i-1] - v[i], first slice zero.
     """
-    if volume.ndim != 3:
-        raise DimensionError(f"expected a (f,h,w) volume, got shape {volume.shape}")
-    if volume.shape[0] < 2:
-        raise DimensionError(f"frame difference needs at least 2 slices, got {volume.shape[0]}")
+    if volume.ndim < 3:
+        raise DimensionError(f"expected (..., f, h, w) volumes, got shape {volume.shape}")
+    if volume.shape[-3] < 2:
+        raise DimensionError(f"frame difference needs at least 2 slices, got {volume.shape[-3]}")
     out = np.zeros_like(volume)
     if direction == "forward":
-        out[:-1] = volume[1:] - volume[:-1]
+        out[..., :-1, :, :] = volume[..., 1:, :, :] - volume[..., :-1, :, :]
     elif direction == "backward":
-        out[1:] = volume[:-1] - volume[1:]
+        out[..., 1:, :, :] = volume[..., :-1, :, :] - volume[..., 1:, :, :]
     else:
         raise ConfigError(f"direction must be 'forward' or 'backward', got {direction!r}")
     return out

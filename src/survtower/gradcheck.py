@@ -160,6 +160,10 @@ def op_checks(seed: int = 0, instances: int = 20) -> list[CheckResult]:
 
     run("matmul", ad.matmul,
         lambda: [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))])
+    run("matmul[3d x weight]", ad.matmul,
+        lambda: [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 2))])
+    run("matmul[4d x 4d]", ad.matmul,
+        lambda: [rng.standard_normal((2, 1, 3, 4)), rng.standard_normal((1, 3, 4, 2))])
     run("conv3d", lambda x, k: ad.conv3d(x, k, stride=(1, 2, 2), padding=1),
         lambda: [rng.standard_normal((2, 2, 3, 5, 5)), rng.standard_normal((3, 2, 2, 3, 3))])
     run("softmax", lambda t: ad.softmax(t, axis=-1),
@@ -236,11 +240,11 @@ def _model_check_at(seed: int, samples_per_tensor: int, only: set | None = None)
 
     raw = rng.uniform(0, 1, (2, 1, 4, 16, 16))
     batch = BatchInputs(
-        tokens=[np.array([0, 2, 5]), np.array([1, 3, 4])],
-        covariates=[{"age": 0.4}, {"age": -1.1}],
+        tokens=np.array([[0, 2, 5], [1, 3, 4]]),
+        covariates={"age": np.array([0.4, -1.1])},
         volumes=raw,
-        volumes_fwd=np.stack([[fu.frame_difference(raw[i, 0], "forward")] for i in range(2)]),
-        volumes_bwd=np.stack([[fu.frame_difference(raw[i, 0], "backward")] for i in range(2)]),
+        volumes_fwd=fu.frame_difference(raw, "forward"),
+        volumes_bwd=fu.frame_difference(raw, "backward"),
         targets=np.array([0.3, 0.7]),
         events=np.array([1, 1]),
     )

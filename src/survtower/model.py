@@ -84,23 +84,16 @@ def init_model_params(
 class BatchInputs:
     """Numeric inputs for one batch, decoupled from the dataset object."""
 
-    tokens: list[np.ndarray]
-    covariates: list[dict[str, float]]
-    volumes: np.ndarray | None        # (n,1,f,h,w) raw pass
-    volumes_fwd: np.ndarray | None    # forward-difference pass
+    tokens: np.ndarray                 # (n, m) item indices
+    covariates: dict[str, np.ndarray]  # field -> (n,) values
+    volumes: np.ndarray | None         # (n,1,f,h,w) raw pass
+    volumes_fwd: np.ndarray | None     # forward-difference pass
     volumes_bwd: np.ndarray | None
     targets: np.ndarray
     events: np.ndarray
 
     def __len__(self):
         return len(self.tokens)
-
-
-def _diff_batch(volumes: np.ndarray, direction: str) -> np.ndarray:
-    out = np.empty_like(volumes)
-    for i in range(volumes.shape[0]):
-        out[i, 0] = fu.frame_difference(volumes[i, 0], direction)
-    return out
 
 
 def make_batch(
@@ -110,8 +103,9 @@ def make_batch(
     dtype=np.float32,
     volume_cache: dict | None = None,
 ) -> BatchInputs:
-    tokens = [s.tokens for s in samples]
-    covariates = [s.covariates for s in samples]
+    tokens = np.stack([s.tokens for s in samples])
+    covariates = {name: np.array([s.covariates[name] for s in samples])
+                  for name in samples[0].covariates}
     targets = np.array([s.time_norm for s in samples], dtype=dtype)
     events = np.array([s.event for s in samples], dtype=np.int64)
     volumes = volumes_fwd = volumes_bwd = None
@@ -131,9 +125,9 @@ def make_batch(
         volumes = stack
         if config.uses_diff_passes:
             if config.frame_diff in ("on", "forward-only"):
-                volumes_fwd = _diff_batch(volumes, "forward")
+                volumes_fwd = fu.frame_difference(volumes, "forward")
             if config.frame_diff in ("on", "backward-only"):
-                volumes_bwd = _diff_batch(volumes, "backward")
+                volumes_bwd = fu.frame_difference(volumes, "backward")
     return BatchInputs(tokens, covariates, volumes, volumes_fwd, volumes_bwd, targets, events)
 
 
@@ -146,11 +140,8 @@ class BatchPrediction:
 
 
 def _clinical_features(store, config, batch):
-    feats = []
-    for tok, cov in zip(batch.tokens, batch.covariates):
-        mat = cl.embed_tokens(store, tok, cov)
-        feats.append(cl.encode_clinical(store, config.clinical, mat))
-    return ad.concat(feats, axis=0)
+    tokens = cl.embed_tokens(store, batch.tokens, batch.covariates)
+    return cl.encode_clinical(store, config.clinical, tokens)
 
 
 def _predict_pass(store, config, clinical_feats, volumes):

@@ -171,7 +171,6 @@ class TrainerState:
     vocab_items: dict = field(default_factory=dict)
     stats: dict = field(default_factory=dict)
     fields: dict = field(default_factory=dict)
-    censored_loss_samples: int = 0
 
 
 def split_dataset(dataset: SurvivalDataset, config: TrainConfig):
@@ -240,7 +239,6 @@ def train(
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
             samples = [train_samples[i] for i in idx]
-            state.censored_loss_samples += sum(1 for s in samples if s.event != 1)
             batch = make_batch(ds, samples, model_cfg, volume_cache=cache)
             pred = forward_batch(state.store, model_cfg, batch)
             mse_t = fu.mse_loss(pred.ensembled, batch.targets)
@@ -341,7 +339,9 @@ def evaluate(
 # checkpoint format (PSNC)
 
 _CKPT_MAGIC = b"PSNC"
-_CKPT_VERSION = 1
+# version 2 names one (d, d) wq/wk/wv per clinical layer; a version 1 file
+# holds per-head parameters that no model of this version has
+_CKPT_VERSION = 2
 
 
 def save_checkpoint(state: TrainerState, path):
@@ -376,7 +376,6 @@ def save_checkpoint(state: TrainerState, path):
         "vocab": state.vocab_items,
         "stats": state.stats,
         "fields": state.fields,
-        "censored_loss_samples": state.censored_loss_samples,
         "tensors": tensors,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -442,7 +441,6 @@ def load_checkpoint(path) -> TrainerState:
         vocab_items=dict(header["vocab"]),
         stats=header["stats"],
         fields=header["fields"],
-        censored_loss_samples=header["censored_loss_samples"],
     )
     return state
 

@@ -49,6 +49,8 @@ class TestMatmul:
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 3\)"):
             ad.matmul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 3))))
+        with pytest.raises(DimensionError):
+            ad.matmul(ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((3, 4, 5))))
 
     def test_gradient_of_sum_is_transpose_broadcast(self):
         rng = np.random.default_rng(1)
@@ -64,6 +66,10 @@ class TestMatmul:
         for _ in range(20):
             m, k, n = rng.integers(1, 5, size=3)
             _check_op(ad.matmul, [rng.standard_normal((m, k)), rng.standard_normal((k, n))], rng)
+            # batched: one weight for every batch entry, and broadcast leading axes
+            _check_op(ad.matmul, [rng.standard_normal((2, m, k)), rng.standard_normal((k, n))], rng)
+            _check_op(ad.matmul, [rng.standard_normal((2, 1, m, k)),
+                                  rng.standard_normal((3, k, n))], rng)
 
 
 class TestConv3d:
@@ -173,6 +179,15 @@ class TestLayerNorm:
 
 
 class TestElementwise:
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+    @pytest.mark.parametrize("const", [0.5, np.float64(0.5), np.array(0.5), np.ones(3)])
+    def test_constant_takes_tensor_dtype(self, op, const):
+        t = ad.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        for out in (op(t, const), op(const, t)):
+            assert out.dtype == np.float32
+        ad.backward(ad.sum_over(op(t, const)))
+        assert t.grad.dtype == np.float32
+
     def test_sigmoid_center(self):
         assert ad.sigmoid(ad.Tensor([0.0])).item() == pytest.approx(0.5)
 

@@ -8,15 +8,14 @@ import pytest
 from survtower import autodiff as ad
 from survtower import clinical as cl
 from survtower.errors import ConfigError, VocabularyError
-from survtower.params import ParameterStore
+from survtower.params import ParameterStore, uniform_fan_in
 
 
-def make_records():
-    return [
-        cl.ClinicalRecord("p1", ["stage=II", "hist=adeno"], {"age": 61.0}, 400.0, 1),
-        cl.ClinicalRecord("p2", ["stage=IV", "hist=squamous"], {"age": 55.0}, 120.0, 1),
-        cl.ClinicalRecord("p3", ["stage=II", "hist=squamous"], {"age": None}, 800.0, 0),
-    ]
+ITEMS = ["hist=adeno", "hist=squamous", "stage=II", "stage=IV"]
+
+
+def make_vocab():
+    return cl.ClinicalVocabulary(items={v: i for i, v in enumerate(ITEMS)})
 
 
 def small_config(**kw):
@@ -34,53 +33,51 @@ def build_store(config, vocab, rng=None, dtype=np.float64):
 
 class TestVocabulary:
     def test_dense_sorted_indices(self):
-        vocab = cl.ClinicalVocabulary.from_records(make_records())
+        from survtower.synthetic import generate_synthetic
+
+        vocab = generate_synthetic(3, 10).vocab
         assert sorted(vocab.items.values()) == list(range(vocab.size))
-        assert vocab.size == 4
+        assert list(vocab.items) == sorted(vocab.items)
 
     def test_unknown_item_named_in_error(self):
-        vocab = cl.ClinicalVocabulary.from_records(make_records())
         with pytest.raises(VocabularyError, match="stage=X"):
-            vocab.encode_items(["stage=X"])
-
-    def test_record_validation(self):
-        with pytest.raises(ConfigError):
-            cl.ClinicalRecord("p", ["a=b"], {}, -1.0, 1)
-        with pytest.raises(ConfigError):
-            cl.ClinicalRecord("p", ["a=b"], {}, 10.0, 2)
+            make_vocab().encode_items(["stage=X"])
 
 
 class TestEmbedding:
     def test_identity_weight_lookup(self):
         store = ParameterStore()
         store.add("clinical.embed.weight", np.eye(4))
-        out = cl.embed_tokens(store, np.array([2]), {})
-        np.testing.assert_allclose(out.data, np.eye(4)[[2]])
+        out = cl.embed_tokens(store, np.array([[2], [0]]), {})
+        np.testing.assert_allclose(out.data, np.eye(4)[[[2], [0]]])
 
     def test_shape_with_covariate_token(self):
-        vocab = cl.ClinicalVocabulary.from_records(make_records())
+        vocab = make_vocab()
         config = small_config()
         store = build_store(config, vocab)
-        rec = make_records()[0]
-        out = cl.embed_record(store, rec, vocab)
-        assert out.shape == (len(rec.items) + 1, config.embed_dim)
+        tokens = np.array([[2, 0], [3, 1], [2, 1]])
+        out = cl.embed_tokens(store, tokens, {"age": np.array([61.0, 55.0, 70.0])})
+        assert out.shape == (3, 2 + 1, config.embed_dim)
+        # the covariate token is age * weight + bias, record by record
+        w = store["clinical.cont.age.weight"].data[0]
+        np.testing.assert_array_equal(out.data[1, 2], 55.0 * w + store["clinical.cont.age.bias"].data)
 
     def test_missing_covariate_skipped(self):
-        vocab = cl.ClinicalVocabulary.from_records(make_records())
-        store = build_store(small_config(), vocab)
-        out = cl.embed_record(store, make_records()[2], vocab)
-        assert out.shape == (2, 12)
+        store = build_store(small_config(), make_vocab())
+        out = cl.embed_tokens(store, np.array([[2, 1]]), {})
+        assert out.shape == (1, 2, 12)
 
     def test_gradient_hits_only_looked_up_rows(self):
-        vocab = cl.ClinicalVocabulary.from_records(make_records())
+        vocab = make_vocab()
         store = build_store(small_config(), vocab)
-        out = cl.embed_tokens(store, vocab.encode_items(["hist=adeno", "stage=II"]), {})
+        idx = vocab.encode_items(["hist=adeno", "stage=II"])
+        out = cl.embed_tokens(store, np.stack([idx, idx[::-1]]), {})
         ad.backward(ad.sum_over(out))
         grad = store["clinical.embed.weight"].grad
         touched = {vocab.items["hist=adeno"], vocab.items["stage=II"]}
         for row in range(vocab.size):
             if row in touched:
-                assert np.any(grad[row] != 0)
+                np.testing.assert_array_equal(grad[row], 2.0)
             else:
                 np.testing.assert_array_equal(grad[row], 0)
 
@@ -109,101 +106,153 @@ def attention_oracle(c, wq, wk, wv):
     return np.array(out)
 
 
+def attention_store(rng, d, heads, **weights):
+    """One attention layer "L" with an identity output projection, so its
+    output is the concatenation of the per-head attended values."""
+    store = ParameterStore()
+    for name in ("wq", "wk", "wv"):
+        w = weights.get(name)
+        store.add(f"L.attn.{name}", rng.standard_normal((d, d)) if w is None else w)
+    store.add("L.attn_out.weight", np.eye(d))
+    store.add("L.attn_out.bias", np.zeros(d))
+    return store, cl.ClinicalEncoderConfig(embed_dim=d, heads=heads)
+
+
 class TestSelfAttention:
     def test_single_token_passes_value_through(self):
         rng = np.random.default_rng(1)
-        c = ad.Tensor(rng.standard_normal((1, 4)))
-        wq, wk, wv = (ad.Tensor(rng.standard_normal((4, 3))) for _ in range(3))
-        out = cl.self_attention(c, wq, wk, wv)
-        np.testing.assert_allclose(out.data, (c.data @ wv.data), rtol=1e-5)
+        store, config = attention_store(rng, 6, 3)
+        x = ad.Tensor(rng.standard_normal((2, 1, 6)))
+        out, _ = cl.multi_head_attention(store, config, x, "L")
+        np.testing.assert_allclose(out.data, x.data @ store["L.attn.wv"].data, rtol=1e-12)
 
     def test_zero_query_gives_uniform_attention(self):
         rng = np.random.default_rng(2)
-        c = ad.Tensor(rng.standard_normal((5, 4)))
-        wq = ad.Tensor(np.zeros((4, 3)))
-        wk, wv = (ad.Tensor(rng.standard_normal((4, 3))) for _ in range(2))
-        out = cl.self_attention(c, wq, wk, wv)
-        expected = np.tile((c.data @ wv.data).mean(axis=0), (5, 1))
-        np.testing.assert_allclose(out.data, expected, atol=1e-6)
+        store, config = attention_store(rng, 6, 2, wq=np.zeros((6, 6)))
+        x = ad.Tensor(rng.standard_normal((2, 5, 6)))
+        out, _ = cl.multi_head_attention(store, config, x, "L")
+        values = x.data @ store["L.attn.wv"].data
+        expected = np.broadcast_to(values.mean(axis=1, keepdims=True), values.shape)
+        np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_matches_scalar_loop_oracle(self):
+        # every record and every head of the batched pass against the scalar
+        # loop on that record and that head's column block of wq/wk/wv
         rng = np.random.default_rng(3)
-        c = rng.standard_normal((2, 2))
-        wq, wk, wv = (rng.standard_normal((2, 2)) for _ in range(3))
-        out = cl.self_attention(ad.Tensor(c, dtype=np.float64), ad.Tensor(wq, dtype=np.float64),
-                                ad.Tensor(wk, dtype=np.float64), ad.Tensor(wv, dtype=np.float64))
-        np.testing.assert_allclose(out.data, attention_oracle(c, wq, wk, wv), atol=1e-6)
+        n, m, d, heads = 2, 3, 4, 2
+        store, config = attention_store(rng, d, heads)
+        x = rng.standard_normal((n, m, d))
+        out, _ = cl.multi_head_attention(store, config, ad.Tensor(x, dtype=np.float64), "L")
+        h = d // heads
+        wq, wk, wv = (store[f"L.attn.{name}"].data for name in ("wq", "wk", "wv"))
+        for i in range(n):
+            for j in range(heads):
+                cols = slice(j * h, (j + 1) * h)
+                expected = attention_oracle(x[i], wq[:, cols], wk[:, cols], wv[:, cols])
+                np.testing.assert_allclose(out.data[i, :, cols], expected, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(4)
-        c = ad.Tensor(rng.standard_normal((6, 4)))
-        wq, wk, wv = (ad.Tensor(rng.standard_normal((4, 2))) for _ in range(3))
-        _, weights = cl.self_attention(c, wq, wk, wv, return_weights=True)
-        np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-6)
+        store, config = attention_store(rng, 4, 2)
+        x = ad.Tensor(rng.standard_normal((3, 6, 4)))
+        _, weights = cl.multi_head_attention(store, config, x, "L")
+        assert weights.shape == (3, 2, 6, 6)
+        np.testing.assert_allclose(weights.data.sum(axis=-1), 1.0, atol=1e-12)
 
 
 class TestEncoder:
-    def _token_matrix(self, store, vocab, rng):
-        idx = rng.integers(0, vocab.size, size=3)
-        return cl.embed_tokens(store, idx, {"age": 0.7})
+    def _tokens(self, store, vocab, rng):
+        idx = rng.integers(0, vocab.size, size=(2, 3))
+        return cl.embed_tokens(store, idx, {"age": np.array([0.7, -0.2])})
 
     def test_zeroed_branches_reduce_to_pooled_layernorm(self):
         # residual-branch output projections are zero at init, so a fresh
         # encoder must equal the straight-line mean(LN(C)) reimplementation
-        vocab = cl.ClinicalVocabulary.from_records(make_records())
+        vocab = make_vocab()
         config = small_config()
         store = build_store(config, vocab)
         rng = np.random.default_rng(5)
-        tokens = self._token_matrix(store, vocab, rng)
+        tokens = self._tokens(store, vocab, rng)
         out = cl.encode_clinical(store, config, tokens)
 
         c = tokens.data
         mu = c.mean(axis=-1, keepdims=True)
         var = ((c - mu) ** 2).mean(axis=-1, keepdims=True)
-        straight = ((c - mu) / np.sqrt(var + 1e-5)).mean(axis=0)
-        np.testing.assert_allclose(out.data[0], straight, atol=1e-10)
+        straight = ((c - mu) / np.sqrt(var + 1e-5)).mean(axis=1)
+        np.testing.assert_allclose(out.data, straight, atol=1e-10)
 
     def test_output_width_independent_of_token_count(self):
-        vocab = cl.ClinicalVocabulary.from_records(make_records())
+        vocab = make_vocab()
         config = small_config()
         store = build_store(config, vocab)
         for m in (1, 2, 4):
-            tokens = cl.embed_tokens(store, np.arange(m) % vocab.size, {})
-            assert cl.encode_clinical(store, config, tokens).shape == (1, config.embed_dim)
+            tokens = cl.embed_tokens(store, np.arange(2 * m).reshape(2, m) % vocab.size, {})
+            assert cl.encode_clinical(store, config, tokens).shape == (2, config.embed_dim)
 
     def test_permutation_invariance(self):
-        vocab = cl.ClinicalVocabulary.from_records(make_records())
+        vocab = make_vocab()
         config = small_config()
         store = build_store(config, vocab)
         _randomize_branches(store, np.random.default_rng(6))
-        idx = np.array([0, 1, 2, 3])
+        idx = np.array([[0, 1, 2, 3], [3, 3, 1, 0]])
         out1 = cl.encode_clinical(store, config, cl.embed_tokens(store, idx, {}))
-        out2 = cl.encode_clinical(store, config, cl.embed_tokens(store, idx[::-1].copy(), {}))
+        out2 = cl.encode_clinical(store, config, cl.embed_tokens(store, idx[:, ::-1].copy(), {}))
         np.testing.assert_allclose(out1.data, out2.data, atol=1e-9)
 
+    def test_records_are_independent(self):
+        # a record's features do not depend on the other records of its batch
+        vocab = make_vocab()
+        config = small_config()
+        store = build_store(config, vocab)
+        _randomize_branches(store, np.random.default_rng(9))
+        idx = np.array([[0, 1, 2], [3, 2, 1], [1, 1, 0]])
+        ages = np.array([0.3, -1.0, 2.0])
+        batched = cl.encode_clinical(store, config, cl.embed_tokens(store, idx, {"age": ages}))
+        for i in range(3):
+            alone = cl.encode_clinical(
+                store, config, cl.embed_tokens(store, idx[i:i + 1], {"age": ages[i:i + 1]})
+            )
+            np.testing.assert_allclose(batched.data[i:i + 1], alone.data, atol=1e-12)
+
     def test_every_head_rows_sum_to_one(self):
-        vocab = cl.ClinicalVocabulary.from_records(make_records())
+        vocab = make_vocab()
         config = small_config()
         store = build_store(config, vocab)
         _randomize_branches(store, np.random.default_rng(7))
-        tokens = cl.embed_tokens(store, np.array([0, 1, 2]), {"age": 0.3})
+        tokens = cl.embed_tokens(store, np.array([[0, 1, 2], [2, 2, 3]]), {"age": np.array([0.3, 1.2])})
         _, weights = cl.encode_clinical(store, config, tokens, return_weights=True)
-        assert len(weights) == config.layers * config.heads
+        assert len(weights) == config.layers
         for w in weights:
+            assert w.shape == (2, config.heads, 4, 4)
             np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_mlp_substitute_encoder(self):
-        vocab = cl.ClinicalVocabulary.from_records(make_records())
+        vocab = make_vocab()
         config = small_config(encoder="mlp")
         store = build_store(config, vocab)
-        tokens = cl.embed_tokens(store, np.array([0, 1]), {"age": 0.1})
-        assert cl.encode_clinical(store, config, tokens).shape == (1, config.embed_dim)
+        tokens = cl.embed_tokens(store, np.array([[0, 1], [1, 3]]), {"age": np.array([0.1, 0.5])})
+        assert cl.encode_clinical(store, config, tokens).shape == (2, config.embed_dim)
 
     def test_head_split_validation(self):
         with pytest.raises(ConfigError):
             cl.ClinicalEncoderConfig(embed_dim=10, heads=3)
         with pytest.raises(ConfigError):
             cl.ClinicalEncoderConfig(layers=0)
+
+    def test_projections_keep_per_head_draw_order(self):
+        # head j's columns of wq/wk/wv hold its q, k, v draws, taken head by
+        # head, so a seed gives the same initial model as per-head triplets
+        config = small_config()
+        store = build_store(config, make_vocab(), rng=np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        d, h = config.embed_dim, config.head_dim
+        uniform_fan_in(rng, (make_vocab().size, d), d, np.float64)
+        uniform_fan_in(rng, (1, d), 1, np.float64)
+        for j in range(config.heads):
+            cols = slice(j * h, (j + 1) * h)
+            for name in ("wq", "wk", "wv"):
+                expected = uniform_fan_in(rng, (d, h), d, np.float64)
+                np.testing.assert_array_equal(store[f"clinical.layer0.attn.{name}"].data[:, cols], expected)
 
 
 def _randomize_branches(store, rng):
@@ -217,19 +266,19 @@ class TestEncoderGradients:
     def test_gradcheck_through_encoder(self):
         from survtower import gradcheck as gc
 
-        vocab = cl.ClinicalVocabulary.from_records(make_records())
+        vocab = make_vocab()
         config = small_config()
         store = build_store(config, vocab, dtype=np.float64)
         rng = np.random.default_rng(8)
         _randomize_branches(store, rng)
-        idx = np.array([0, 2, 3])
+        idx = np.array([[0, 2, 3], [1, 1, 2]])
 
         def forward():
-            tokens = cl.embed_tokens(store, idx, {"age": 0.4})
+            tokens = cl.embed_tokens(store, idx, {"age": np.array([0.4, -0.9])})
             out = cl.encode_clinical(store, config, tokens)
             return ad.sum_over(ad.mul(out, weights))
 
-        weights = rng.standard_normal((1, config.embed_dim))
+        weights = rng.standard_normal((2, config.embed_dim))
         loss = forward()
         ad.backward(loss)
 

@@ -1,5 +1,7 @@
 """Scaling, imputation, resizing, augmentation, and file formats."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,3 +313,22 @@ class TestBundleRoundtrip:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FormatError, match="manifest"):
             dp.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("kind, pattern, replacement", [
+        ("sample", r" target=\S+", ""),                    # missing key
+        ("sample", r" aug=\d+", " aug=x"),                 # malformed number
+        ("sample", r"tokens=(\d+),", "tokens="),           # one token short
+        ("sample", r"tokens=\d+", "tokens=99"),            # token >= vocab size
+        ("patient", r" days=\S+", ""),                     # missing key
+        ("patient", r" event=\d", " event=?"),             # malformed number
+    ])
+    def test_malformed_entry_names_line(self, tmp_path, kind, pattern, replacement):
+        ds = dp.build_dataset(generate_patients(11, 10), seed=11)
+        dp.save_dataset(ds, tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(kind + "."))
+        lines[lineno - 1] = re.sub(pattern, replacement, lines[lineno - 1], count=1)
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"manifest line {lineno}:"):
+            dp.load_dataset(tmp_path / "ds")

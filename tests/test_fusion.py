@@ -67,6 +67,10 @@ class TestFrameDifference:
         v = np.stack([np.full((2, 2), i, dtype=float) for i in range(4)])
         out = fu.frame_difference(v, "forward")
         np.testing.assert_allclose(out[:, 0, 0], [1, 1, 1, 0])
+        # an (n,1,f,h,w) batch differences each volume along its frame axis
+        batch = np.stack([[v], [2.0 * v]])
+        out = fu.frame_difference(batch, "forward")
+        np.testing.assert_allclose(out[:, 0, :, 0, 0], [[1, 1, 1, 0], [2, 2, 2, 0]])
 
     def test_backward_antisymmetric_on_ramp(self):
         v = np.stack([np.full((2, 2), 2.0 * i) for i in range(5)])

@@ -1,0 +1,71 @@
+"""Model assembly and training protocol: float32 stays float32, checkpoint
+round trip, and the bit-exact resume contract."""
+
+import struct
+
+import numpy as np
+import pytest
+
+from survtower import model, train
+from survtower.errors import FormatError
+from survtower.synthetic import generate_synthetic
+
+
+def tiny_config(**kw):
+    base = dict(
+        towers="textual", epochs=2, batch_size=8, embed_dim=12, heads=3, layers=2,
+        mlp_hidden=24, head_hidden=8, frames=4, in_plane=8, widths=(4, 8), blocks_per_stage=1,
+    )
+    base.update(kw)
+    return train.TrainConfig(**base)
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    return generate_synthetic(4, 30)
+
+
+@pytest.mark.parametrize("towers", ["both", "visual", "textual"])
+def test_forward_batch_keeps_float32(dataset, towers):
+    config = tiny_config(towers=towers).model_config()
+    store = model.init_model_params(config, dataset.vocab, dataset.continuous_fields, seed=0)
+    batch = model.make_batch(dataset, dataset.samples[:3], config)
+    pred = model.forward_batch(store, config, batch)
+    assert pred.ensembled.shape == (3, 1)
+    assert pred.ensembled.dtype == np.float32
+
+
+class TestCheckpoint:
+    def test_save_load_evaluate_bit_identical(self, dataset, tmp_path):
+        state, _ = train.train(tiny_config(), dataset)
+        train.save_checkpoint(state, tmp_path / "ckpt")
+        loaded = train.load_checkpoint(tmp_path / "ckpt")
+        for which in ("best", "last"):
+            assert train.evaluate(loaded, dataset, which=which) == train.evaluate(state, dataset, which=which)
+
+    def test_resume_equals_continuous_run(self, dataset, tmp_path):
+        config = tiny_config()
+        full, full_history = train.train(config, dataset)
+        half, first = train.train(config, dataset, epochs=1)
+        train.save_checkpoint(half, tmp_path / "half")
+        resumed, second = train.train(
+            config, dataset, state=train.load_checkpoint(tmp_path / "half"), epochs=1
+        )
+
+        def timeless(rows):
+            return [{k: v for k, v in row.items() if k != "seconds"} for row in rows]
+
+        np.testing.assert_equal(timeless(first + second), timeless(full_history))
+        train.save_checkpoint(full, tmp_path / "full")
+        train.save_checkpoint(resumed, tmp_path / "resumed")
+        assert (tmp_path / "full").read_bytes() == (tmp_path / "resumed").read_bytes()
+
+    def test_version_1_rejected(self, dataset, tmp_path):
+        state, _ = train.train(tiny_config(epochs=1), dataset)
+        path = tmp_path / "ckpt"
+        train.save_checkpoint(state, path)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<H", blob, 4, 1)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="version 1"):
+            train.load_checkpoint(path)
