@@ -506,6 +506,19 @@ def save_dataset(ds: SurvivalDataset, path):
         save_volume(root / "volumes" / f"{pid}.psnv", ds.volumes[pid])
 
 
+# header keys that load_dataset requires, with the parser of each value
+_HEADER_FIELDS = {
+    "version": int,
+    "categorical_fields": lambda value: value.split(","),
+    "continuous_fields": lambda value: value.split(","),
+    "patients": int,
+    "samples": int,
+    "split_seed": int,
+    "split_ratios": lambda value: tuple(float(r) for r in value.split(",")),
+    "split_fold": int,
+}
+
+
 def _parse_kv(line: str, lineno: int):
     if ": " not in line:
         raise FormatError(f"manifest line {lineno}: expected 'key: value', got {line!r}")
@@ -531,7 +544,7 @@ def load_dataset(path) -> SurvivalDataset:
         raise FormatError(f"{manifest}: missing format line")
     if lines[0] != f"format: {_MANIFEST_MAGIC}":
         raise FormatError(f"{manifest}: expected format magic {_MANIFEST_MAGIC}, got {lines[0]!r}")
-    header: dict[str, str] = {}
+    header: dict[str, object] = {}
     vocab_items: dict[str, int] = {}
     stats: dict[str, FieldStats] = {}
     patients: dict[str, RawPatient] = {}
@@ -574,16 +587,19 @@ def load_dataset(path) -> SurvivalDataset:
                 )
                 sample_lines.append(lineno)
             else:
-                header[key] = value
+                header[key] = _HEADER_FIELDS.get(key, str)(value)
         except KeyError as exc:
             raise FormatError(f"manifest line {lineno}: {key} lacks field {exc}") from None
         except ValueError as exc:
             raise FormatError(f"manifest line {lineno}: malformed {key} entry: {exc}") from None
-    if int(header.get("version", "-1")) != _MANIFEST_VERSION:
+    if header.get("version") != _MANIFEST_VERSION:
         raise FormatError(f"{manifest}: unsupported version {header.get('version')!r}")
+    missing = [k for k in _HEADER_FIELDS if k not in header]
+    if missing:
+        raise FormatError(f"{manifest}: header lacks {', '.join(missing)}")
     # a batch stacks its tokens into one (n, m) index array for the embedding
     # table, so every sample needs one in-range token per categorical field
-    n_fields = len(header["categorical_fields"].split(","))
+    n_fields = len(header["categorical_fields"])
     for lineno, s in zip(sample_lines, samples):
         tokens = s.tokens.tolist()
         if len(tokens) != n_fields or min(tokens) < 0 or max(tokens) >= len(vocab_items):
@@ -594,18 +610,18 @@ def load_dataset(path) -> SurvivalDataset:
     for pid in patients:
         volumes[pid] = load_volume(root / "volumes" / f"{pid}.psnv")
     ds = SurvivalDataset(
-        categorical_fields=header["categorical_fields"].split(","),
-        continuous_fields=header["continuous_fields"].split(","),
+        categorical_fields=header["categorical_fields"],
+        continuous_fields=header["continuous_fields"],
         vocab=ClinicalVocabulary(items=vocab_items),
         stats=stats,
         patients=patients,
         volumes=volumes,
         split=split,
-        split_seed=int(header["split_seed"]),
-        split_ratios=tuple(float(r) for r in header["split_ratios"].split(",")),
-        split_fold=int(header["split_fold"]),
+        split_seed=header["split_seed"],
+        split_ratios=header["split_ratios"],
+        split_fold=header["split_fold"],
         samples=samples,
     )
-    if len(ds.samples) != int(header["samples"]) or len(ds.patients) != int(header["patients"]):
+    if len(ds.samples) != header["samples"] or len(ds.patients) != header["patients"]:
         raise FormatError(f"{manifest}: entry counts disagree with header")
     return ds

@@ -33,10 +33,6 @@ class ModelConfig:
     frame_diff: str = "on"
 
     def __post_init__(self):
-        if isinstance(self.clinical, dict):
-            self.clinical = cl.ClinicalEncoderConfig(**self.clinical)
-        if isinstance(self.visual, dict):
-            self.visual = vz.VisualBackboneConfig(**self.visual)
         if self.towers not in TOWER_MODES:
             raise ConfigError(f"towers must be one of {TOWER_MODES}, got {self.towers!r}")
         if self.frame_diff not in fu.FRAME_DIFF_MODES:
@@ -158,14 +154,18 @@ def forward_batch(store: ParameterStore, config: ModelConfig, batch: BatchInputs
     """Three shared-weight passes (raw, forward diff, backward diff).
 
     When a difference direction is disabled its slot reuses the raw
-    prediction, which keeps the ensemble formula intact and makes
-    omega=1 bit-equal to frame differencing switched off.
+    prediction, which keeps the ensemble formula intact. Without
+    difference passes (omega=1, frame_diff="off" or no visual tower) the
+    ensembled prediction is the raw one itself, so omega=1 is bit-equal
+    to frame differencing switched off.
     """
     clinical_feats = None
     if config.towers in ("both", "textual"):
         clinical_feats = _clinical_features(store, config, batch)
 
     raw = _predict_pass(store, config, clinical_feats, batch.volumes)
+    if not config.uses_diff_passes:
+        return BatchPrediction(ensembled=raw, raw=raw, forward_diff=raw, backward_diff=raw)
     fwd = raw
     bwd = raw
     if batch.volumes_fwd is not None:

@@ -77,6 +77,7 @@ class TrainConfig:
             raise ConfigError("invalid learning-rate schedule")
         if self.lam < 0:
             raise ConfigError(f"lam must be non-negative, got {self.lam}")
+        self.model_config()  # rejects a model that cannot run
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -304,8 +305,6 @@ def evaluate(
     dataset: SurvivalDataset,
     split: str = "test",
     which: str = "best",
-    omega: float | None = None,
-    frame_diff: str | None = None,
     volume_cache: dict | None = None,
 ) -> dict:
     """Concordance on all samples of the split, MAE on its uncensored ones."""
@@ -315,10 +314,6 @@ def evaluate(
     if not samples:
         raise ConfigError(f"split {split!r} has no samples")
     model_cfg = config.model_config()
-    if omega is not None:
-        model_cfg = replace(model_cfg, omega=omega)
-    if frame_diff is not None:
-        model_cfg = replace(model_cfg, frame_diff=frame_diff)
 
     store = state.store
     if which == "best" and state.best_params:
@@ -342,6 +337,7 @@ _CKPT_MAGIC = b"PSNC"
 # version 2 names one (d, d) wq/wk/wv per clinical layer; a version 1 file
 # holds per-head parameters that no model of this version has
 _CKPT_VERSION = 2
+_CKPT_HEADER_KEYS = ("adam_step", "best", "config", "epoch", "fields", "rng_state", "stats", "tensors", "vocab")
 
 
 def save_checkpoint(state: TrainerState, path):
@@ -406,7 +402,13 @@ def load_checkpoint(path) -> TrainerState:
     header_end = 14 + header_len
     if len(blob) < header_end:
         raise FormatError(f"checkpoint {path}: header truncated", offset=len(blob))
-    header = json.loads(blob[14:header_end].decode("utf-8"))
+    try:
+        header = json.loads(blob[14:header_end].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise FormatError(f"checkpoint {path}: header is not UTF-8 JSON: {exc}", offset=14) from None
+    missing = [k for k in _CKPT_HEADER_KEYS if not isinstance(header, dict) or k not in header]
+    if missing:
+        raise FormatError(f"checkpoint {path}: header lacks {missing}", offset=14)
 
     arrays: dict[str, dict[str, np.ndarray]] = {}
     for meta in header["tensors"]:

@@ -1,12 +1,13 @@
 """Volume tower: a small 3D residual network whose blocks carry
-channel and temporal squeeze-and-excitation joint gates.
+squeeze-and-excitation gates (Hu et al., arXiv 1709.01507).
 
 Feature maps are laid out [n, c, f, h, w] (batch, channels, frames,
-in-plane). The channel gate combines a global descriptor (pooled over
-frames and space) with per-frame local descriptors produced by the SAME
-bottleneck weights; the temporal gate mirrors the construction with the
-frame and channel axes swapped. Each joint gate entry is a product of
-two sigmoids, so it lies strictly inside (0,1).
+in-plane). One gate, ``squeeze_excite``, serves both blocks of the
+paper's 3D-SE Resblock: along axis 1 it is the channel SE block, along
+axis 2 the temporal SE block. It pools space once to (n, c, f); the
+global descriptor also averages the other axis, the local descriptors
+keep it, and the SAME bottleneck weights excite both. Each joint gate
+entry is a product of two sigmoids, so it lies strictly inside (0,1).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DimensionError
-from .params import ParameterStore, uniform_fan_in
+from .params import uniform_fan_in
 
 SE_MODES = ("joint", "global", "local", "off")
 SE_ORDERS = ("channel-first", "temporal-first")
@@ -61,8 +62,6 @@ class VisualBackboneConfig:
     se: SqueezeExciteConfig = field(default_factory=SqueezeExciteConfig)
 
     def __post_init__(self):
-        if isinstance(self.se, dict):
-            self.se = SqueezeExciteConfig(**self.se)
         self.widths = tuple(self.widths)
         self.stem_stride = tuple(self.stem_stride)
         self.stage_stride = tuple(self.stage_stride)
@@ -81,6 +80,12 @@ class VisualBackboneConfig:
             raise ConfigError(
                 f"downsampling schedule reduces dims below 1: input {dims[0]} -> {dims[-1]}"
             )
+        # the temporal gate's weights are sized for the input frame count
+        if self.se.temporal_enabled and any(d[0] != self.frames for d in dims[1:]):
+            raise ConfigError(
+                f"temporal SE needs {self.frames} frames in every stage, "
+                f"but the strides give {[d[0] for d in dims[1:]]}"
+            )
 
     def _trace_dims(self):
         dims = [(self.frames, self.in_plane, self.in_plane)]
@@ -98,11 +103,6 @@ class VisualBackboneConfig:
         return self.widths[-1]
 
 
-def channel_squeeze(feature: ad.Tensor) -> ad.Tensor:
-    """Per-channel mean over frames and space: (n,c,f,h,w) -> (n,c)."""
-    return ad.mean_over(feature, (2, 3, 4))
-
-
 def excitation(pooled: ad.Tensor, w1: ad.Tensor, w2: ad.Tensor) -> ad.Tensor:
     """Bottleneck gate sigmoid(W1 relu(W2 p)) applied to rows of pooled."""
     c = pooled.shape[-1]
@@ -114,67 +114,27 @@ def excitation(pooled: ad.Tensor, w1: ad.Tensor, w2: ad.Tensor) -> ad.Tensor:
     return ad.sigmoid(ad.matmul(hidden, ad.transpose(w1)))
 
 
-def temporal_preserving_pool(feature: ad.Tensor) -> ad.Tensor:
-    """Spatial mean that keeps the frame axis: (n,c,f,h,w) -> (n,f,c)."""
-    return ad.transpose(ad.mean_over(feature, (3, 4)), (0, 2, 1))
+def squeeze_excite(feature: ad.Tensor, w1: ad.Tensor, w2: ad.Tensor, axis: int, mode: str = "joint") -> ad.Tensor:
+    """Gate the (n,c,f,h,w) map along ``axis`` (1: channels, 2: frames).
 
-
-def per_frame_gates(frame_pooled: ad.Tensor, w1: ad.Tensor, w2: ad.Tensor) -> ad.Tensor:
-    """Row-wise excitation of (n,f,c) descriptors with the shared weights."""
-    n, f, c = frame_pooled.shape
-    flat = ad.reshape(frame_pooled, (n * f, c))
-    return ad.reshape(excitation(flat, w1, w2), (n, f, c))
-
-
-def joint_gate(global_gate: ad.Tensor, local_gates: ad.Tensor, mode: str = "joint") -> ad.Tensor:
-    """Combine global (n,c) and per-frame (n,f,c) gates into (n,f,c)."""
-    n, f, c = local_gates.shape
-    expanded = ad.reshape(global_gate, (n, 1, c))
-    if mode == "joint":
-        return ad.mul(local_gates, expanded)
-    if mode == "global":
-        return ad.mul(ad.Tensor(np.ones((1, f, 1), dtype=local_gates.dtype)), expanded)
-    if mode == "local":
-        return local_gates
-    raise ConfigError(f"unknown gate mode {mode!r}")
-
-
-def channel_se_apply(feature: ad.Tensor, gate: ad.Tensor) -> ad.Tensor:
-    """Scale each (frame, channel) plane of (n,c,f,h,w) by gate (n,f,c)."""
-    n, f, c = gate.shape
-    aligned = ad.reshape(ad.transpose(gate, (0, 2, 1)), (n, c, f, 1, 1))
-    return ad.mul(feature, aligned)
-
-
-def channel_se(feature: ad.Tensor, w1: ad.Tensor, w2: ad.Tensor, mode: str = "joint") -> ad.Tensor:
-    pooled = channel_squeeze(feature)
-    global_gate = excitation(pooled, w1, w2)
-    local_gates = per_frame_gates(temporal_preserving_pool(feature), w1, w2)
-    return channel_se_apply(feature, joint_gate(global_gate, local_gates, mode))
-
-
-def temporal_se(feature: ad.Tensor, w1: ad.Tensor, w2: ad.Tensor, mode: str = "joint") -> ad.Tensor:
-    """Mirror of the channel gate along the frame axis.
-
-    Global descriptor pools over (c,h,w) to (n,f); local descriptors pool
-    over (h,w) to per-channel frame profiles (n,c,f), excited by the same
-    shared bottleneck.
+    The global descriptor averages the spatial means over the other axis;
+    the local descriptors keep it, one row per channel or frame, and run
+    through the same bottleneck. "joint" multiplies the two gates,
+    "global" and "local" use one alone.
     """
-    n, c, f = feature.shape[0], feature.shape[1], feature.shape[2]
-    global_gate = excitation(ad.mean_over(feature, (1, 3, 4)), w1, w2)  # (n,f)
-    local_pool = ad.mean_over(feature, (3, 4))                          # (n,c,f)
-    local_flat = ad.reshape(local_pool, (n * c, f))
-    local_gates = ad.reshape(excitation(local_flat, w1, w2), (n, c, f))
-    if mode == "joint":
-        gate = ad.mul(local_gates, ad.reshape(global_gate, (n, 1, f)))
-    elif mode == "global":
-        ones = ad.Tensor(np.ones((1, c, 1), dtype=feature.dtype))
-        gate = ad.mul(ones, ad.reshape(global_gate, (n, 1, f)))
-    elif mode == "local":
-        gate = local_gates
-    else:
+    if mode not in ("joint", "global", "local"):
         raise ConfigError(f"unknown gate mode {mode!r}")
-    return ad.mul(feature, ad.reshape(gate, (n, c, f, 1, 1)))
+    other = 3 - axis
+    pooled = ad.mean_over(feature, (3, 4))                                   # (n,c,f)
+    gate = None
+    if mode != "local":
+        keep = tuple(1 if i == other else d for i, d in enumerate(pooled.shape))
+        gate = ad.reshape(excitation(ad.mean_over(pooled, other), w1, w2), keep)
+    if mode != "global":
+        swap = (0, other, axis)                                              # its own inverse
+        local = ad.transpose(excitation(ad.transpose(pooled, swap), w1, w2), swap)
+        gate = local if gate is None else ad.mul(local, gate)
+    return ad.mul(feature, ad.reshape(gate, gate.shape + (1, 1)))
 
 
 def _conv(store, prefix, x, stride=1, padding=1):
@@ -189,12 +149,11 @@ def init_block_params(store, prefix, c_in, c_out, frames, se: SqueezeExciteConfi
     store.add(f"{prefix}.conv1.bias", np.zeros(c_out, dtype=dtype))
     store.add(f"{prefix}.conv2.weight", uniform_fan_in(rng, (c_out, c_out, 3, 3, 3), c_out * 27, dtype))
     store.add(f"{prefix}.conv2.bias", np.zeros(c_out, dtype=dtype))
-    if se.channel_enabled:
-        store.add(f"{prefix}.se_c.w1", uniform_fan_in(rng, (c_out, c_out // se.ratio), c_out // se.ratio, dtype))
-        store.add(f"{prefix}.se_c.w2", uniform_fan_in(rng, (c_out // se.ratio, c_out), c_out, dtype))
-    if se.temporal_enabled:
-        store.add(f"{prefix}.se_t.w1", uniform_fan_in(rng, (frames, frames // se.ratio), frames // se.ratio, dtype))
-        store.add(f"{prefix}.se_t.w2", uniform_fan_in(rng, (frames // se.ratio, frames), frames, dtype))
+    for name, width, enabled in (("se_c", c_out, se.channel_enabled), ("se_t", frames, se.temporal_enabled)):
+        if enabled:
+            hidden = width // se.ratio
+            store.add(f"{prefix}.{name}.w1", uniform_fan_in(rng, (width, hidden), hidden, dtype))
+            store.add(f"{prefix}.{name}.w2", uniform_fan_in(rng, (hidden, width), width, dtype))
     if strided or c_in != c_out:
         store.add(f"{prefix}.shortcut.weight", uniform_fan_in(rng, (c_out, c_in, 1, 1, 1), c_in, dtype))
 
@@ -207,15 +166,12 @@ def se_resblock_forward(store, prefix, x, se: SqueezeExciteConfig, stride=1):
     """
     branch = ad.relu(_conv(store, f"{prefix}.conv1", x, stride=stride))
     branch = _conv(store, f"{prefix}.conv2", branch)
-    stages = []
-    if se.channel_enabled:
-        stages.append(lambda t: channel_se(t, store[f"{prefix}.se_c.w1"], store[f"{prefix}.se_c.w2"], se.mode))
-    if se.temporal_enabled:
-        stages.append(lambda t: temporal_se(t, store[f"{prefix}.se_t.w1"], store[f"{prefix}.se_t.w2"], se.mode))
+    gates = [("se_c", 1, se.channel_enabled), ("se_t", 2, se.temporal_enabled)]
     if se.order == "temporal-first":
-        stages.reverse()
-    for stage in stages:
-        branch = stage(branch)
+        gates.reverse()
+    for name, axis, enabled in gates:
+        if enabled:
+            branch = squeeze_excite(branch, store[f"{prefix}.{name}.w1"], store[f"{prefix}.{name}.w2"], axis, se.mode)
     if f"{prefix}.shortcut.weight" in store:
         shortcut = ad.conv3d(x, store[f"{prefix}.shortcut.weight"], stride=stride, padding=0)
     else:

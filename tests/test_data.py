@@ -321,14 +321,25 @@ class TestBundleRoundtrip:
         ("sample", r"tokens=\d+", "tokens=99"),            # token >= vocab size
         ("patient", r" days=\S+", ""),                     # missing key
         ("patient", r" event=\d", " event=?"),             # malformed number
+        *[(key, r".+", "") for key in (                    # missing header line
+            "split_seed", "split_fold", "split_ratios", "samples", "patients",
+            "categorical_fields", "continuous_fields",
+        )],
+        ("split_seed", r"\d+$", "x"),                      # malformed header value
+        ("split_fold", r"\d+$", "x"),
+        ("split_ratios", r"[\d.]+$", "a"),
+        ("samples", r"\d+$", "1.5"),
+        ("patients", r"\d+$", ""),
     ])
     def test_malformed_entry_names_line(self, tmp_path, kind, pattern, replacement):
         ds = dp.build_dataset(generate_patients(11, 10), seed=11)
         dp.save_dataset(ds, tmp_path / "ds")
         manifest = tmp_path / "ds" / "manifest.txt"
         lines = manifest.read_text().splitlines()
-        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(kind + "."))
+        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith((kind + ".", kind + ":")))
         lines[lineno - 1] = re.sub(pattern, replacement, lines[lineno - 1], count=1)
         manifest.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=f"manifest line {lineno}:"):
+        # an emptied line drops its key, so the error names the key instead
+        match = f"manifest line {lineno}:" if lines[lineno - 1] else f"lacks {kind}"
+        with pytest.raises(FormatError, match=match):
             dp.load_dataset(tmp_path / "ds")

@@ -1,13 +1,14 @@
 """Model assembly and training protocol: float32 stays float32, checkpoint
 round trip, and the bit-exact resume contract."""
 
+import json
 import struct
 
 import numpy as np
 import pytest
 
 from survtower import model, train
-from survtower.errors import FormatError
+from survtower.errors import ConfigError, FormatError
 from survtower.synthetic import generate_synthetic
 
 
@@ -33,6 +34,23 @@ def test_forward_batch_keeps_float32(dataset, towers):
     pred = model.forward_batch(store, config, batch)
     assert pred.ensembled.shape == (3, 1)
     assert pred.ensembled.dtype == np.float32
+
+
+@pytest.mark.parametrize("bad", [
+    dict(omega=2.0), dict(se_mode="sideways"), dict(towers="none"), dict(heads=5), dict(frames=3),
+])
+def test_config_rejects_model_that_cannot_run(bad):
+    with pytest.raises(ConfigError):
+        train.TrainConfig(**bad)
+
+
+def test_omega_one_bit_equals_frame_diff_off(dataset):
+    preds = []
+    for kw in (dict(omega=1.0), dict(frame_diff="off")):
+        config = tiny_config(towers="both", **kw).model_config()
+        store = model.init_model_params(config, dataset.vocab, dataset.continuous_fields, seed=0)
+        preds.append(model.predict_times(store, config, dataset, dataset.samples[:48]))
+    np.testing.assert_array_equal(preds[0], preds[1])
 
 
 class TestCheckpoint:
@@ -69,3 +87,22 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="version 1"):
             train.load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", ["byte 20", "no epoch"])
+    def test_corrupt_header_rejected(self, dataset, tmp_path, corrupt):
+        state, _ = train.train(tiny_config(epochs=1), dataset)
+        path = tmp_path / "ckpt"
+        train.save_checkpoint(state, path)
+        blob = bytearray(path.read_bytes())
+        if corrupt == "byte 20":
+            blob[20] = 0xFF
+        else:
+            (length,) = struct.unpack_from("<Q", blob, 6)
+            header = json.loads(blob[14:14 + length])
+            del header["epoch"]
+            text = json.dumps(header).encode()
+            blob = blob[:6] + struct.pack("<Q", len(text)) + text + blob[14 + length:]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as info:
+            train.load_checkpoint(path)
+        assert info.value.offset == 14

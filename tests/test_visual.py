@@ -17,35 +17,77 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def logit(p):
+    return np.log(p / (1.0 - p))
+
+
+def squeeze_excite(arr, w1, w2, axis, mode="joint"):
+    return vz.squeeze_excite(ad.Tensor(arr, dtype=np.float64), ad.Tensor(w1, dtype=np.float64),
+                             ad.Tensor(w2, dtype=np.float64), axis, mode).data
+
+
+def gates(arr, w1, w2, axis, mode="joint"):
+    """The (n,c,f) gate squeeze_excite applies, read back as output / input."""
+    return (squeeze_excite(arr, w1, w2, axis, mode) / arr)[..., 0, 0]
+
+
+def se_oracle(arr, w1, w2, axis, mode):
+    """Scalar reference for one map: channel j, frame i scaled by its gate."""
+    def excite(p):
+        return sigmoid(w1 @ np.maximum(w2 @ p, 0))
+
+    c, f = arr.shape[1:3]
+    global_gate = excite(arr[0].mean(axis=tuple(a for a in range(4) if a != axis - 1)))
+    expected = np.empty_like(arr)
+    for j in range(c):
+        for i in range(f):
+            if axis == 1:   # channel gate; local descriptor is frame i's channel profile
+                k, local_gate = j, excite(arr[0, :, i].mean(axis=(1, 2)))[j]
+            else:           # frame gate; local descriptor is channel j's frame profile
+                k, local_gate = i, excite(arr[0, j].mean(axis=(1, 2)))[i]
+            gate = {"joint": local_gate * global_gate[k], "global": global_gate[k], "local": local_gate}[mode]
+            expected[0, j, i] = arr[0, j, i] * gate
+    return expected
+
+
 class TestChannelSqueeze:
     def test_constant_map(self):
-        t = ad.Tensor(np.full((1, 3, 2, 4, 4), 5.0))
-        np.testing.assert_allclose(vz.channel_squeeze(t).data, 5.0)
+        eye = np.eye(3)
+        out = squeeze_excite(np.full((1, 3, 2, 4, 4), 5.0), eye, eye, axis=1)
+        # every descriptor of a constant map is the constant
+        np.testing.assert_allclose(out, 5.0 * sigmoid(5.0) ** 2)
 
     def test_zero_channel(self):
         arr = np.ones((1, 2, 2, 3, 3))
         arr[:, 0] = 0.0
-        out = vz.channel_squeeze(ad.Tensor(arr))
-        assert out.data[0, 0] == 0.0 and out.data[0, 1] == 1.0
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        out = squeeze_excite(arr, swap, np.eye(2), axis=1)
+        # channel 1 is gated by channel 0's descriptors, which are all zero
+        np.testing.assert_allclose(out[0, 1], 0.25)
+        assert np.all(out[0, 0] == 0.0)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(0)
-        arr = rng.standard_normal((1, 2, 3, 4, 4))
-        out = vz.channel_squeeze(ad.Tensor(arr, dtype=np.float64))
+        arr = rng.uniform(0.5, 1.5, (1, 2, 3, 4, 4))
+        g = logit(gates(arr, np.eye(2), np.eye(2), axis=1, mode="global"))
         for j in range(2):
             acc = 0.0
             for i in range(3):
                 for y in range(4):
                     for x in range(4):
                         acc += arr[0, j, i, y, x]
-            assert out.data[0, j] == pytest.approx(acc / (3 * 4 * 4), abs=1e-6)
+            np.testing.assert_allclose(g[0, j], acc / (3 * 4 * 4), atol=1e-9)
 
     def test_consistent_with_temporal_pool(self):
         rng = np.random.default_rng(1)
-        t = rand_feature(rng)
-        a = vz.channel_squeeze(t).data
-        b = vz.temporal_preserving_pool(t).data.mean(axis=1)
-        np.testing.assert_allclose(a, b, atol=1e-6)
+        arr = rng.uniform(0.5, 1.5, (1, 4, 4, 3, 3))
+        eye = np.eye(4)
+        for axis in (1, 2):
+            globl = logit(gates(arr, eye, eye, axis, mode="global"))
+            local = logit(gates(arr, eye, eye, axis, mode="local"))
+            other = 3 - axis
+            np.testing.assert_allclose(globl, np.broadcast_to(local.mean(axis=other, keepdims=True), globl.shape),
+                                       atol=1e-9)
 
 
 class TestExcitation:
@@ -82,19 +124,20 @@ class TestTemporalPool:
     def test_constant_frames(self):
         arr = np.zeros((1, 2, 3, 4, 4))
         for i in range(3):
-            arr[:, :, i] = i
-        out = vz.temporal_preserving_pool(ad.Tensor(arr))
-        assert out.shape == (1, 3, 2)
+            arr[:, :, i] = i + 1
+        g = logit(gates(arr, np.eye(2), np.eye(2), axis=1, mode="local"))
+        assert g.shape == (1, 2, 3)
         for i in range(3):
-            np.testing.assert_allclose(out.data[0, i], i)
+            np.testing.assert_allclose(g[0, :, i], i + 1)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(4)
-        arr = rng.standard_normal((1, 2, 3, 4, 5))
-        out = vz.temporal_preserving_pool(ad.Tensor(arr, dtype=np.float64))
-        for i in range(3):
-            for j in range(2):
-                assert out.data[0, i, j] == pytest.approx(arr[0, j, i].mean(), abs=1e-6)
+        arr = rng.uniform(0.5, 1.5, (1, 2, 2, 4, 5))
+        for axis in (1, 2):
+            g = logit(gates(arr, np.eye(2), np.eye(2), axis, mode="local"))
+            for i in range(2):
+                for j in range(2):
+                    assert g[0, j, i] == pytest.approx(arr[0, j, i].mean(), abs=1e-9)
 
 
 class TestPerFrameGates:
@@ -102,64 +145,71 @@ class TestPerFrameGates:
         rng = np.random.default_rng(5)
         plane = rng.standard_normal((1, 4, 1, 3, 3))
         arr = np.repeat(plane, 5, axis=2)
-        t = ad.Tensor(arr, dtype=np.float64)
-        w1 = ad.Tensor(rng.standard_normal((4, 2)), dtype=np.float64)
-        w2 = ad.Tensor(rng.standard_normal((2, 4)), dtype=np.float64)
-        local = vz.per_frame_gates(vz.temporal_preserving_pool(t), w1, w2)
-        globl = vz.excitation(ad.reshape(vz.channel_squeeze(t), (1, 4)), w1, w2)
-        for i in range(5):
-            np.testing.assert_allclose(local.data[0, i], globl.data[0], atol=1e-9)
+        w1 = rng.standard_normal((4, 2))
+        w2 = rng.standard_normal((2, 4))
+        local = squeeze_excite(arr, w1, w2, axis=1, mode="local")
+        globl = squeeze_excite(arr, w1, w2, axis=1, mode="global")
+        np.testing.assert_allclose(local, globl, atol=1e-9)
 
     def test_zero_outer_weight(self):
         rng = np.random.default_rng(6)
-        t = rand_feature(rng)
-        w1 = ad.Tensor(np.zeros((4, 2)))
-        w2 = ad.Tensor(rng.standard_normal((2, 4)))
-        out = vz.per_frame_gates(vz.temporal_preserving_pool(t), w1, w2)
-        np.testing.assert_allclose(out.data, 0.5)
+        arr = rand_feature(rng).data
+        for axis in (1, 2):
+            out = squeeze_excite(arr, np.zeros((4, 2)), rng.standard_normal((2, 4)), axis, mode="local")
+            np.testing.assert_allclose(out, 0.5 * arr)
 
 
 class TestJointGate:
     def test_unit_global_passes_local(self):
+        # the joint gate is the local gate scaled by the global one
         rng = np.random.default_rng(7)
-        local = ad.Tensor(rng.uniform(0, 1, (1, 3, 4)))
-        ones = ad.Tensor(np.ones((1, 4)))
-        np.testing.assert_allclose(vz.joint_gate(ones, local).data, local.data)
+        arr = rand_feature(rng).data
+        w1, w2 = rng.standard_normal((4, 2)), rng.standard_normal((2, 4))
+        for axis in (1, 2):
+            joint = gates(arr, w1, w2, axis, "joint")
+            product = gates(arr, w1, w2, axis, "local") * gates(arr, w1, w2, axis, "global")
+            np.testing.assert_allclose(joint, product, rtol=1e-12)
 
     def test_product_of_halves(self):
-        g = ad.Tensor(np.full((1, 4), 0.5))
-        gt = ad.Tensor(np.full((1, 3, 4), 0.5))
-        np.testing.assert_allclose(vz.joint_gate(g, gt).data, 0.25)
+        rng = np.random.default_rng(8)
+        arr = rand_feature(rng).data
+        for axis in (1, 2):
+            out = squeeze_excite(arr, np.zeros((4, 2)), rng.standard_normal((2, 4)), axis)
+            np.testing.assert_allclose(out, 0.25 * arr)
 
     def test_ablation_modes(self):
+        # the global gate is one value per channel (axis 1) or frame (axis 2);
+        # the local gates also vary along the other axis
         rng = np.random.default_rng(8)
-        g = ad.Tensor(rng.uniform(0.1, 0.9, (1, 4)))
-        gt = ad.Tensor(rng.uniform(0.1, 0.9, (1, 3, 4)))
-        glob = vz.joint_gate(g, gt, mode="global").data
-        for i in range(3):
-            np.testing.assert_allclose(glob[0, i], g.data[0])
-        np.testing.assert_allclose(vz.joint_gate(g, gt, mode="local").data, gt.data)
+        arr = rand_feature(rng).data
+        w1, w2 = rng.standard_normal((4, 2)), rng.standard_normal((2, 4))
+        for axis in (1, 2):
+            other = 3 - axis
+            globl = gates(arr, w1, w2, axis, "global")
+            local = gates(arr, w1, w2, axis, "local")
+            np.testing.assert_allclose(globl, np.broadcast_to(globl.take([0], axis=other), globl.shape), rtol=1e-12)
+            assert not np.allclose(local, np.broadcast_to(local.take([0], axis=other), local.shape))
 
 
 class TestChannelSEApply:
     def test_identity_and_annihilation(self):
         rng = np.random.default_rng(9)
-        t = rand_feature(rng, c=4, f=3)
-        ones = ad.Tensor(np.ones((1, 3, 4)))
-        np.testing.assert_allclose(vz.channel_se_apply(t, ones).data, t.data)
-        zeros = ad.Tensor(np.zeros((1, 3, 4)))
-        np.testing.assert_allclose(vz.channel_se_apply(t, zeros).data, 0.0)
+        arr = rng.uniform(0.5, 1.5, (1, 4, 3, 3, 3))
+        for axis in (1, 2):
+            big = 1e3 * np.eye(arr.shape[axis])
+            # saturated sigmoids: every gate is exactly 1, then exactly 0
+            np.testing.assert_array_equal(squeeze_excite(arr, big, big, axis), arr)
+            np.testing.assert_array_equal(squeeze_excite(arr, -big, big, axis), 0.0)
 
     def test_matches_loop_oracle(self):
+        # one gate per (channel, frame) plane, uniform over the plane
         rng = np.random.default_rng(10)
-        t = rand_feature(rng, c=2, f=3)
-        gate = ad.Tensor(rng.uniform(0, 1, (1, 3, 2)), dtype=np.float64)
-        out = vz.channel_se_apply(t, gate)
-        for i in range(3):
-            for j in range(2):
-                np.testing.assert_allclose(
-                    out.data[0, j, i], t.data[0, j, i] * gate.data[0, i, j], atol=1e-6
-                )
+        arr = rand_feature(rng, c=2, f=2).data
+        for axis in (1, 2):
+            ratio = squeeze_excite(arr, rng.standard_normal((2, 1)), rng.standard_normal((1, 2)), axis) / arr
+            for i in range(2):
+                for j in range(2):
+                    np.testing.assert_allclose(ratio[0, j, i], ratio[0, j, i, 0, 0], rtol=1e-12)
 
 
 class TestTemporalSE:
@@ -168,25 +218,26 @@ class TestTemporalSE:
         t = rand_feature(rng, c=4, f=4)
         w1 = ad.Tensor(np.zeros((4, 2)), dtype=np.float64)
         w2 = ad.Tensor(rng.standard_normal((2, 4)), dtype=np.float64)
-        out = vz.temporal_se(t, w1, w2)
+        out = vz.squeeze_excite(t, w1, w2, axis=2)
         np.testing.assert_allclose(out.data, 0.25 * t.data, atol=1e-9)
 
-    def test_matches_scalar_reimplementation(self):
+
+class TestSqueezeExcite:
+    @pytest.mark.parametrize("mode", ["joint", "global", "local"])
+    @pytest.mark.parametrize("axis", [1, 2])
+    def test_matches_scalar_reimplementation(self, axis, mode):
         rng = np.random.default_rng(12)
         arr = rng.standard_normal((1, 3, 4, 2, 2))
-        w1 = rng.standard_normal((4, 2))
-        w2 = rng.standard_normal((2, 4))
-        out = vz.temporal_se(ad.Tensor(arr, dtype=np.float64), ad.Tensor(w1, dtype=np.float64),
-                             ad.Tensor(w2, dtype=np.float64))
-        global_desc = arr[0].mean(axis=(0, 2, 3))            # (f,)
-        global_gate = sigmoid(w1 @ np.maximum(w2 @ global_desc, 0))
-        expected = np.empty_like(arr)
-        for j in range(3):
-            local_desc = arr[0, j].mean(axis=(1, 2))         # (f,)
-            local_gate = sigmoid(w1 @ np.maximum(w2 @ local_desc, 0))
-            for i in range(4):
-                expected[0, j, i] = arr[0, j, i] * local_gate[i] * global_gate[i]
-        np.testing.assert_allclose(out.data, expected, atol=1e-9)
+        size = arr.shape[axis]
+        w1 = rng.standard_normal((size, 2))
+        w2 = rng.standard_normal((2, size))
+        out = squeeze_excite(arr, w1, w2, axis, mode)
+        np.testing.assert_allclose(out, se_oracle(arr, w1, w2, axis, mode), atol=1e-9)
+
+    def test_unknown_mode(self):
+        eye = np.eye(4)
+        with pytest.raises(ConfigError):
+            squeeze_excite(np.ones((1, 4, 4, 2, 2)), eye, eye, axis=1, mode="off")
 
 
 def tiny_backbone(se_mode="joint", order="channel-first", blocks="both", dtype=np.float64, seed=0):
@@ -279,18 +330,16 @@ class TestResBlock:
 
     def test_gates_strictly_in_unit_interval(self):
         rng = np.random.default_rng(17)
-        t = rand_feature(rng, c=4, f=4)
-        w1 = ad.Tensor(rng.standard_normal((4, 2)) * 5, dtype=np.float64)
-        w2 = ad.Tensor(rng.standard_normal((2, 4)) * 5, dtype=np.float64)
-        g = vz.excitation(vz.channel_squeeze(t), w1, w2)
-        gt = vz.per_frame_gates(vz.temporal_preserving_pool(t), w1, w2)
-        joint = vz.joint_gate(g, gt).data
-        assert np.all(joint > 0) and np.all(joint < 1)
+        arr = rand_feature(rng, c=4, f=4).data
+        for axis in (1, 2):
+            g = gates(arr, rng.standard_normal((4, 2)) * 5, rng.standard_normal((2, 4)) * 5, axis)
+            assert np.all(g > 0) and np.all(g < 1)
 
-    def test_block_gradcheck(self):
+    @pytest.mark.parametrize("mode", ["joint", "global", "local"])
+    def test_block_gradcheck(self, mode):
         from survtower import gradcheck as gc
 
-        config, store = tiny_backbone()
+        config, store = tiny_backbone(se_mode=mode)
         rng = np.random.default_rng(18)
         x_arr = rng.standard_normal((1, 4, 4, 6, 6))
         weights = rng.standard_normal((1, 4, 4, 6, 6))
@@ -316,23 +365,19 @@ class TestResBlock:
 
     def test_shared_weights_accumulate_both_paths(self):
         # the shared bottleneck gradient must include the global path and
-        # every per-frame path; silencing the frame paths must change it
-        config, store = tiny_backbone()
+        # every local path; dropping either must change it
         rng = np.random.default_rng(19)
         t = rand_feature(rng, c=4, f=4)
-        w1 = store["visual.stage0.block0.se_c.w1"]
-        w2 = store["visual.stage0.block0.se_c.w2"]
-
-        out = vz.channel_se(t, w1, w2)
-        ad.backward(ad.sum_over(out))
-        both = w2.grad.copy()
-
-        store.zero_grad()
-        g = vz.excitation(vz.channel_squeeze(t), w1, w2)
-        gated = vz.channel_se_apply(t, vz.joint_gate(g, ad.Tensor(np.full((1, 4, 4), 0.5))))
-        ad.backward(ad.sum_over(gated))
-        global_only = w2.grad.copy()
-        assert not np.allclose(both, global_only)
+        w1 = ad.Tensor(rng.standard_normal((4, 2)), requires_grad=True, dtype=np.float64)
+        w2 = ad.Tensor(rng.standard_normal((2, 4)), requires_grad=True, dtype=np.float64)
+        grads = {}
+        for axis in (1, 2):
+            for mode in ("joint", "global", "local"):
+                w1.grad = w2.grad = None
+                ad.backward(ad.sum_over(vz.squeeze_excite(t, w1, w2, axis, mode)))
+                grads[mode] = w2.grad.copy()
+            assert not np.allclose(grads["joint"], grads["global"])
+            assert not np.allclose(grads["joint"], grads["local"])
 
 
 class TestBackbone:
@@ -367,3 +412,9 @@ class TestBackbone:
             vz.SqueezeExciteConfig(ratio=0)
         with pytest.raises(ConfigError):
             vz.SqueezeExciteConfig(mode="sideways")
+        # a frame stride leaves later stages fewer frames than the temporal gate's weights
+        with pytest.raises(ConfigError, match="temporal SE"):
+            vz.VisualBackboneConfig(stage_stride=(2, 2, 2))
+        with pytest.raises(ConfigError, match="temporal SE"):
+            vz.VisualBackboneConfig(stem_stride=(2, 2, 2))
+        vz.VisualBackboneConfig(stage_stride=(2, 2, 2), se=vz.SqueezeExciteConfig(blocks="channel"))
