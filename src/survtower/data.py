@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -186,6 +187,21 @@ def augment(volume: np.ndarray) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 # volume file format (PSNV)
 
+def write_atomic(path, *chunks: bytes):
+    """Write ``chunks`` to ``path`` through a sibling temporary file and a
+    rename, so ``path`` holds either its old bytes or all of the new ones.
+    A write that fails leaves no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 _VOLUME_MAGIC = b"PSNV"
 _VOLUME_VERSION = 1
 _VOLUME_HEADER = struct.Struct("<4sHIII")
@@ -196,7 +212,7 @@ def save_volume(path, volume: np.ndarray):
     if arr.ndim != 3:
         raise ConfigError(f"volume files hold 3D arrays, got shape {arr.shape}")
     header = _VOLUME_HEADER.pack(_VOLUME_MAGIC, _VOLUME_VERSION, *arr.shape)
-    Path(path).write_bytes(header + arr.tobytes())
+    write_atomic(path, header, arr.tobytes())
 
 
 def load_volume(path) -> np.ndarray:
@@ -499,11 +515,13 @@ def _manifest_lines(ds: SurvivalDataset) -> list[str]:
 
 
 def save_dataset(ds: SurvivalDataset, path):
+    """Write the bundle; the manifest goes last, so a bundle that has one
+    also has all of its volumes."""
     root = Path(path)
     (root / "volumes").mkdir(parents=True, exist_ok=True)
-    (root / "manifest.txt").write_text("\n".join(_manifest_lines(ds)) + "\n", encoding="utf-8")
     for pid in sorted(ds.volumes):
         save_volume(root / "volumes" / f"{pid}.psnv", ds.volumes[pid])
+    write_atomic(root / "manifest.txt", ("\n".join(_manifest_lines(ds)) + "\n").encode("utf-8"))
 
 
 # header keys that load_dataset requires, with the parser of each value

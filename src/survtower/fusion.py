@@ -2,8 +2,9 @@
 and the regression objective.
 
 Predictions are normalized survival times; the head output is linear
-(no squashing). The raw volume and its two difference volumes share one
-parameter set, so the ensemble is three forward passes of one network.
+(no squashing). The raw volume and its frame-difference volumes share one
+parameter set, so the ensemble is one forward pass of one network per
+view, weighted as ``ensemble_views`` says.
 """
 
 from __future__ import annotations
@@ -58,18 +59,19 @@ def frame_difference(volume: np.ndarray, direction: str) -> np.ndarray:
     return out
 
 
-def ensemble_predict(t_hat, t_fwd, t_bwd, omega: float):
-    """Trade-off between the raw-volume prediction and the difference pair.
+def ensemble_views(frame_diff: str, omega: float) -> list[tuple[str | None, float]]:
+    """(direction, weight) of each pass in the ensemble; ``None`` is the raw volume.
 
-    Works on floats and on Tensors, so the same formula serves training
-    (gradients flow into all three passes) and evaluation.
+    The raw view gets omega and the difference views share 1 - omega
+    evenly, so ``on`` weighs (omega, (1-omega)/2, (1-omega)/2) and a
+    one-direction mode (omega, 1-omega). With no difference pass (``off``
+    or omega=1) the raw view stands alone with weight 1.
     """
-    if not 0.0 <= omega <= 1.0:
-        raise ConfigError(f"omega must lie in [0,1], got {omega}")
-    if isinstance(t_hat, ad.Tensor):
-        avg = ad.mul(ad.add(t_fwd, t_bwd), 0.5)
-        return ad.add(ad.mul(t_hat, float(omega)), ad.mul(avg, float(1.0 - omega)))
-    return omega * t_hat + (1.0 - omega) * 0.5 * (t_fwd + t_bwd)
+    directions = [d for d in ("forward", "backward") if frame_diff in ("on", f"{d}-only")]
+    if not directions or omega == 1.0:
+        return [(None, 1.0)]
+    share = (1.0 - omega) / len(directions)
+    return [(None, float(omega))] + [(d, share) for d in directions]
 
 
 def mse_loss(predictions: ad.Tensor, targets: np.ndarray) -> ad.Tensor:

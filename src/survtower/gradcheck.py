@@ -111,7 +111,7 @@ def directional_check(
 
 
 # ---------------------------------------------------------------------------
-# full suite (CLI `gradcheck` and the acceptance gate)
+# op-level and full-model checks
 
 def _weighted_scalar(builder, arrays, weights):
     from . import autodiff as ad
@@ -238,20 +238,16 @@ def _model_check_at(seed: int, samples_per_tensor: int, only: set | None = None)
         if name.endswith(("attn_out.weight", "mlp.w2")):
             t.data = rng.standard_normal(t.data.shape) * 0.3
 
-    raw = rng.uniform(0, 1, (2, 1, 4, 16, 16))
     batch = BatchInputs(
         tokens=np.array([[0, 2, 5], [1, 3, 4]]),
         covariates={"age": np.array([0.4, -1.1])},
-        volumes=raw,
-        volumes_fwd=fu.frame_difference(raw, "forward"),
-        volumes_bwd=fu.frame_difference(raw, "backward"),
+        volumes=rng.uniform(0, 1, (2, 1, 4, 16, 16)),
         targets=np.array([0.3, 0.7]),
         events=np.array([1, 1]),
     )
 
     def loss_fn():
-        pred = forward_batch(store, config, batch)
-        return fu.training_loss(pred.ensembled, batch.targets, store, lam=1e-3)
+        return fu.training_loss(forward_batch(store, config, batch), batch.targets, store, lam=1e-3)
 
     ad.backward(loss_fn())
 
@@ -277,7 +273,3 @@ def _model_check_at(seed: int, samples_per_tensor: int, only: set | None = None)
             directional_check(f, [store[n].data for n in names], [grads[n] for n in names], rng)
         )
     return results
-
-
-def run_gradcheck_suite(seed: int = 0) -> list[CheckResult]:
-    return op_checks(seed) + model_check(seed)

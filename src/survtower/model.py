@@ -1,9 +1,9 @@
 """Assembly of the two towers and the fusion head into one model.
 
-One parameter set serves the raw volume and both frame-difference
-volumes; training runs three passes and ensembles the three scalar
-predictions, so gradients from the ensembled loss reach the shared
-weights through every pass.
+One parameter set serves the raw volume and its frame-difference
+volumes. ``forward_batch`` runs one pass per ensemble view and sums the
+weighted predictions, so gradients from the ensembled loss reach the
+shared weights through every pass.
 """
 
 from __future__ import annotations
@@ -54,10 +54,6 @@ class ModelConfig:
             dim += self.visual.feature_dim
         return dim
 
-    @property
-    def uses_diff_passes(self) -> bool:
-        return self.towers != "textual" and self.frame_diff != "off" and self.omega < 1.0
-
 
 def init_model_params(
     config: ModelConfig,
@@ -82,9 +78,7 @@ class BatchInputs:
 
     tokens: np.ndarray                 # (n, m) item indices
     covariates: dict[str, np.ndarray]  # field -> (n,) values
-    volumes: np.ndarray | None         # (n,1,f,h,w) raw pass
-    volumes_fwd: np.ndarray | None     # forward-difference pass
-    volumes_bwd: np.ndarray | None
+    volumes: np.ndarray | None         # (n,1,f,h,w) raw volumes
     targets: np.ndarray
     events: np.ndarray
 
@@ -104,7 +98,7 @@ def make_batch(
                   for name in samples[0].covariates}
     targets = np.array([s.time_norm for s in samples], dtype=dtype)
     events = np.array([s.event for s in samples], dtype=np.int64)
-    volumes = volumes_fwd = volumes_bwd = None
+    volumes = None
     if config.towers != "textual":
         fhw = (config.visual.frames, config.visual.in_plane, config.visual.in_plane)
         stack = np.empty((len(samples), 1, *fhw), dtype=dtype)
@@ -119,65 +113,38 @@ def make_batch(
                     volume_cache[key] = vol
             stack[i, 0] = vol
         volumes = stack
-        if config.uses_diff_passes:
-            if config.frame_diff in ("on", "forward-only"):
-                volumes_fwd = fu.frame_difference(volumes, "forward")
-            if config.frame_diff in ("on", "backward-only"):
-                volumes_bwd = fu.frame_difference(volumes, "backward")
-    return BatchInputs(tokens, covariates, volumes, volumes_fwd, volumes_bwd, targets, events)
+    return BatchInputs(tokens, covariates, volumes, targets, events)
 
 
-@dataclass
-class BatchPrediction:
-    ensembled: ad.Tensor          # (n,1), the training/evaluation target
-    raw: ad.Tensor
-    forward_diff: ad.Tensor
-    backward_diff: ad.Tensor
+def forward_batch(store: ParameterStore, config: ModelConfig, batch: BatchInputs) -> ad.Tensor:
+    """Ensembled (n, 1) predictions: one shared-weight pass per view.
 
-
-def _clinical_features(store, config, batch):
-    tokens = cl.embed_tokens(store, batch.tokens, batch.covariates)
-    return cl.encode_clinical(store, config.clinical, tokens)
-
-
-def _predict_pass(store, config, clinical_feats, volumes):
-    parts = []
-    if clinical_feats is not None:
-        parts.append(clinical_feats)
-    if volumes is not None:
-        parts.append(vz.backbone_forward(store, config.visual, ad.as_tensor(volumes)))
-    features = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
-    return fu.fuse_predict(store, features)
-
-
-def forward_batch(store: ParameterStore, config: ModelConfig, batch: BatchInputs) -> BatchPrediction:
-    """Three shared-weight passes (raw, forward diff, backward diff).
-
-    When a difference direction is disabled its slot reuses the raw
-    prediction, which keeps the ensemble formula intact. Without
-    difference passes (omega=1, frame_diff="off" or no visual tower) the
-    ensembled prediction is the raw one itself, so omega=1 is bit-equal
-    to frame differencing switched off.
+    Each view of ``fu.ensemble_views`` differences the raw volumes in its
+    direction and adds its weighted prediction. A single view (omega=1,
+    frame_diff="off" or no visual tower) returns its pass unweighted, so
+    omega=1 is bit-equal to frame differencing switched off.
     """
     clinical_feats = None
     if config.towers in ("both", "textual"):
-        clinical_feats = _clinical_features(store, config, batch)
+        tokens = cl.embed_tokens(store, batch.tokens, batch.covariates)
+        clinical_feats = cl.encode_clinical(store, config.clinical, tokens)
 
-    raw = _predict_pass(store, config, clinical_feats, batch.volumes)
-    if not config.uses_diff_passes:
-        return BatchPrediction(ensembled=raw, raw=raw, forward_diff=raw, backward_diff=raw)
-    fwd = raw
-    bwd = raw
-    if batch.volumes_fwd is not None:
-        fwd = _predict_pass(store, config, clinical_feats, batch.volumes_fwd)
-    if batch.volumes_bwd is not None:
-        bwd = _predict_pass(store, config, clinical_feats, batch.volumes_bwd)
-    if config.frame_diff == "forward-only" and batch.volumes_fwd is not None:
-        bwd = fwd
-    if config.frame_diff == "backward-only" and batch.volumes_bwd is not None:
-        fwd = bwd
-    ensembled = fu.ensemble_predict(raw, fwd, bwd, config.omega)
-    return BatchPrediction(ensembled=ensembled, raw=raw, forward_diff=fwd, backward_diff=bwd)
+    views = fu.ensemble_views(config.frame_diff, config.omega)
+    ensembled = None
+    for direction, weight in views:
+        parts = [] if clinical_feats is None else [clinical_feats]
+        if batch.volumes is not None:
+            volumes = batch.volumes
+            if direction is not None:
+                volumes = fu.frame_difference(volumes, direction)
+            parts.append(vz.backbone_forward(store, config.visual, ad.as_tensor(volumes)))
+        features = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
+        pred = fu.fuse_predict(store, features)
+        if len(views) == 1:
+            return pred
+        pred = ad.mul(pred, weight)
+        ensembled = pred if ensembled is None else ad.add(ensembled, pred)
+    return ensembled
 
 
 def predict_times(
@@ -195,5 +162,5 @@ def predict_times(
             chunk = samples[start:start + batch_size]
             batch = make_batch(dataset, chunk, config, volume_cache=volume_cache)
             pred = forward_batch(store, config, batch)
-            out[start:start + len(chunk)] = pred.ensembled.data.reshape(-1)
+            out[start:start + len(chunk)] = pred.data.reshape(-1)
     return out

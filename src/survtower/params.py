@@ -61,26 +61,6 @@ class ParameterStore:
             raise ConfigError("no decayed parameters registered")
         return total
 
-    def astype(self, dtype) -> "ParameterStore":
-        out = ParameterStore()
-        for name, t in self._params.items():
-            out.add(name, t.data.astype(dtype), decay=self._decay[name])
-        return out
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data for name, t in self._params.items()}
-
-    def load_state(self, arrays: dict[str, np.ndarray]):
-        if set(arrays) != set(self._params):
-            missing = set(self._params) - set(arrays)
-            extra = set(arrays) - set(self._params)
-            raise ConfigError(f"parameter name mismatch: missing={sorted(missing)}, extra={sorted(extra)}")
-        for name, arr in arrays.items():
-            t = self._params[name]
-            if tuple(arr.shape) != tuple(t.data.shape):
-                raise ConfigError(f"shape mismatch for {name}: {arr.shape} vs {t.data.shape}")
-            t.data = arr.astype(t.data.dtype, copy=True)
-
 
 def uniform_fan_in(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
     """Symmetric uniform init with bound 1/sqrt(fan_in)."""

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from . import clinical as cl
 from . import fusion as fu
 from . import visual as vz
-from .data import SurvivalDataset, apply_split
+from .data import SurvivalDataset, apply_split, write_atomic
 from .errors import ConfigError, FormatError, MetricUndefinedError, TrainingDivergedError
 from .metrics import concordance_index, mae
 from .model import ModelConfig, forward_batch, init_model_params, make_batch, predict_times
@@ -242,8 +242,8 @@ def train(
             samples = [train_samples[i] for i in idx]
             batch = make_batch(ds, samples, model_cfg, volume_cache=cache)
             pred = forward_batch(state.store, model_cfg, batch)
-            mse_t = fu.mse_loss(pred.ensembled, batch.targets)
-            loss = fu.training_loss(pred.ensembled, batch.targets, state.store, config.lam)
+            mse_t = fu.mse_loss(pred, batch.targets)
+            loss = fu.training_loss(pred, batch.targets, state.store, config.lam)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(
@@ -338,6 +338,10 @@ _CKPT_MAGIC = b"PSNC"
 # holds per-head parameters that no model of this version has
 _CKPT_VERSION = 2
 _CKPT_HEADER_KEYS = ("adam_step", "best", "config", "epoch", "fields", "rng_state", "stats", "tensors", "vocab")
+_CKPT_BEST_KEYS = ("epoch", "c_index", "mse")
+_CKPT_TENSOR_KEYS = ("group", "name", "shape", "dtype", "offset", "nbytes")
+_CKPT_DTYPES = ("float32", "float64")
+_CKPT_GROUPS = ("param", "adam_m", "adam_v", "best")
 
 
 def save_checkpoint(state: TrainerState, path):
@@ -375,11 +379,37 @@ def save_checkpoint(state: TrainerState, path):
         "tensors": tensors,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<HQ", _CKPT_VERSION, len(blob)))
-        fh.write(blob)
-        fh.write(payload)
+    write_atomic(path, _CKPT_MAGIC, struct.pack("<HQ", _CKPT_VERSION, len(blob)), blob, payload)
+
+
+def _read_tensors(path, blob: bytes, header_end: int, table) -> dict[str, dict[str, np.ndarray]]:
+    """group -> name -> array, from the header's tensor table and the payload."""
+    def malformed(what):
+        return FormatError(f"checkpoint {path}: {what}", offset=14)
+
+    if not isinstance(table, list):
+        raise malformed("tensor table is not a list")
+    arrays: dict[str, dict[str, np.ndarray]] = {}
+    for i, meta in enumerate(table):
+        missing = [k for k in _CKPT_TENSOR_KEYS if not isinstance(meta, dict) or k not in meta]
+        if missing:
+            raise malformed(f"tensor entry {i} lacks {missing}")
+        group, name, shape, dtype, offset, nbytes = (meta[k] for k in _CKPT_TENSOR_KEYS)
+        if group not in _CKPT_GROUPS or not isinstance(name, str):
+            raise malformed(f"tensor entry {i} has group {group!r} and name {name!r}")
+        if dtype not in _CKPT_DTYPES:
+            raise malformed(f"tensor {name!r} has dtype {dtype!r}, not one of {_CKPT_DTYPES}")
+        if not (isinstance(shape, list) and all(type(v) is int and v >= 0 for v in [*shape, offset, nbytes])):
+            raise malformed(f"tensor {name!r} has a malformed shape, offset or nbytes")
+        count = int(np.prod(shape, dtype=np.int64))
+        if nbytes != count * np.dtype(dtype).itemsize:
+            raise malformed(f"tensor {name!r} holds {nbytes} bytes, not the {count} {dtype} values of shape {shape}")
+        start = header_end + offset
+        if len(blob) < start + nbytes:
+            raise FormatError(f"checkpoint {path}: tensor {name} truncated", offset=len(blob))
+        arr = np.frombuffer(blob, dtype=np.dtype(dtype), count=count, offset=start)
+        arrays.setdefault(group, {})[name] = arr.reshape(shape).copy()
+    return arrays
 
 
 def _jsonable(x):
@@ -407,28 +437,33 @@ def load_checkpoint(path) -> TrainerState:
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
         raise FormatError(f"checkpoint {path}: header is not UTF-8 JSON: {exc}", offset=14) from None
     missing = [k for k in _CKPT_HEADER_KEYS if not isinstance(header, dict) or k not in header]
+    if not missing:
+        best = header["best"]
+        missing = [f"best.{k}" for k in _CKPT_BEST_KEYS if not isinstance(best, dict) or k not in best]
     if missing:
         raise FormatError(f"checkpoint {path}: header lacks {missing}", offset=14)
 
-    arrays: dict[str, dict[str, np.ndarray]] = {}
-    for meta in header["tensors"]:
-        start = header_end + meta["offset"]
-        end = start + meta["nbytes"]
-        if len(blob) < end:
-            raise FormatError(f"checkpoint {path}: tensor {meta['name']} truncated", offset=len(blob))
-        arr = np.frombuffer(blob, dtype=np.dtype(meta["dtype"]), count=int(np.prod(meta["shape"], dtype=np.int64)) if meta["shape"] else 1, offset=start)
-        arrays.setdefault(meta["group"], {})[meta["name"]] = arr.reshape(meta["shape"]).copy()
-
-    config = TrainConfig.from_dict(header["config"])
-    vocab = cl.ClinicalVocabulary(items={k: int(v) for k, v in header["vocab"].items()})
-    store = init_model_params(config.model_config(), vocab, header["fields"]["continuous"], config.seed)
-    store.load_state(arrays["param"])
+    arrays = _read_tensors(path, blob, header_end, header["tensors"])
+    try:
+        config = TrainConfig.from_dict(header["config"])
+        vocab = cl.ClinicalVocabulary(items={k: int(v) for k, v in header["vocab"].items()})
+        continuous = list(header["fields"]["continuous"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"checkpoint {path}: malformed config, vocab or fields: {exc!r}", offset=14) from None
+    store = init_model_params(config.model_config(), vocab, continuous, config.seed)
+    shapes = {name: t.shape for name, t in store.items()}
+    for group in [g for g in _CKPT_GROUPS if g != "best" or g in arrays]:
+        if {name: a.shape for name, a in arrays.get(group, {}).items()} != shapes:
+            raise FormatError(
+                f"checkpoint {path}: tensor group {group!r} does not match the model's parameters", offset=14
+            )
 
     adam = Adam(store)
     adam.step_count = header["adam_step"]
-    for name in adam.m:
-        adam.m[name] = arrays["adam_m"][name].astype(adam.m[name].dtype)
-        adam.v[name] = arrays["adam_v"][name].astype(adam.v[name].dtype)
+    for name, t in store.items():
+        t.data = arrays["param"][name].astype(t.dtype)
+        adam.m[name] = arrays["adam_m"][name].astype(t.dtype)
+        adam.v[name] = arrays["adam_v"][name].astype(t.dtype)
 
     state = TrainerState(
         config=config,

@@ -1,5 +1,6 @@
 """Scaling, imputation, resizing, augmentation, and file formats."""
 
+import errno
 import re
 
 import numpy as np
@@ -301,6 +302,24 @@ class TestBundleRoundtrip:
         assert [s.time_norm for s in loaded.samples] == [s.time_norm for s in ds.samples]
         for pid in ds.volumes:
             np.testing.assert_array_equal(loaded.volumes[pid], ds.volumes[pid])
+
+    def test_failed_write_leaves_no_manifest(self, tmp_path, monkeypatch):
+        ds = dp.build_dataset(generate_patients(12, 10), seed=12)
+        real_open, opened = open, []
+
+        def open_until_disk_full(*args, **kwargs):
+            opened.append(args[0])
+            if len(opened) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_open(*args, **kwargs)
+
+        monkeypatch.setattr(dp, "open", open_until_disk_full, raising=False)
+        with pytest.raises(OSError):
+            dp.save_dataset(ds, tmp_path / "ds")
+        # the manifest is written last, so a bundle without all its volumes has none
+        assert sorted(p.name for p in (tmp_path / "ds").rglob("*")) == sorted(
+            ["volumes", *(f"{pid}.psnv" for pid in sorted(ds.volumes)[:2])]
+        )
 
     def test_corrupted_magic(self, tmp_path):
         ds = dp.build_dataset(generate_patients(10, 10), seed=10)

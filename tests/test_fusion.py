@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from survtower import autodiff as ad
 from survtower import fusion as fu
 from survtower.errors import ConfigError, DimensionError, UsageError
+from survtower.model import ModelConfig
 from survtower.params import ParameterStore
 
 
@@ -89,33 +90,40 @@ class TestFrameDifference:
 
 
 class TestEnsemble:
+    @staticmethod
+    def ensemble(frame_diff, omega, raw, fwd, bwd):
+        preds = {None: raw, "forward": fwd, "backward": bwd}
+        return sum(w * preds[d] for d, w in fu.ensemble_views(frame_diff, omega))
+
     def test_omega_one_is_bitwise_raw_prediction(self):
-        assert fu.ensemble_predict(0.731, 0.2, 0.9, 1.0) == 0.731
+        for frame_diff in fu.FRAME_DIFF_MODES:
+            assert fu.ensemble_views(frame_diff, 1.0) == [(None, 1.0)]
+        for omega in (0.0, 0.4):
+            assert fu.ensemble_views("off", omega) == [(None, 1.0)]
+        assert self.ensemble("on", 1.0, 0.731, 0.2, 0.9) == 0.731
 
     def test_reference_substitution(self):
-        assert fu.ensemble_predict(1.0, 0.5, 0.7, 0.4) == pytest.approx(0.76)
+        assert self.ensemble("on", 0.4, 1.0, 0.5, 0.7) == pytest.approx(0.76)
+        assert fu.ensemble_views("forward-only", 0.4) == [(None, 0.4), ("forward", 0.6)]
+        assert fu.ensemble_views("backward-only", 0.4) == [(None, 0.4), ("backward", 0.6)]
 
     @given(
-        st.floats(0, 1), st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2)
+        st.sampled_from(fu.FRAME_DIFF_MODES), st.floats(0, 1),
+        st.floats(-2, 2), st.floats(-2, 2), st.floats(-2, 2),
     )
     @settings(max_examples=200, deadline=None)
-    def test_convex_combination_bounds(self, omega, a, b, c):
-        t_bar = fu.ensemble_predict(a, b, c, omega)
+    def test_convex_combination_bounds(self, frame_diff, omega, a, b, c):
+        weights = [w for _, w in fu.ensemble_views(frame_diff, omega)]
+        assert min(weights) >= 0
+        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+        t_bar = self.ensemble(frame_diff, omega, a, b, c)
         lo, hi = min(a, b, c), max(a, b, c)
         assert lo - 1e-12 <= t_bar <= hi + 1e-12
 
     def test_omega_out_of_range(self):
-        with pytest.raises(ConfigError):
-            fu.ensemble_predict(0.1, 0.2, 0.3, 1.5)
-
-    def test_tensor_path_matches_float_path(self):
-        rng = np.random.default_rng(2)
-        a, b, c = rng.standard_normal(3)
-        t = fu.ensemble_predict(
-            ad.Tensor([a], dtype=np.float64), ad.Tensor([b], dtype=np.float64),
-            ad.Tensor([c], dtype=np.float64), 0.4,
-        )
-        assert t.data[0] == pytest.approx(fu.ensemble_predict(a, b, c, 0.4), abs=1e-12)
+        for omega in (-0.1, 1.5):
+            with pytest.raises(ConfigError, match="omega"):
+                ModelConfig(omega=omega)
 
 
 class TestLoss:

@@ -1,13 +1,15 @@
 """Model assembly and training protocol: float32 stays float32, checkpoint
 round trip, and the bit-exact resume contract."""
 
+import dataclasses
+import errno
 import json
 import struct
 
 import numpy as np
 import pytest
 
-from survtower import model, train
+from survtower import data, fusion, model, train
 from survtower.errors import ConfigError, FormatError
 from survtower.synthetic import generate_synthetic
 
@@ -32,8 +34,31 @@ def test_forward_batch_keeps_float32(dataset, towers):
     store = model.init_model_params(config, dataset.vocab, dataset.continuous_fields, seed=0)
     batch = model.make_batch(dataset, dataset.samples[:3], config)
     pred = model.forward_batch(store, config, batch)
-    assert pred.ensembled.shape == (3, 1)
-    assert pred.ensembled.dtype == np.float32
+    assert pred.shape == (3, 1)
+    assert pred.dtype == np.float32
+
+
+@pytest.mark.parametrize("frame_diff", ["on", "forward-only", "backward-only", "off"])
+def test_forward_batch_is_weighted_sum_of_views(dataset, frame_diff):
+    omega = 0.4
+    config = tiny_config(towers="both", frame_diff=frame_diff, omega=omega).model_config()
+    store = model.init_model_params(config, dataset.vocab, dataset.continuous_fields, seed=0, dtype=np.float64)
+    batch = model.make_batch(dataset, dataset.samples[:5], config, dtype=np.float64)
+
+    single = dataclasses.replace(config, frame_diff="off")
+    passes = {None: model.forward_batch(store, single, batch).data}
+    for direction in ("forward", "backward"):
+        diffed = dataclasses.replace(batch, volumes=fusion.frame_difference(batch.volumes, direction))
+        passes[direction] = model.forward_batch(store, single, diffed).data
+    expected = {
+        "on": omega * passes[None] + (1 - omega) / 2 * (passes["forward"] + passes["backward"]),
+        "forward-only": omega * passes[None] + (1 - omega) * passes["forward"],
+        "backward-only": omega * passes[None] + (1 - omega) * passes["backward"],
+        "off": passes[None],
+    }[frame_diff]
+    pred = model.forward_batch(store, config, batch)
+    assert pred.dtype == np.float64
+    np.testing.assert_allclose(pred.data, expected, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("bad", [
@@ -51,6 +76,40 @@ def test_omega_one_bit_equals_frame_diff_off(dataset):
         store = model.init_model_params(config, dataset.vocab, dataset.continuous_fields, seed=0)
         preds.append(model.predict_times(store, config, dataset, dataset.samples[:48]))
     np.testing.assert_array_equal(preds[0], preds[1])
+
+
+@pytest.mark.parametrize("axis", train.ABLATION_AXES)
+def test_ablation_grid_builds_unique_variants(dataset, axis):
+    rows = train.ablation_grid(tiny_config(towers="both"), axis)
+    labels = [label for label, _ in rows]
+    assert len(labels) == len(set(labels)) > 1
+    for _, config in rows:
+        model.init_model_params(config.model_config(), dataset.vocab, dataset.continuous_fields, seed=0)
+    if axis == "direction":
+        assert {config.frame_diff for _, config in rows} == set(fusion.FRAME_DIFF_MODES)
+
+
+def test_ablation_grid_rejects_unknown_axis():
+    with pytest.raises(ConfigError, match="unknown ablation axis"):
+        train.ablation_grid(tiny_config(), "dropout")
+
+
+# header edits that each leave a checkpoint that must not load
+HEADER_EDITS = {
+    "no epoch": lambda h: h.pop("epoch"),
+    "best without epoch": lambda h: h["best"].pop("epoch"),
+    "tensor without offset": lambda h: h["tensors"][0].pop("offset"),
+    "dtype object": lambda h: h["tensors"][0].update(dtype="object"),
+    "dtype int8": lambda h: h["tensors"][0].update(dtype="int8"),
+    "nbytes not shape": lambda h: h["tensors"][0].update(nbytes=h["tensors"][0]["nbytes"] + 4),
+    "no param group": lambda h: h.update(tensors=[t for t in h["tensors"] if t["group"] != "param"]),
+    "config without widths": lambda h: h["config"].pop("widths"),
+    "config with unknown key": lambda h: h["config"].update(dropout=0.1),
+    "fields without continuous": lambda h: h["fields"].pop("continuous"),
+    "adam_m entry missing": lambda h: h["tensors"].remove(
+        next(t for t in h["tensors"] if t["group"] == "adam_m")
+    ),
+}
 
 
 class TestCheckpoint:
@@ -88,7 +147,7 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="version 1"):
             train.load_checkpoint(path)
 
-    @pytest.mark.parametrize("corrupt", ["byte 20", "no epoch"])
+    @pytest.mark.parametrize("corrupt", ["byte 20", *HEADER_EDITS])
     def test_corrupt_header_rejected(self, dataset, tmp_path, corrupt):
         state, _ = train.train(tiny_config(epochs=1), dataset)
         path = tmp_path / "ckpt"
@@ -99,10 +158,43 @@ class TestCheckpoint:
         else:
             (length,) = struct.unpack_from("<Q", blob, 6)
             header = json.loads(blob[14:14 + length])
-            del header["epoch"]
+            HEADER_EDITS[corrupt](header)
             text = json.dumps(header).encode()
             blob = blob[:6] + struct.pack("<Q", len(text)) + text + blob[14 + length:]
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError) as info:
             train.load_checkpoint(path)
         assert info.value.offset == 14
+
+    def test_failed_write_keeps_earlier_checkpoint(self, dataset, tmp_path, monkeypatch):
+        state, _ = train.train(tiny_config(epochs=1), dataset)
+        path = tmp_path / "ckpt"
+        train.save_checkpoint(state, path)
+        before = path.read_bytes()
+        state.epoch += 1
+
+        class DiskFull:
+            """A file whose second write fails, as on a full disk."""
+
+            def __init__(self, *args, **kwargs):
+                self.fh = open(*args, **kwargs)
+                self.writes = 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, chunk):
+                self.writes += 1
+                if self.writes == 2:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return self.fh.write(chunk)
+
+        monkeypatch.setattr(data, "open", DiskFull, raising=False)
+        with pytest.raises(OSError):
+            train.save_checkpoint(state, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt"]
+
