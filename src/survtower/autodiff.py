@@ -393,21 +393,32 @@ def gather_rows(t, indices) -> Tensor:
     return _record(out, (t, ), backward_fn)
 
 
-def _triple(v) -> tuple[int, int, int]:
-    if isinstance(v, int):
-        return (v, v, v)
-    v = tuple(v)
-    if len(v) != 3:
-        raise ConfigError(f"expected an int or 3 ints, got {v}")
-    return v
+def _triple(v, name: str, least: int) -> tuple[int, int, int]:
+    """``v`` as three ints, each at least ``least``; ConfigError otherwise."""
+    v = (v, v, v) if isinstance(v, (int, np.integer)) else tuple(v)
+    if len(v) != 3 or not all(isinstance(e, (int, np.integer)) and e >= least for e in v):
+        raise ConfigError(f"{name} must be an int or 3 ints, each >= {least}, got {v}")
+    return tuple(int(e) for e in v)
 
 
 def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
     """Cross-correlation over the three trailing axes of a [n,c,f,h,w] input.
 
-    Internally the input is held channels-last so that each of the
-    kf*kh*kw kernel offsets contributes one contiguous (..., c) @ (c, ko)
-    matrix product; the backward pass mirrors the same offset loop.
+    Internally the input is held channels-last, (n,F,H,W,c), and each of
+    the kf*kh*kw kernel offsets reads one strided window of it. The
+    forward pass adds one (..., c) @ (c, ko) product per offset. A
+    one-channel input (the stem) would give those products an inner
+    dimension of 1, so it is lowered to im2col instead: the windows are
+    copied into an (n, kf*kh*kw, of*oh*ow) column buffer, and one
+    (ko, kf*kh*kw) @ buffer GEMM writes the output in its [n,ko,...]
+    layout. The backward pass reshapes the output gradient channels-last
+    to g = (rows, ko) once, rows = n*of*oh*ow, then runs one plain 2-D
+    GEMM per offset and per gradient: window(rows, c).T @ g for the
+    kernel, and g @ kernel(c, ko).T scatter-added into the window for
+    the input.
+
+    The output and the input gradient keep x's dtype; the kernel is
+    cast to it for the products.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 5 or kernel.data.ndim != 5:
@@ -419,8 +430,8 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
     ko, kc, kf, kh, kw = kernel.shape
     if kc != c:
         raise DimensionError(f"conv3d channel mismatch: input has {c}, kernel expects {kc}")
-    sf, sh, sw = _triple(stride)
-    pf, ph, pw = _triple(padding)
+    sf, sh, sw = _triple(stride, "conv3d stride", 1)
+    pf, ph, pw = _triple(padding, "conv3d padding", 0)
     of = (f + 2 * pf - kf) // sf + 1
     oh = (h + 2 * ph - kh) // sh + 1
     ow = (w + 2 * pw - kw) // sw + 1
@@ -433,40 +444,41 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
     xp = x.data
     if pf or ph or pw:
         xp = np.pad(xp, ((0, 0), (0, 0), (pf, pf), (ph, ph), (pw, pw)))
-    xl = np.ascontiguousarray(xp.transpose(0, 2, 3, 4, 1))        # (n,F,H,W,c)
-    kl = np.ascontiguousarray(kernel.data.transpose(2, 3, 4, 1, 0))  # (kf,kh,kw,c,ko)
+    xl = np.ascontiguousarray(xp.transpose(0, 2, 3, 4, 1))                            # (n,F,H,W,c)
+    kl = np.ascontiguousarray(kernel.data.transpose(2, 3, 4, 1, 0), dtype=xl.dtype)  # (kf,kh,kw,c,ko)
+    offsets = [(a, b, d) for a in range(kf) for b in range(kh) for d in range(kw)]
+    rows = n * of * oh * ow
 
     def _window(arr, a, b, d):
         return arr[:, a:a + sf * of:sf, b:b + sh * oh:sh, d:d + sw * ow:sw, :]
 
-    out_l = np.zeros((n, of, oh, ow, ko), dtype=xl.dtype)
-    for a in range(kf):
-        for b in range(kh):
-            for d in range(kw):
-                out_l += _window(xl, a, b, d) @ kl[a, b, d]
-    out = Tensor(np.ascontiguousarray(out_l.transpose(0, 4, 1, 2, 3)))
+    if c == 1:
+        cols = np.empty((n, len(offsets), of, oh, ow), dtype=xl.dtype)
+        for i, (a, b, d) in enumerate(offsets):
+            cols[:, i] = _window(xl, a, b, d)[..., 0]
+        out_c = kl.reshape(-1, ko).T @ cols.reshape(n, len(offsets), -1)   # (n, ko, of*oh*ow)
+        out = Tensor(out_c.reshape(n, ko, of, oh, ow))
+    else:
+        out_l = np.zeros((n, of, oh, ow, ko), dtype=xl.dtype)
+        for a, b, d in offsets:
+            out_l += _window(xl, a, b, d) @ kl[a, b, d]
+        out = Tensor(np.ascontiguousarray(out_l.transpose(0, 4, 1, 2, 3)))
 
     def backward_fn(g):
-        gl = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))
+        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1)).reshape(rows, ko)
         if kernel.requires_grad:
             dkl = np.empty_like(kl)
-            for a in range(kf):
-                for b in range(kh):
-                    for d in range(kw):
-                        dkl[a, b, d] = np.tensordot(
-                            _window(xl, a, b, d), gl, axes=([0, 1, 2, 3], [0, 1, 2, 3])
-                        )
-            kernel._accumulate(np.ascontiguousarray(dkl.transpose(4, 3, 0, 1, 2)))
+            for a, b, d in offsets:
+                dkl[a, b, d] = _window(xl, a, b, d).reshape(rows, c).T @ g2
+            kernel._accumulate(dkl.transpose(4, 3, 0, 1, 2))
         if x.requires_grad:
             dxl = np.zeros_like(xl)
-            for a in range(kf):
-                for b in range(kh):
-                    for d in range(kw):
-                        _window(dxl, a, b, d).__iadd__(gl @ kl[a, b, d].T)
+            for a, b, d in offsets:
+                _window(dxl, a, b, d).__iadd__((g2 @ kl[a, b, d].T).reshape(n, of, oh, ow, c))
             dxp = dxl.transpose(0, 4, 1, 2, 3)
             if pf or ph or pw:
                 dxp = dxp[:, :, pf:pf + f, ph:ph + h, pw:pw + w]
-            x._accumulate(np.ascontiguousarray(dxp))
+            x._accumulate(dxp)
 
     return _record(out, (x, kernel), backward_fn)
 

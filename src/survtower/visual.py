@@ -63,8 +63,8 @@ class VisualBackboneConfig:
 
     def __post_init__(self):
         self.widths = tuple(self.widths)
-        self.stem_stride = tuple(self.stem_stride)
-        self.stage_stride = tuple(self.stage_stride)
+        self.stem_stride = ad._triple(self.stem_stride, "stem_stride", 1)
+        self.stage_stride = ad._triple(self.stage_stride, "stage_stride", 1)
         if not self.widths:
             raise ConfigError("backbone needs at least one stage width")
         if self.blocks_per_stage < 1:

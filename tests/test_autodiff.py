@@ -101,10 +101,34 @@ class TestConv3d:
         k = rng.standard_normal((2, 2, 2, 2, 2))
         _check_op(ad.conv3d, [x, k], rng, n_samples=8)
 
-    def test_gradcheck_strided_padded(self):
+    @pytest.mark.parametrize("stride, padding, name", [
+        (0, 0, "stride"), ((1, 0, 2), 1, "stride"), ((1, 2, -1), 1, "stride"),
+        ((1, 2), 1, "stride"), ((1, 1.5, 1), 1, "stride"), (1, -1, "padding"), (1, (0, 0, -1), "padding"),
+    ])
+    def test_rejects_bad_stride_and_padding(self, stride, padding, name):
+        with pytest.raises(ConfigError, match=name):
+            ad.conv3d(ad.Tensor(np.ones((1, 1, 3, 3, 3))), ad.Tensor(np.ones((1, 1, 1, 1, 1))),
+                      stride=stride, padding=padding)
+
+    # c == 1 takes the im2col forward, c > 1 the per-offset one
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("x_dtype, k_dtype", [
+        (np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64),
+    ])
+    def test_keeps_dtypes(self, c, x_dtype, k_dtype):
+        rng = np.random.default_rng(6)
+        x = ad.Tensor(rng.standard_normal((2, c, 3, 5, 5)), requires_grad=True, dtype=x_dtype)
+        k = ad.Tensor(rng.standard_normal((4, c, 3, 3, 3)), requires_grad=True, dtype=k_dtype)
+        out = ad.conv3d(x, k, stride=(1, 2, 2), padding=1)
+        ad.backward(ad.sum_over(out))
+        assert out.dtype == x_dtype
+        assert x.grad.dtype == x_dtype
+        assert k.grad.dtype == k_dtype
+
+    @pytest.mark.parametrize("c", [1, 2, 3])
+    def test_gradcheck_strided_padded(self, c):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            c = int(rng.integers(1, 3))
             ko = int(rng.integers(1, 3))
             x = rng.standard_normal((2, c, 4, 5, 5))
             k = rng.standard_normal((ko, c, 2, 3, 3))

@@ -418,3 +418,18 @@ class TestBackbone:
         with pytest.raises(ConfigError, match="temporal SE"):
             vz.VisualBackboneConfig(stem_stride=(2, 2, 2))
         vz.VisualBackboneConfig(stage_stride=(2, 2, 2), se=vz.SqueezeExciteConfig(blocks="channel"))
+        for bad in ((1, 0, 2), (1, 2, -1), (1, 2)):
+            with pytest.raises(ConfigError, match="stem_stride"):
+                vz.VisualBackboneConfig(stem_stride=bad)
+            with pytest.raises(ConfigError, match="stage_stride"):
+                vz.VisualBackboneConfig(stage_stride=bad)
+
+    def test_stem_conv_matches_loop_oracle(self):
+        # the one-channel stem takes conv3d's im2col branch
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((2, 1, 4, 7, 8))
+        k = rng.standard_normal((3, 1, 3, 3, 3))
+        for stride in ((1, 2, 2), (2, 1, 3)):
+            out = ad.conv3d(ad.Tensor(x, dtype=np.float64), ad.Tensor(k, dtype=np.float64),
+                            stride=stride, padding=1)
+            np.testing.assert_allclose(out.data, conv3d_loop_oracle(x, k, stride, 1), rtol=1e-12, atol=1e-12)
