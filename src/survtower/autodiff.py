@@ -401,21 +401,57 @@ def _triple(v, name: str, least: int) -> tuple[int, int, int]:
     return tuple(int(e) for e in v)
 
 
+def _interior(pads, dims) -> tuple:
+    """Index of the unpadded (n, *dims, c) part of a channels-last buffer
+    padded by ``pads``."""
+    return (slice(None), *(slice(p, p + d) for p, d in zip(pads, dims)))
+
+
+def _padded(arr, pads) -> np.ndarray:
+    """A channels-last (n, f, h, w, c) array, or a view of one, copied into
+    a zero buffer padded by ``pads`` on both sides of f, h and w."""
+    n, *dims, c = arr.shape
+    out = np.zeros((n, *(d + 2 * p for d, p in zip(dims, pads)), c), dtype=arr.dtype)
+    out[_interior(pads, dims)] = arr
+    return out
+
+
+def _window(arr, offset, stride, dims) -> np.ndarray:
+    """The (n, *dims, c) strided window of a channels-last array that one
+    kernel offset reads."""
+    return arr[(slice(None), *(slice(o, o + s * d, s) for o, s, d in zip(offset, stride, dims)))]
+
+
+def _correlate(src, kl, stride, dims) -> np.ndarray:
+    """Channels-last cross-correlation: one (..., c) @ (c, ko) product per
+    kernel offset of ``kl`` (kf, kh, kw, c, ko), summed into one contiguous
+    (n, *dims, ko) buffer."""
+    out = np.zeros((src.shape[0], *dims, kl.shape[-1]), dtype=src.dtype)
+    for offset in np.ndindex(kl.shape[:3]):
+        out += _window(src, offset, stride, dims) @ kl[offset]
+    return out
+
+
 def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
     """Cross-correlation over the three trailing axes of a [n,c,f,h,w] input.
 
-    Internally the input is held channels-last, (n,F,H,W,c), and each of
-    the kf*kh*kw kernel offsets reads one strided window of it. The
-    forward pass adds one (..., c) @ (c, ko) product per offset. A
-    one-channel input (the stem) would give those products an inner
-    dimension of 1, so it is lowered to im2col instead: the windows are
-    copied into an (n, kf*kh*kw, of*oh*ow) column buffer, and one
-    (ko, kf*kh*kw) @ buffer GEMM writes the output in its [n,ko,...]
-    layout. The backward pass reshapes the output gradient channels-last
-    to g = (rows, ko) once, rows = n*of*oh*ow, then runs one plain 2-D
-    GEMM per offset and per gradient: window(rows, c).T @ g for the
-    kernel, and g @ kernel(c, ko).T scatter-added into the window for
-    the input.
+    Internally the input is copied once into a zero-padded channels-last
+    buffer, (n,F,H,W,c), and each of the kf*kh*kw kernel offsets reads
+    one strided window of it. The forward pass adds one (..., c) @ (c, ko)
+    product per offset (``_correlate``). A one-channel input (the stem)
+    would give those products an inner dimension of 1, so it is lowered
+    to im2col instead: the windows are copied into an
+    (n, kf*kh*kw, of*oh*ow) column buffer, and one (ko, kf*kh*kw) @ buffer
+    GEMM writes the output in its [n,ko,...] layout.
+
+    The tape keeps no padded copy: the backward pass rebuilds it from x,
+    and only when the kernel needs a gradient. It reshapes the output
+    gradient channels-last to g = (rows, ko) once, rows = n*of*oh*ow, and
+    runs window(rows, c).T @ g per offset for the kernel gradient. At
+    stride 1 with padding <= k-1 on every axis, the input gradient is the
+    same ``_correlate`` loop run on g zero-padded by k-1-padding, with
+    the kernel flipped and its channel axes swapped. Other convs
+    scatter-add g @ kernel(c, ko).T into each offset's window.
 
     The output and the input gradient keep x's dtype; the kernel is
     cast to it for the products.
@@ -426,59 +462,55 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
             f"conv3d expects input [n,c,f,h,w] and kernel [k,c,kf,kh,kw], "
             f"got {tuple(x.shape)} and {tuple(kernel.shape)}"
         )
-    n, c, f, h, w = x.shape
-    ko, kc, kf, kh, kw = kernel.shape
+    n, c, *in_dims = x.shape
+    ko, kc, *ksize = kernel.shape
     if kc != c:
         raise DimensionError(f"conv3d channel mismatch: input has {c}, kernel expects {kc}")
-    sf, sh, sw = _triple(stride, "conv3d stride", 1)
-    pf, ph, pw = _triple(padding, "conv3d padding", 0)
-    of = (f + 2 * pf - kf) // sf + 1
-    oh = (h + 2 * ph - kh) // sh + 1
-    ow = (w + 2 * pw - kw) // sw + 1
-    if of <= 0 or oh <= 0 or ow <= 0:
+    strides = _triple(stride, "conv3d stride", 1)
+    pads = _triple(padding, "conv3d padding", 0)
+    dims = tuple((d + 2 * p - k) // s + 1 for d, p, k, s in zip(in_dims, pads, ksize, strides))
+    if min(dims) <= 0:
         raise ConfigError(
-            f"conv3d output dims ({of},{oh},{ow}) must be positive for input "
-            f"{(f, h, w)}, kernel {(kf, kh, kw)}, stride {(sf, sh, sw)}, padding {(pf, ph, pw)}"
+            f"conv3d output dims {dims} must be positive for input {tuple(in_dims)}, "
+            f"kernel {tuple(ksize)}, stride {strides}, padding {pads}"
         )
+    rows = n * int(np.prod(dims))
+    offsets = list(np.ndindex(*ksize))
+    kl = np.ascontiguousarray(kernel.data.transpose(2, 3, 4, 1, 0), dtype=x.dtype)  # (kf,kh,kw,c,ko)
 
-    xp = x.data
-    if pf or ph or pw:
-        xp = np.pad(xp, ((0, 0), (0, 0), (pf, pf), (ph, ph), (pw, pw)))
-    xl = np.ascontiguousarray(xp.transpose(0, 2, 3, 4, 1))                            # (n,F,H,W,c)
-    kl = np.ascontiguousarray(kernel.data.transpose(2, 3, 4, 1, 0), dtype=xl.dtype)  # (kf,kh,kw,c,ko)
-    offsets = [(a, b, d) for a in range(kf) for b in range(kh) for d in range(kw)]
-    rows = n * of * oh * ow
-
-    def _window(arr, a, b, d):
-        return arr[:, a:a + sf * of:sf, b:b + sh * oh:sh, d:d + sw * ow:sw, :]
-
+    xl = _padded(x.data.transpose(0, 2, 3, 4, 1), pads)                             # (n,F,H,W,c)
     if c == 1:
-        cols = np.empty((n, len(offsets), of, oh, ow), dtype=xl.dtype)
-        for i, (a, b, d) in enumerate(offsets):
-            cols[:, i] = _window(xl, a, b, d)[..., 0]
+        cols = np.empty((n, len(offsets), *dims), dtype=xl.dtype)
+        for i, offset in enumerate(offsets):
+            cols[:, i] = _window(xl, offset, strides, dims)[..., 0]
         out_c = kl.reshape(-1, ko).T @ cols.reshape(n, len(offsets), -1)   # (n, ko, of*oh*ow)
-        out = Tensor(out_c.reshape(n, ko, of, oh, ow))
+        out = Tensor(out_c.reshape(n, ko, *dims))
     else:
-        out_l = np.zeros((n, of, oh, ow, ko), dtype=xl.dtype)
-        for a, b, d in offsets:
-            out_l += _window(xl, a, b, d) @ kl[a, b, d]
-        out = Tensor(np.ascontiguousarray(out_l.transpose(0, 4, 1, 2, 3)))
+        out = Tensor(np.ascontiguousarray(_correlate(xl, kl, strides, dims).transpose(0, 4, 1, 2, 3)))
+
+    # the stride-1 input gradient pads g by k-1-p, which must not be negative
+    flip_pads = tuple(k - 1 - p for k, p in zip(ksize, pads))
+    correlate_dx = strides == (1, 1, 1) and min(flip_pads) >= 0
 
     def backward_fn(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1)).reshape(rows, ko)
         if kernel.requires_grad:
+            xl = _padded(x.data.transpose(0, 2, 3, 4, 1), pads)   # local: the tape holds x, not xl
             dkl = np.empty_like(kl)
-            for a, b, d in offsets:
-                dkl[a, b, d] = _window(xl, a, b, d).reshape(rows, c).T @ g2
+            for offset in offsets:
+                dkl[offset] = _window(xl, offset, strides, dims).reshape(rows, c).T @ g2
             kernel._accumulate(dkl.transpose(4, 3, 0, 1, 2))
-        if x.requires_grad:
-            dxl = np.zeros_like(xl)
-            for a, b, d in offsets:
-                _window(dxl, a, b, d).__iadd__((g2 @ kl[a, b, d].T).reshape(n, of, oh, ow, c))
-            dxp = dxl.transpose(0, 4, 1, 2, 3)
-            if pf or ph or pw:
-                dxp = dxp[:, :, pf:pf + f, ph:ph + h, pw:pw + w]
-            x._accumulate(dxp)
+        if not x.requires_grad:
+            return
+        if correlate_dx:
+            flipped = np.ascontiguousarray(kl[::-1, ::-1, ::-1].swapaxes(3, 4))         # (kf,kh,kw,ko,c)
+            dxl = _correlate(_padded(g2.reshape(n, *dims, ko), flip_pads), flipped, (1, 1, 1), in_dims)
+            x._accumulate(dxl.transpose(0, 4, 1, 2, 3))
+            return
+        dxl = np.zeros((n, *(d + 2 * p for d, p in zip(in_dims, pads)), c), dtype=x.dtype)
+        for offset in offsets:
+            _window(dxl, offset, strides, dims).__iadd__((g2 @ kl[offset].T).reshape(n, *dims, c))
+        x._accumulate(dxl[_interior(pads, in_dims)].transpose(0, 4, 1, 2, 3))
 
     return _record(out, (x, kernel), backward_fn)
 

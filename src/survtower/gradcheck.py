@@ -166,6 +166,8 @@ def op_checks(seed: int = 0, instances: int = 20) -> list[CheckResult]:
         lambda: [rng.standard_normal((2, 1, 3, 4)), rng.standard_normal((1, 3, 4, 2))])
     run("conv3d", lambda x, k: ad.conv3d(x, k, stride=(1, 2, 2), padding=1),
         lambda: [rng.standard_normal((2, 2, 3, 5, 5)), rng.standard_normal((3, 2, 2, 3, 3))])
+    run("conv3d[s1]", lambda x, k: ad.conv3d(x, k, stride=1, padding=1),
+        lambda: [rng.standard_normal((2, 2, 3, 5, 5)), rng.standard_normal((3, 2, 3, 3, 3))])
     run("conv3d[stem]", lambda x, k: ad.conv3d(x, k, stride=(1, 2, 2), padding=1),
         lambda: [rng.standard_normal((2, 1, 3, 5, 5)), rng.standard_normal((3, 1, 3, 3, 3))])
     run("conv3d[1x1x1]", lambda x, k: ad.conv3d(x, k, stride=(1, 2, 2), padding=0),

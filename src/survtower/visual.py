@@ -4,10 +4,16 @@ squeeze-and-excitation gates (Hu et al., arXiv 1709.01507).
 Feature maps are laid out [n, c, f, h, w] (batch, channels, frames,
 in-plane). One gate, ``squeeze_excite``, serves both blocks of the
 paper's 3D-SE Resblock: along axis 1 it is the channel SE block, along
-axis 2 the temporal SE block. It pools space once to (n, c, f); the
-global descriptor also averages the other axis, the local descriptors
-keep it, and the SAME bottleneck weights excite both. Each joint gate
-entry is a product of two sigmoids, so it lies strictly inside (0,1).
+axis 2 the temporal SE block. It reads the (n, c, f) spatial means of
+the map; the global descriptor also averages the other axis, the local
+descriptors keep it, and the SAME bottleneck weights excite both. Each
+joint gate entry is a product of two sigmoids, so it lies strictly
+inside (0,1).
+
+A gate is constant over space, so gating a map scales its spatial means
+by the gate. A block therefore pools its branch once, computes the
+second gate from the pooled means times the first gate, and multiplies
+the full branch once, by the product of its gates.
 """
 
 from __future__ import annotations
@@ -114,18 +120,19 @@ def excitation(pooled: ad.Tensor, w1: ad.Tensor, w2: ad.Tensor) -> ad.Tensor:
     return ad.sigmoid(ad.matmul(hidden, ad.transpose(w1)))
 
 
-def squeeze_excite(feature: ad.Tensor, w1: ad.Tensor, w2: ad.Tensor, axis: int, mode: str = "joint") -> ad.Tensor:
-    """Gate the (n,c,f,h,w) map along ``axis`` (1: channels, 2: frames).
+def squeeze_excite(pooled: ad.Tensor, w1: ad.Tensor, w2: ad.Tensor, axis: int, mode: str = "joint") -> ad.Tensor:
+    """Gate along ``axis`` (1: channels, 2: frames) of a map whose spatial
+    means are ``pooled`` (n,c,f).
 
-    The global descriptor averages the spatial means over the other axis;
-    the local descriptors keep it, one row per channel or frame, and run
+    The global descriptor averages ``pooled`` over the other axis; the
+    local descriptors keep it, one row per channel or frame, and run
     through the same bottleneck. "joint" multiplies the two gates,
-    "global" and "local" use one alone.
+    "global" and "local" use one alone. The gate broadcasts against
+    (n,c,f); a "global" gate keeps the other axis at size 1.
     """
     if mode not in ("joint", "global", "local"):
         raise ConfigError(f"unknown gate mode {mode!r}")
     other = 3 - axis
-    pooled = ad.mean_over(feature, (3, 4))                                   # (n,c,f)
     gate = None
     if mode != "local":
         keep = tuple(1 if i == other else d for i, d in enumerate(pooled.shape))
@@ -134,7 +141,7 @@ def squeeze_excite(feature: ad.Tensor, w1: ad.Tensor, w2: ad.Tensor, axis: int, 
         swap = (0, other, axis)                                              # its own inverse
         local = ad.transpose(excitation(ad.transpose(pooled, swap), w1, w2), swap)
         gate = local if gate is None else ad.mul(local, gate)
-    return ad.mul(feature, ad.reshape(gate, gate.shape + (1, 1)))
+    return gate
 
 
 def _conv(store, prefix, x, stride=1, padding=1):
@@ -162,16 +169,24 @@ def se_resblock_forward(store, prefix, x, se: SqueezeExciteConfig, stride=1):
     """Residual block: conv-relu-conv, SE gates on the branch, then add.
 
     The gate stack runs after the second convolution and before the
-    residual addition; its order is configurable.
+    residual addition; its order is configurable. The branch is pooled
+    once; the second gate reads the pooled means times the first gate,
+    which are the means of the once-gated branch, and the branch is
+    multiplied once, by the product of the gates.
     """
     branch = ad.relu(_conv(store, f"{prefix}.conv1", x, stride=stride))
     branch = _conv(store, f"{prefix}.conv2", branch)
     gates = [("se_c", 1, se.channel_enabled), ("se_t", 2, se.temporal_enabled)]
     if se.order == "temporal-first":
         gates.reverse()
+    gate = None
     for name, axis, enabled in gates:
         if enabled:
-            branch = squeeze_excite(branch, store[f"{prefix}.{name}.w1"], store[f"{prefix}.{name}.w2"], axis, se.mode)
+            pooled = ad.mean_over(branch, (3, 4)) if gate is None else ad.mul(pooled, gate)
+            g = squeeze_excite(pooled, store[f"{prefix}.{name}.w1"], store[f"{prefix}.{name}.w2"], axis, se.mode)
+            gate = g if gate is None else ad.mul(gate, g)
+    if gate is not None:
+        branch = ad.mul(branch, ad.reshape(gate, gate.shape + (1, 1)))
     if f"{prefix}.shortcut.weight" in store:
         shortcut = ad.conv3d(x, store[f"{prefix}.shortcut.weight"], stride=stride, padding=0)
     else:

@@ -138,6 +138,30 @@ class TestConv3d:
                 [x, k], rng, n_samples=4,
             )
 
+    # kernel 3 at padding <= 2 takes the stride-1 correlation for dx;
+    # kernel 1 at padding 1 has padding > k-1 and takes the scatter
+    @pytest.mark.parametrize("k, padding", [(3, 0), (3, 1), (3, 2), (1, 1)])
+    def test_stride1_input_gradient_matches_finite_differences(self, k, padding):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 2, 3, 4, 5))
+        kernel = ad.Tensor(rng.standard_normal((3, 2, k, k, k)), dtype=np.float64)
+        leaf = ad.Tensor(x, requires_grad=True, dtype=np.float64)
+        out = ad.conv3d(leaf, kernel, stride=1, padding=padding)
+        w = rng.standard_normal(out.shape)
+        ad.backward(ad.sum_over(ad.mul(out, w)))
+
+        def loss(arr):
+            return float((ad.conv3d(ad.Tensor(arr, dtype=np.float64), kernel, padding=padding).data * w).sum())
+
+        step = 1e-6
+        expected = np.empty_like(x)
+        for i in np.ndindex(x.shape):
+            hi, lo = x.copy(), x.copy()
+            hi[i] += step
+            lo[i] -= step
+            expected[i] = (loss(hi) - loss(lo)) / (2 * step)
+        np.testing.assert_allclose(leaf.grad, expected, rtol=1e-6, atol=1e-8)
+
 
 class TestSoftmax:
     def test_uniform(self):

@@ -21,9 +21,15 @@ def logit(p):
     return np.log(p / (1.0 - p))
 
 
+def gated(feature, w1, w2, axis, mode="joint"):
+    """The map times the gate that squeeze_excite computes from its spatial means."""
+    gate = vz.squeeze_excite(ad.mean_over(feature, (3, 4)), w1, w2, axis, mode)
+    return ad.mul(feature, ad.reshape(gate, gate.shape + (1, 1)))
+
+
 def squeeze_excite(arr, w1, w2, axis, mode="joint"):
-    return vz.squeeze_excite(ad.Tensor(arr, dtype=np.float64), ad.Tensor(w1, dtype=np.float64),
-                             ad.Tensor(w2, dtype=np.float64), axis, mode).data
+    return gated(ad.Tensor(arr, dtype=np.float64), ad.Tensor(w1, dtype=np.float64),
+                 ad.Tensor(w2, dtype=np.float64), axis, mode).data
 
 
 def gates(arr, w1, w2, axis, mode="joint"):
@@ -218,7 +224,7 @@ class TestTemporalSE:
         t = rand_feature(rng, c=4, f=4)
         w1 = ad.Tensor(np.zeros((4, 2)), dtype=np.float64)
         w2 = ad.Tensor(rng.standard_normal((2, 4)), dtype=np.float64)
-        out = vz.squeeze_excite(t, w1, w2, axis=2)
+        out = gated(t, w1, w2, axis=2)
         np.testing.assert_allclose(out.data, 0.25 * t.data, atol=1e-9)
 
 
@@ -374,10 +380,52 @@ class TestResBlock:
         for axis in (1, 2):
             for mode in ("joint", "global", "local"):
                 w1.grad = w2.grad = None
-                ad.backward(ad.sum_over(vz.squeeze_excite(t, w1, w2, axis, mode)))
+                ad.backward(ad.sum_over(gated(t, w1, w2, axis, mode)))
                 grads[mode] = w2.grad.copy()
             assert not np.allclose(grads["joint"], grads["global"])
             assert not np.allclose(grads["joint"], grads["local"])
+
+    @pytest.mark.parametrize("blocks", vz.SE_BLOCKS)
+    @pytest.mark.parametrize("order", vz.SE_ORDERS)
+    @pytest.mark.parametrize("mode", vz.SE_MODES)
+    def test_matches_two_multiply_composition(self, mode, order, blocks):
+        # one multiply by the product gate equals gating the map once per enabled gate
+        config, store = tiny_backbone(se_mode=mode, order=order, blocks=blocks, seed=5)
+        prefix = "visual.stage0.block0"
+        x = ad.Tensor(np.random.default_rng(23).standard_normal((2, 4, 4, 6, 6)), dtype=np.float64)
+        branch = vz._conv(store, f"{prefix}.conv2", ad.relu(vz._conv(store, f"{prefix}.conv1", x)))
+        gates = [("se_c", 1, config.se.channel_enabled), ("se_t", 2, config.se.temporal_enabled)]
+        for name, axis, enabled in gates[::-1] if order == "temporal-first" else gates:
+            if enabled:
+                branch = gated(branch, store[f"{prefix}.{name}.w1"], store[f"{prefix}.{name}.w2"], axis, mode)
+        out = vz.se_resblock_forward(store, prefix, x, config.se)
+        np.testing.assert_allclose(out.data, x.data + branch.data, rtol=1e-12, atol=0)
+
+    def test_tape_holds_each_activation_once(self):
+        # a stride-1 block keeps x, two conv outputs, two bias sums, the ReLU,
+        # the gated branch and the sum: no padded conv copy, one SE product
+        store = ParameterStore()
+        se = vz.SqueezeExciteConfig(ratio=2)
+        vz.init_block_params(store, "b", 8, 8, 4, se, np.random.default_rng(24), np.float64, strided=False)
+        x = ad.Tensor(np.random.default_rng(25).standard_normal((2, 8, 4, 6, 6)), dtype=np.float64)
+        out = vz.se_resblock_forward(store, "b", x, se)
+        held, seen, stack = {}, set(), [out]
+        while stack:
+            node = stack.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            held[id(node.data)] = node.data
+            fn = node._backward_fn
+            cells = [cell.cell_contents for cell in (fn.__closure__ or ())] if fn else []
+            arrays = [v for v in cells if isinstance(v, np.ndarray)]
+            arrays += [v.data for v in cells if isinstance(v, ad.Tensor)]
+            held.update((id(a), a) for a in arrays)
+            if fn is not None and fn.__qualname__.startswith("conv3d."):
+                kernel_size = node._parents[1].data.size
+                assert all(v.size <= kernel_size for v in cells if isinstance(v, np.ndarray))
+            stack.extend(node._parents)
+        assert sum(a.size >= x.data.size for a in held.values()) == 8
 
 
 class TestBackbone:
