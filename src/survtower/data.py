@@ -2,8 +2,8 @@
 
 A dataset bundle is a directory:
 
-    manifest.txt          key: value lines (vocabulary, normalization
-                          statistics, split assignment, per-sample entries)
+    manifest.txt          key: value lines (PSND version 2: a header,
+                          then one line per patient)
     volumes/<id>.psnv     one binary volume per patient
 
 Volume files: magic "PSNV", u16 little-endian version (=1), u32 dims
@@ -16,10 +16,16 @@ Clinical input is UTF-8 CSV with header
 ``patient_id,<categorical...>,age,survival_days,event``; a missing age
 is an empty field.
 
-Normalization statistics are always functions of the training split
-alone and are stored in the manifest, not recomputed at load time.
+The manifest header holds ``format``, ``version``,
+``categorical_fields``, ``patients`` and the split parameters
+``split_seed``, ``split_ratios`` and ``split_fold``. Each patient is
+stored once, as ``patient.<id>: age=<a> days=<d> event=<e>
+items=<field=value,...>`` (``age=missing`` when absent). Nothing derived
+from those lines is stored: ``load_dataset`` rebuilds the split
+assignment, vocabulary, training-split statistics and samples with the
+same ``_assemble`` that ``build_dataset`` and ``apply_split`` use.
 Round-trips are byte-exact: floats are serialized with ``repr``, and
-every section is emitted in a canonical order.
+patients are written in sorted order.
 """
 
 from __future__ import annotations
@@ -77,11 +83,6 @@ def minmax_apply(values, lo: float, hi: float):
     return (arr - lo) / (hi - lo)
 
 
-def minmax_scale(values):
-    lo, hi = minmax_fit(values)
-    return minmax_apply(values, lo, hi)
-
-
 def zscore_fit(values) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     mean = float(arr.mean())
@@ -93,11 +94,6 @@ def zscore_fit(values) -> tuple[float, float]:
 
 def zscore_apply(values, mean: float, std: float):
     return (np.asarray(values, dtype=np.float64) - mean) / std
-
-
-def zscore(values):
-    mean, std = zscore_fit(values)
-    return zscore_apply(values, mean, std)
 
 
 def impute_ages(ages: list[float | None], is_train: list[bool]) -> tuple[list[float], float]:
@@ -178,10 +174,6 @@ def augment_volume(volume: np.ndarray, aug_id: int) -> np.ndarray:
     else:
         raise ConfigError(f"augmentation id must be 0..7, got {aug_id}")
     return np.ascontiguousarray(out)
-
-
-def augment(volume: np.ndarray) -> list[np.ndarray]:
-    return [augment_volume(volume, i) for i in range(len(AUGMENTATIONS))]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +464,9 @@ def apply_split(dataset: SurvivalDataset, seed: int, ratios, fold: int) -> Survi
 # dataset bundle on disk
 
 _MANIFEST_MAGIC = "PSND"
-_MANIFEST_VERSION = 1
+# version 2 stores each patient once and derives the rest on load; version 1
+# also stored the vocabulary, statistics, split and samples, and is rejected
+_MANIFEST_VERSION = 2
 
 
 def _manifest_lines(ds: SurvivalDataset) -> list[str]:
@@ -480,36 +474,17 @@ def _manifest_lines(ds: SurvivalDataset) -> list[str]:
         f"format: {_MANIFEST_MAGIC}",
         f"version: {_MANIFEST_VERSION}",
         f"categorical_fields: {','.join(ds.categorical_fields)}",
-        f"continuous_fields: {','.join(ds.continuous_fields)}",
         f"patients: {len(ds.patients)}",
-        f"samples: {len(ds.samples)}",
         f"split_seed: {ds.split_seed}",
         f"split_ratios: {','.join(repr(r) for r in ds.split_ratios)}",
         f"split_fold: {ds.split_fold}",
-        f"vocab_size: {ds.vocab.size}",
     ]
-    inverse = {i: item for item, i in ds.vocab.items.items()}
-    for i in range(ds.vocab.size):
-        lines.append(f"vocab.{i}: {inverse[i]}")
-    for name in sorted(ds.stats):
-        s = ds.stats[name]
-        lines.append(
-            f"stat.{name}: min={s.min!r} max={s.max!r} mean={s.mean!r} std={s.std!r}"
-        )
     for pid in sorted(ds.patients):
         p = ds.patients[pid]
         age = "missing" if p.age is None else repr(float(p.age))
         lines.append(
-            f"patient.{pid}: split={ds.split[pid]} volume=volumes/{pid}.psnv "
-            f"age={age} days={float(p.survival_days)!r} event={p.event} "
-            f"items={','.join(p.items)}"
-        )
-    for i, s in enumerate(ds.samples):
-        cov = ";".join(f"{k}={s.covariates[k]!r}" for k in sorted(s.covariates))
-        lines.append(
-            f"sample.{i}: patient={s.patient_id} aug={s.aug_id} "
-            f"tokens={','.join(str(t) for t in s.tokens)} cov={cov} "
-            f"target={s.time_norm!r} event={s.event}"
+            f"patient.{pid}: age={age} days={float(p.survival_days)!r} "
+            f"event={p.event} items={','.join(p.items)}"
         )
     return lines
 
@@ -524,13 +499,18 @@ def save_dataset(ds: SurvivalDataset, path):
     write_atomic(root / "manifest.txt", ("\n".join(_manifest_lines(ds)) + "\n").encode("utf-8"))
 
 
-# header keys that load_dataset requires, with the parser of each value
+def _parse_version(value: str) -> int:
+    if int(value) != _MANIFEST_VERSION:
+        raise ValueError(f"unsupported version {value}")
+    return _MANIFEST_VERSION
+
+
+# the header keys, each with the parser of its value; load_dataset requires
+# all of them and rejects any other key
 _HEADER_FIELDS = {
-    "version": int,
+    "version": _parse_version,
     "categorical_fields": lambda value: value.split(","),
-    "continuous_fields": lambda value: value.split(","),
     "patients": int,
-    "samples": int,
     "split_seed": int,
     "split_ratios": lambda value: tuple(float(r) for r in value.split(",")),
     "split_fold": int,
@@ -553,6 +533,8 @@ def _parse_fields(value: str) -> dict[str, str]:
 
 
 def load_dataset(path) -> SurvivalDataset:
+    """Read a bundle: parse the header and patient lines, load the volumes,
+    and rebuild everything else with ``_assemble``."""
     root = Path(path)
     manifest = root / "manifest.txt"
     if not manifest.exists():
@@ -563,83 +545,44 @@ def load_dataset(path) -> SurvivalDataset:
     if lines[0] != f"format: {_MANIFEST_MAGIC}":
         raise FormatError(f"{manifest}: expected format magic {_MANIFEST_MAGIC}, got {lines[0]!r}")
     header: dict[str, object] = {}
-    vocab_items: dict[str, int] = {}
-    stats: dict[str, FieldStats] = {}
     patients: dict[str, RawPatient] = {}
-    split: dict[str, str] = {}
-    samples: list[Sample] = []
-    sample_lines: list[int] = []
-    for lineno, line in enumerate(lines, start=1):
+    patient_lines: dict[str, int] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         key, value = _parse_kv(line, lineno)
         try:
-            if key.startswith("vocab."):
-                vocab_items[value] = int(key.split(".", 1)[1])
-            elif key.startswith("stat."):
-                kv = _parse_fields(value)
-                stats[key.split(".", 1)[1]] = FieldStats(
-                    min=float(kv["min"]), max=float(kv["max"]),
-                    mean=float(kv["mean"]), std=float(kv["std"]),
-                )
-            elif key.startswith("patient."):
+            if key.startswith("patient."):
                 pid = key.split(".", 1)[1]
                 kv = _parse_fields(value)
-                categorical = dict(item.split("=", 1) for item in kv["items"].split(","))
-                age = None if kv["age"] == "missing" else float(kv["age"])
-                if kv["split"] not in SPLITS:
-                    raise ValueError(f"bad split {kv['split']!r}")
-                patients[pid] = RawPatient(pid, categorical, age, float(kv["days"]), int(kv["event"]))
-                split[pid] = kv["split"]
-            elif key.startswith("sample."):
-                kv = _parse_fields(value)
-                covariates = {}
-                if kv["cov"]:
-                    for part in kv["cov"].split(";"):
-                        k, v = part.split("=", 1)
-                        covariates[k] = float(v)
-                tokens = np.array([int(t) for t in kv["tokens"].split(",")], dtype=np.int64)
-                samples.append(
-                    Sample(kv["patient"], int(kv["aug"]), tokens, covariates,
-                           float(kv["target"]), int(kv["event"]))
-                )
-                sample_lines.append(lineno)
+                age, days, event, items = (kv.pop(k) for k in ("age", "days", "event", "items"))
+                if kv:
+                    raise ValueError(f"unknown fields {', '.join(sorted(kv))}")
+                categorical = dict(item.split("=", 1) for item in items.split(","))
+                age = None if age == "missing" else float(age)
+                patients[pid] = RawPatient(pid, categorical, age, float(days), int(event))
+                patient_lines[pid] = lineno
+            elif key in _HEADER_FIELDS:
+                header[key] = _HEADER_FIELDS[key](value)
             else:
-                header[key] = _HEADER_FIELDS.get(key, str)(value)
+                raise ValueError("unknown key")
         except KeyError as exc:
             raise FormatError(f"manifest line {lineno}: {key} lacks field {exc}") from None
         except ValueError as exc:
             raise FormatError(f"manifest line {lineno}: malformed {key} entry: {exc}") from None
-    if header.get("version") != _MANIFEST_VERSION:
-        raise FormatError(f"{manifest}: unsupported version {header.get('version')!r}")
     missing = [k for k in _HEADER_FIELDS if k not in header]
     if missing:
         raise FormatError(f"{manifest}: header lacks {', '.join(missing)}")
-    # a batch stacks its tokens into one (n, m) index array for the embedding
-    # table, so every sample needs one in-range token per categorical field
-    n_fields = len(header["categorical_fields"])
-    for lineno, s in zip(sample_lines, samples):
-        tokens = s.tokens.tolist()
-        if len(tokens) != n_fields or min(tokens) < 0 or max(tokens) >= len(vocab_items):
+    if len(patients) != header["patients"]:
+        raise FormatError(f"{manifest}: header says {header['patients']} patients, found {len(patients)}")
+    for pid, p in patients.items():
+        if sorted(p.categorical) != header["categorical_fields"]:
             raise FormatError(
-                f"manifest line {lineno}: need {n_fields} tokens in [0, {len(vocab_items)}), got {tokens}"
+                f"manifest line {patient_lines[pid]}: fields {sorted(p.categorical)} "
+                f"differ from categorical_fields {header['categorical_fields']}"
             )
-    volumes = {}
-    for pid in patients:
-        volumes[pid] = load_volume(root / "volumes" / f"{pid}.psnv")
-    ds = SurvivalDataset(
-        categorical_fields=header["categorical_fields"],
-        continuous_fields=header["continuous_fields"],
-        vocab=ClinicalVocabulary(items=vocab_items),
-        stats=stats,
-        patients=patients,
-        volumes=volumes,
-        split=split,
-        split_seed=header["split_seed"],
-        split_ratios=header["split_ratios"],
-        split_fold=header["split_fold"],
-        samples=samples,
-    )
-    if len(ds.samples) != header["samples"] or len(ds.patients) != header["patients"]:
-        raise FormatError(f"{manifest}: entry counts disagree with header")
-    return ds
+    volumes = {pid: load_volume(root / "volumes" / f"{pid}.psnv") for pid in patients}
+    try:
+        return _assemble(patients, volumes, header["split_seed"], header["split_ratios"], header["split_fold"])
+    except (PipelineError, ConfigError, DegenerateFeatureError) as exc:
+        raise FormatError(f"{manifest}: {exc}") from None

@@ -87,9 +87,10 @@ def training_loss(
     targets: np.ndarray,
     store: ParameterStore,
     lam: float,
-) -> ad.Tensor:
-    """Mean squared error plus lam * sum of squared decayed parameters."""
-    loss = mse_loss(predictions, targets)
-    if lam:
-        loss = ad.add(loss, ad.mul(store.l2_penalty(), float(lam)))
-    return loss
+) -> tuple[ad.Tensor, ad.Tensor]:
+    """``(loss, mse)``: the loss is the mean squared error plus lam * sum of
+    squared decayed parameters, and ``mse`` is its first term, built once."""
+    mse = mse_loss(predictions, targets)
+    if not lam:
+        return mse, mse
+    return ad.add(mse, ad.mul(store.l2_penalty(), float(lam))), mse

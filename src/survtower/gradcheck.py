@@ -253,7 +253,7 @@ def _model_check_at(seed: int, samples_per_tensor: int, only: set | None = None)
     )
 
     def loss_fn():
-        return fu.training_loss(forward_batch(store, config, batch), batch.targets, store, lam=1e-3)
+        return fu.training_loss(forward_batch(store, config, batch), batch.targets, store, lam=1e-3)[0]
 
     ad.backward(loss_fn())
 

@@ -21,6 +21,8 @@ from .errors import ConfigError
 from .params import ParameterStore
 
 TOWER_MODES = ("both", "visual", "textual")
+# samples per forward pass when predicting without a tape
+PREDICT_BATCH = 64
 
 
 @dataclass
@@ -152,14 +154,13 @@ def predict_times(
     config: ModelConfig,
     dataset: SurvivalDataset,
     samples: list[Sample],
-    batch_size: int = 64,
     volume_cache: dict | None = None,
 ) -> np.ndarray:
     """Ensembled predictions for a sample list, without building a tape."""
     out = np.empty(len(samples), dtype=np.float64)
     with ad.no_grad():
-        for start in range(0, len(samples), batch_size):
-            chunk = samples[start:start + batch_size]
+        for start in range(0, len(samples), PREDICT_BATCH):
+            chunk = samples[start:start + PREDICT_BATCH]
             batch = make_batch(dataset, chunk, config, volume_cache=volume_cache)
             pred = forward_batch(store, config, batch)
             out[start:start + len(chunk)] = pred.data.reshape(-1)

@@ -242,8 +242,7 @@ def train(
             samples = [train_samples[i] for i in idx]
             batch = make_batch(ds, samples, model_cfg, volume_cache=cache)
             pred = forward_batch(state.store, model_cfg, batch)
-            mse_t = fu.mse_loss(pred, batch.targets)
-            loss = fu.training_loss(pred, batch.targets, state.store, config.lam)
+            loss, mse_t = fu.training_loss(pred, batch.targets, state.store, config.lam)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(

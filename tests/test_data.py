@@ -12,9 +12,17 @@ from survtower.errors import ConfigError, DegenerateFeatureError, FormatError, P
 from survtower.synthetic import generate_patients
 
 
+def minmax_scale(values):
+    return dp.minmax_apply(values, *dp.minmax_fit(values))
+
+
+def zscore(values):
+    return dp.zscore_apply(values, *dp.zscore_fit(values))
+
+
 class TestScaling:
     def test_minmax_basic(self):
-        np.testing.assert_allclose(dp.minmax_scale([0, 5, 10]), [0, 0.5, 1])
+        np.testing.assert_allclose(minmax_scale([0, 5, 10]), [0, 0.5, 1])
 
     def test_minmax_extends_beyond_training_range(self):
         lo, hi = dp.minmax_fit([0, 10])
@@ -25,15 +33,15 @@ class TestScaling:
             dp.minmax_fit([3.0, 3.0, 3.0])
 
     def test_zscore_population_convention(self):
-        out = dp.zscore([1, 2, 3])
+        out = zscore([1, 2, 3])
         np.testing.assert_allclose(out, [-1.22474, 0.0, 1.22474], atol=1e-4)
 
     def test_zscore_shift_invariance(self):
         x = np.array([3.0, 9.0, 4.0, 7.0])
-        np.testing.assert_allclose(dp.zscore(x), dp.zscore(x + 11.0), atol=1e-12)
+        np.testing.assert_allclose(zscore(x), zscore(x + 11.0), atol=1e-12)
 
     def test_zscore_moments(self):
-        out = dp.zscore(np.array([2.0, 4.0, 9.0, 1.0]))
+        out = zscore(np.array([2.0, 4.0, 9.0, 1.0]))
         assert out.mean() == pytest.approx(0.0, abs=1e-12)
         assert out.var() == pytest.approx(1.0, rel=1e-9)
 
@@ -44,7 +52,7 @@ class TestScaling:
     @given(st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=30).filter(lambda xs: max(xs) > min(xs)))
     @settings(max_examples=50, deadline=None)
     def test_minmax_lands_in_unit_interval(self, xs):
-        out = dp.minmax_scale(xs)
+        out = minmax_scale(xs)
         assert out.min() >= -1e-12 and out.max() <= 1 + 1e-12
 
 
@@ -109,7 +117,9 @@ class TestVolumeResize:
 class TestAugmentation:
     def test_exactly_eight(self):
         v = np.zeros((8, 96, 96), dtype=np.float32)
-        assert len(dp.augment(v)) == 8 == len(dp.AUGMENTATIONS)
+        assert len(dp.AUGMENTATIONS) == 8
+        for aug_id in range(8):
+            assert dp.augment_volume(v, aug_id).shape == v.shape
 
     def test_rotate180_is_involution(self):
         rng = np.random.default_rng(2)
@@ -120,7 +130,7 @@ class TestAugmentation:
     def test_all_variants_pairwise_distinct(self):
         rng = np.random.default_rng(3)
         v = rng.uniform(0, 1, (8, 96, 96)).astype(np.float32)
-        variants = dp.augment(v)
+        variants = [dp.augment_volume(v, aug_id) for aug_id in range(8)]
         for i in range(8):
             for j in range(i + 1, 8):
                 assert not np.array_equal(variants[i], variants[j]), (i, j)
@@ -249,8 +259,6 @@ def dataset():
 class TestDatasetAssembly:
 
     def test_patient_level_split_integrity(self, dataset):
-        for s in dataset.samples:
-            assert dataset.split[s.patient_id] == dataset.split[dataset.samples[0].patient_id] or True
         by_patient = {}
         for s in dataset.samples:
             by_patient.setdefault(s.patient_id, set()).add(dataset.split[s.patient_id])
@@ -299,7 +307,19 @@ class TestBundleRoundtrip:
         loaded = dp.load_dataset(tmp_path / "ds")
         assert loaded.split == ds.split
         assert loaded.vocab.items == ds.vocab.items
-        assert [s.time_norm for s in loaded.samples] == [s.time_norm for s in ds.samples]
+        assert loaded.stats == ds.stats
+        assert loaded.patients == ds.patients
+        assert any(p.age is None for p in loaded.patients.values())
+        assert loaded.categorical_fields == ds.categorical_fields
+        assert loaded.continuous_fields == ds.continuous_fields
+        assert (loaded.split_seed, loaded.split_ratios, loaded.split_fold) == (
+            ds.split_seed, ds.split_ratios, ds.split_fold)
+        assert len(loaded.samples) == len(ds.samples)
+        for a, b in zip(loaded.samples, ds.samples):
+            assert (a.patient_id, a.aug_id, a.covariates, a.time_norm, a.event) == (
+                b.patient_id, b.aug_id, b.covariates, b.time_norm, b.event)
+            assert a.tokens.dtype == b.tokens.dtype
+            np.testing.assert_array_equal(a.tokens, b.tokens)
         for pid in ds.volumes:
             np.testing.assert_array_equal(loaded.volumes[pid], ds.volumes[pid])
 
@@ -334,21 +354,19 @@ class TestBundleRoundtrip:
             dp.load_dataset(tmp_path)
 
     @pytest.mark.parametrize("kind, pattern, replacement", [
-        ("sample", r" target=\S+", ""),                    # missing key
-        ("sample", r" aug=\d+", " aug=x"),                 # malformed number
-        ("sample", r"tokens=(\d+),", "tokens="),           # one token short
-        ("sample", r"tokens=\d+", "tokens=99"),            # token >= vocab size
         ("patient", r" days=\S+", ""),                     # missing key
         ("patient", r" event=\d", " event=?"),             # malformed number
+        ("patient", r"items=\w+", "items=colour"),         # foreign categorical field
+        ("patient", r"items=[^,]+,", "items="),            # missing categorical field
+        ("patient", r" items=", " split=test items="),     # field the format does not have
         *[(key, r".+", "") for key in (                    # missing header line
-            "split_seed", "split_fold", "split_ratios", "samples", "patients",
-            "categorical_fields", "continuous_fields",
+            "split_seed", "split_fold", "split_ratios", "patients", "categorical_fields",
         )],
         ("split_seed", r"\d+$", "x"),                      # malformed header value
         ("split_fold", r"\d+$", "x"),
         ("split_ratios", r"[\d.]+$", "a"),
-        ("samples", r"\d+$", "1.5"),
         ("patients", r"\d+$", ""),
+        ("patients", r"^patients", "samples"),             # key the format does not have
     ])
     def test_malformed_entry_names_line(self, tmp_path, kind, pattern, replacement):
         ds = dp.build_dataset(generate_patients(11, 10), seed=11)
@@ -361,4 +379,27 @@ class TestBundleRoundtrip:
         # an emptied line drops its key, so the error names the key instead
         match = f"manifest line {lineno}:" if lines[lineno - 1] else f"lacks {kind}"
         with pytest.raises(FormatError, match=match):
+            dp.load_dataset(tmp_path / "ds")
+
+    def test_version_1_rejected(self, tmp_path):
+        ds = dp.build_dataset(generate_patients(13, 10), seed=13)
+        dp.save_dataset(ds, tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("version: 2", "version: 1", 1))
+        with pytest.raises(FormatError, match="manifest line 2: .*unsupported version 1"):
+            dp.load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("pattern, replacement, message", [
+        pytest.param(r"^patient\.SP0003: .*\n", "", "header says 10 patients, found 9", id="dropped_patient"),
+        pytest.param(r"age=[\d.]+", "age=missing", "every training-split age is missing", id="all_ages_missing"),
+        pytest.param(r"days=[\d.]+", "days=100.0", "constant feature", id="constant_days"),
+        pytest.param(r"split_fold: \d+", "split_fold: 7", "fold must lie", id="fold_out_of_range"),
+    ])
+    def test_inconsistent_bundle_names_manifest(self, tmp_path, pattern, replacement, message):
+        # every line parses, but the header and patients do not make a dataset
+        ds = dp.build_dataset(generate_patients(14, 10), seed=14)
+        dp.save_dataset(ds, tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.txt"
+        manifest.write_text(re.sub(pattern, replacement, manifest.read_text(), flags=re.M))
+        with pytest.raises(FormatError, match=f"manifest.txt: .*{message}"):
             dp.load_dataset(tmp_path / "ds")

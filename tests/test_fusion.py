@@ -141,10 +141,11 @@ class TestLoss:
         store = make_head()
         pred = ad.Tensor(np.array([[0.5]]), dtype=np.float64)
         lam = 0.01
-        loss = fu.training_loss(pred, np.array([0.5]), store, lam)
+        loss, mse = fu.training_loss(pred, np.array([0.5]), store, lam)
         brute = sum(
             float((t.data ** 2).sum()) for name, t in store.items() if store.decays(name)
         )
+        assert mse.item() == 0.0
         assert loss.item() == pytest.approx(lam * brute, rel=1e-9)
 
     def test_l2_excludes_non_decay_parameters(self):
