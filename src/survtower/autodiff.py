@@ -1,11 +1,15 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Forward operations eagerly compute numpy arrays and, when any input
-requires gradients, record a backward closure on the output node. The
-recorded graph doubles as the tape: eager execution order is already
-topological, and ``backward`` replays it in reverse. A tape is consumed
-by its first backward pass; running backward twice without re-running
-the forward pass is an error.
+requires gradients, give the output a tape node (``_Node``): its
+parents' nodes, its backward closure and its gradient, but not its
+value. The tape is the graph of nodes: eager execution order is already
+topological, and ``backward`` walks it in reverse. A closure captures
+its parents' nodes and only the arrays its gradient reads, never a
+Tensor, so an activation that no gradient reads is freed as soon as the
+forward pass drops its Tensor. A tape is consumed by its first backward
+pass; running backward twice without re-running the forward pass is an
+error.
 
 Conventions:
 
@@ -47,10 +51,38 @@ def no_grad():
         _state.grad_enabled = prev
 
 
-class Tensor:
-    """N-dimensional float array participating in the autodiff tape."""
+class _Node:
+    """One tape entry: a tensor's gradient, its parents' nodes and its
+    backward closure, without its value. ``shape`` and ``dtype`` size the
+    zero-filled gradient that the first contribution is added into."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward_fn", "_released")
+    __slots__ = ("grad", "parents", "backward_fn", "released", "shape", "dtype")
+
+    def __init__(self, shape, dtype, parents=(), backward_fn=None):
+        self.grad = None
+        self.parents = parents
+        self.backward_fn = backward_fn
+        self.released = False
+        self.shape = shape
+        self.dtype = dtype
+
+    def accumulate(self, grad: np.ndarray):
+        if self.grad is None:
+            self.grad = np.zeros(self.shape, self.dtype)
+        self.grad += grad
+
+
+class Tensor:
+    """N-dimensional float array, with a tape node when it needs a gradient.
+
+    ``_node`` is None for a constant. A leaf made with ``requires_grad``
+    gets a node without a backward closure; an op output gets one when
+    grad mode is on and an input has a node. The node keeps the shape
+    and dtype the tensor had when it was made, so an array assigned to
+    ``data`` later (an optimizer step, a checkpoint load) must keep both.
+    """
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -59,11 +91,7 @@ class Tensor:
         elif arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(DEFAULT_DTYPE)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad = None
-        self._parents = ()
-        self._backward_fn = None
-        self._released = False
+        self._node = _Node(arr.shape, arr.dtype) if requires_grad else None
 
     @property
     def shape(self):
@@ -73,16 +101,34 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def grad(self):
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value):
+        if self._node is not None:
+            self._node.grad = value
+        elif value is not None:
+            raise UsageError("a tensor that does not require gradients has no grad")
+
+    @property
+    def _backward_fn(self):
+        return None if self._node is None else self._node.backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn):
+        self._node.backward_fn = fn
+
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self):
         self.grad = None
-
-    def _accumulate(self, grad: np.ndarray):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -120,11 +166,13 @@ def as_tensor(x, dtype=None) -> Tensor:
 
 
 def _record(out: Tensor, parents, backward_fn):
-    """Attach the backward closure when grad mode is on and needed."""
-    if _grad_enabled() and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward_fn = backward_fn
+    """Give ``out`` a tape node when grad mode is on and any of the
+    parents' nodes (None for a constant) exists. A closure runs only on
+    a node, so a one-input op's closure can use its parent's node as is."""
+    if _grad_enabled():
+        nodes = tuple(p for p in parents if p is not None)
+        if nodes:
+            out._node = _Node(out.data.shape, out.data.dtype, nodes, backward_fn)
     return out
 
 
@@ -159,43 +207,46 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
 def add(a, b) -> Tensor:
     a, b = _operands(a, b)
     _check_broadcast(a.shape, b.shape)
-    out = Tensor(a.data + b.data)
+    an, bn, a_shape, b_shape = a._node, b._node, a.shape, b.shape
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        if an is not None:
+            an.accumulate(_unbroadcast(g, a_shape))
+        if bn is not None:
+            bn.accumulate(_unbroadcast(g, b_shape))
 
-    return _record(out, (a, b), backward_fn)
+    return _record(Tensor(a.data + b.data), (an, bn), backward_fn)
 
 
 def sub(a, b) -> Tensor:
     a, b = _operands(a, b)
     _check_broadcast(a.shape, b.shape)
-    out = Tensor(a.data - b.data)
+    an, bn, a_shape, b_shape = a._node, b._node, a.shape, b.shape
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
+        if an is not None:
+            an.accumulate(_unbroadcast(g, a_shape))
+        if bn is not None:
+            bn.accumulate(_unbroadcast(-g, b_shape))
 
-    return _record(out, (a, b), backward_fn)
+    return _record(Tensor(a.data - b.data), (an, bn), backward_fn)
 
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
     _check_broadcast(a.shape, b.shape)
-    out = Tensor(a.data * b.data)
+    an, bn, a_shape, b_shape = a._node, b._node, a.shape, b.shape
+    # each operand is kept only for the other's gradient
+    a_data = a.data if bn is not None else None
+    b_data = b.data if an is not None else None
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if an is not None:
+            an.accumulate(_unbroadcast(g * b_data, a_shape))
+        if bn is not None:
+            bn.accumulate(_unbroadcast(g * a_data, b_shape))
 
-    return _record(out, (a, b), backward_fn)
+    return _record(Tensor(a.data * b.data), (an, bn), backward_fn)
 
 
 def matmul(a, b) -> Tensor:
@@ -205,57 +256,58 @@ def matmul(a, b) -> Tensor:
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"cannot matmul shapes {tuple(a.shape)} and {tuple(b.shape)}")
     _check_broadcast(a.shape[:-2], b.shape[:-2])
-    out = Tensor(a.data @ b.data)
+    an, bn, a_shape, b_shape = a._node, b._node, a.shape, b.shape
+    a_data = a.data if bn is not None else None
+    b_data = b.data if an is not None else None
 
     def backward_fn(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if an is not None:
+            an.accumulate(_unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape))
+        if bn is not None:
+            bn.accumulate(_unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape))
 
-    return _record(out, (a, b), backward_fn)
+    return _record(Tensor(a.data @ b.data), (an, bn), backward_fn)
 
 
 def relu(t) -> Tensor:
     t = as_tensor(t)
-    out = Tensor(np.maximum(t.data, 0))
+    tn = t._node
+    y = np.maximum(t.data, 0)
 
+    # y > 0 exactly where the input is > 0, so the input need not be kept
     def backward_fn(g):
-        if t.requires_grad:
-            t._accumulate(g * (t.data > 0))
+        tn.accumulate(g * (y > 0))
 
-    return _record(out, (t,), backward_fn)
+    return _record(Tensor(y), (tn,), backward_fn)
 
 
 def sigmoid(t) -> Tensor:
     t = as_tensor(t)
+    tn = t._node
     # stable for large |x|: exp of a non-positive argument only
     e = np.exp(-np.abs(t.data))
-    y = np.where(t.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-    out = Tensor(y.astype(t.dtype, copy=False))
+    y = np.where(t.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(t.dtype, copy=False)
 
     def backward_fn(g):
-        if t.requires_grad:
-            t._accumulate(g * out.data * (1.0 - out.data))
+        tn.accumulate(g * y * (1.0 - y))
 
-    return _record(out, (t,), backward_fn)
+    return _record(Tensor(y), (tn,), backward_fn)
 
 
 def softmax(t, axis: int = -1) -> Tensor:
     t = as_tensor(t)
     if not -t.data.ndim <= axis < t.data.ndim:
         raise DimensionError(f"softmax axis {axis} invalid for shape {tuple(t.shape)}")
+    tn = t._node
     shifted = t.data - t.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
 
     def backward_fn(g):
-        if t.requires_grad:
-            dot = (g * out.data).sum(axis=axis, keepdims=True)
-            t._accumulate(out.data * (g - dot))
+        dot = (g * y).sum(axis=axis, keepdims=True)
+        tn.accumulate(y * (g - dot))
 
-    return _record(out, (t,), backward_fn)
+    return _record(Tensor(y), (tn,), backward_fn)
 
 
 def layer_norm(t, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -266,25 +318,27 @@ def layer_norm(t, gain, bias, eps: float = 1e-5) -> Tensor:
         raise DimensionError(
             f"layer_norm gain/bias must have shape ({n},), got {tuple(gain.shape)} and {tuple(bias.shape)}"
         )
+    tn, gn, bn = t._node, gain._node, bias._node
     mu = t.data.mean(axis=-1, keepdims=True)
     xc = t.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = Tensor(xhat * gain.data + bias.data)
+    gain_data = gain.data if tn is not None else None
 
     def backward_fn(g):
-        if bias.requires_grad:
-            bias._accumulate(g.reshape(-1, n).sum(axis=0))
-        if gain.requires_grad:
-            gain._accumulate((g * xhat).reshape(-1, n).sum(axis=0))
-        if t.requires_grad:
-            gy = g * gain.data
+        if bn is not None:
+            bn.accumulate(g.reshape(-1, n).sum(axis=0))
+        if gn is not None:
+            gn.accumulate((g * xhat).reshape(-1, n).sum(axis=0))
+        if tn is not None:
+            gy = g * gain_data
             mean_gy = gy.mean(axis=-1, keepdims=True)
             mean_gyx = (gy * xhat).mean(axis=-1, keepdims=True)
-            t._accumulate(inv * (gy - mean_gy - xhat * mean_gyx))
+            tn.accumulate(inv * (gy - mean_gy - xhat * mean_gyx))
 
-    return _record(out, (t, gain, bias), backward_fn)
+    return _record(out, (tn, gn, bn), backward_fn)
 
 
 def _normalize_axes(axes, ndim):
@@ -301,14 +355,13 @@ def mean_over(t, axes) -> Tensor:
     count = 1
     for ax in axes:
         count *= t.shape[ax]
-    out = Tensor(t.data.mean(axis=axes))
+    tn, shape, dtype = t._node, t.shape, t.dtype
 
     def backward_fn(g):
-        if t.requires_grad:
-            g_full = np.expand_dims(g, axes)
-            t._accumulate(np.broadcast_to(g_full / count, t.shape).astype(t.dtype))
+        g_full = np.expand_dims(g, axes)
+        tn.accumulate(np.broadcast_to(g_full / count, shape).astype(dtype))
 
-    return _record(out, (t,), backward_fn)
+    return _record(Tensor(t.data.mean(axis=axes)), (tn,), backward_fn)
 
 
 def sum_over(t, axes=None) -> Tensor:
@@ -316,14 +369,13 @@ def sum_over(t, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(range(t.data.ndim))
     axes = _normalize_axes(axes, t.data.ndim)
-    out = Tensor(t.data.sum(axis=axes))
+    tn, shape, dtype = t._node, t.shape, t.dtype
 
     def backward_fn(g):
-        if t.requires_grad:
-            g_full = np.expand_dims(g, axes)
-            t._accumulate(np.broadcast_to(g_full, t.shape).astype(t.dtype))
+        g_full = np.expand_dims(g, axes)
+        tn.accumulate(np.broadcast_to(g_full, shape).astype(dtype))
 
-    return _record(out, (t,), backward_fn)
+    return _record(Tensor(t.data.sum(axis=axes)), (tn,), backward_fn)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -339,40 +391,37 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 f"concat shapes disagree off axis {axis}: {[tuple(t.shape) for t in tensors]}"
             )
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    nodes = [t._node for t in tensors]
+    splits = np.cumsum([t.shape[axis] for t in tensors])[:-1]
 
     def backward_fn(g):
-        pieces = np.split(g, splits, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                t._accumulate(piece)
+        for node, piece in zip(nodes, np.split(g, splits, axis=axis)):
+            if node is not None:
+                node.accumulate(piece)
 
-    return _record(out, tuple(tensors), backward_fn)
+    return _record(out, nodes, backward_fn)
 
 
 def reshape(t, shape) -> Tensor:
     t = as_tensor(t)
-    out = Tensor(t.data.reshape(shape))
+    tn, in_shape = t._node, t.shape
 
     def backward_fn(g):
-        if t.requires_grad:
-            t._accumulate(g.reshape(t.shape))
+        tn.accumulate(g.reshape(in_shape))
 
-    return _record(out, (t,), backward_fn)
+    return _record(Tensor(t.data.reshape(shape)), (tn,), backward_fn)
 
 
 def transpose(t, axes=None) -> Tensor:
     t = as_tensor(t)
     axes = tuple(axes) if axes is not None else tuple(reversed(range(t.data.ndim)))
     inverse = np.argsort(axes)
-    out = Tensor(t.data.transpose(axes))
+    tn = t._node
 
     def backward_fn(g):
-        if t.requires_grad:
-            t._accumulate(g.transpose(inverse))
+        tn.accumulate(g.transpose(inverse))
 
-    return _record(out, (t,), backward_fn)
+    return _record(Tensor(t.data.transpose(axes)), (tn,), backward_fn)
 
 
 def gather_rows(t, indices) -> Tensor:
@@ -382,15 +431,14 @@ def gather_rows(t, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if t.data.ndim != 2:
         raise DimensionError(f"gather_rows expects a matrix, got shape {tuple(t.shape)}")
-    out = Tensor(t.data[idx])
+    tn, shape, dtype = t._node, t.shape, t.dtype
 
     def backward_fn(g):
-        if t.requires_grad:
-            acc = np.zeros_like(t.data)
-            np.add.at(acc, idx, g)
-            t._accumulate(acc)
+        acc = np.zeros(shape, dtype)
+        np.add.at(acc, idx, g)
+        tn.accumulate(acc)
 
-    return _record(out, (t, ), backward_fn)
+    return _record(Tensor(t.data[idx]), (tn,), backward_fn)
 
 
 def _triple(v, name: str, least: int) -> tuple[int, int, int]:
@@ -492,27 +540,30 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
     flip_pads = tuple(k - 1 - p for k, p in zip(ksize, pads))
     correlate_dx = strides == (1, 1, 1) and min(flip_pads) >= 0
 
+    xn, kn, x_dtype = x._node, kernel._node, x.dtype
+    x_data = x.data if kn is not None else None        # read only by the kernel gradient
+
     def backward_fn(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1)).reshape(rows, ko)
-        if kernel.requires_grad:
-            xl = _padded(x.data.transpose(0, 2, 3, 4, 1), pads)   # local: the tape holds x, not xl
+        if kn is not None:
+            xl = _padded(x_data.transpose(0, 2, 3, 4, 1), pads)   # local: the tape holds x, not xl
             dkl = np.empty_like(kl)
             for offset in offsets:
                 dkl[offset] = _window(xl, offset, strides, dims).reshape(rows, c).T @ g2
-            kernel._accumulate(dkl.transpose(4, 3, 0, 1, 2))
-        if not x.requires_grad:
+            kn.accumulate(dkl.transpose(4, 3, 0, 1, 2))
+        if xn is None:
             return
         if correlate_dx:
             flipped = np.ascontiguousarray(kl[::-1, ::-1, ::-1].swapaxes(3, 4))         # (kf,kh,kw,ko,c)
             dxl = _correlate(_padded(g2.reshape(n, *dims, ko), flip_pads), flipped, (1, 1, 1), in_dims)
-            x._accumulate(dxl.transpose(0, 4, 1, 2, 3))
+            xn.accumulate(dxl.transpose(0, 4, 1, 2, 3))
             return
-        dxl = np.zeros((n, *(d + 2 * p for d, p in zip(in_dims, pads)), c), dtype=x.dtype)
+        dxl = np.zeros((n, *(d + 2 * p for d, p in zip(in_dims, pads)), c), dtype=x_dtype)
         for offset in offsets:
             _window(dxl, offset, strides, dims).__iadd__((g2 @ kl[offset].T).reshape(n, *dims, c))
-        x._accumulate(dxl[_interior(pads, in_dims)].transpose(0, 4, 1, 2, 3))
+        xn.accumulate(dxl[_interior(pads, in_dims)].transpose(0, 4, 1, 2, 3))
 
-    return _record(out, (x, kernel), backward_fn)
+    return _record(out, (xn, kn), backward_fn)
 
 
 def backward(loss: Tensor):
@@ -523,14 +574,15 @@ def backward(loss: Tensor):
     """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {tuple(loss.shape)}")
-    if loss._released:
-        raise UsageError("backward was already run on this tape; re-run the forward pass")
-    if not loss.requires_grad:
+    root = loss._node
+    if root is None:
         return
+    if root.released:
+        raise UsageError("backward was already run on this tape; re-run the forward pass")
 
-    order: list[Tensor] = []
+    order: list[_Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -539,20 +591,20 @@ def backward(loss: Tensor):
         if id(node) in seen:
             continue
         seen.add(id(node))
-        if node._released:
+        if node.released:
             raise UsageError("tape already consumed by a previous backward; re-run the forward pass")
         stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen and (p._backward_fn is not None or p._released):
+        for p in node.parents:
+            if id(p) not in seen and (p.backward_fn is not None or p.released):
                 stack.append((p, False))
 
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        fn = node._backward_fn
+        fn = node.backward_fn
         if fn is not None and node.grad is not None:
             fn(node.grad)
-        node._released = True
-        node._backward_fn = None
-        node._parents = ()
-        if node is not loss:
+        node.released = True
+        node.backward_fn = None
+        node.parents = ()
+        if node is not root:
             node.grad = None

@@ -371,6 +371,13 @@ def _check_token(kind: str, value: str):
         raise PipelineError(f"{kind} {value!r} contains characters the manifest format reserves")
 
 
+def _check_patient_id(pid: str):
+    """A patient id is a manifest token and the name of its volume file."""
+    _check_token("patient id", pid)
+    if "/" in pid or "\\" in pid:
+        raise PipelineError(f"patient id {pid!r} contains a path separator")
+
+
 def _assemble(
     patients: dict[str, RawPatient],
     volumes: dict[str, np.ndarray],
@@ -381,8 +388,11 @@ def _assemble(
     ids = sorted(patients)
     split = assign_splits(ids, seed, ratios, fold)
     categorical_fields = sorted(patients[ids[0]].categorical)
+    if not categorical_fields:
+        # a patient line would read items= with nothing after it
+        raise PipelineError("the cohort has no categorical fields; the bundle format needs at least one")
     for pid in ids:
-        _check_token("patient id", pid)
+        _check_patient_id(pid)
         if sorted(patients[pid].categorical) != categorical_fields:
             raise PipelineError(f"patient {pid} has inconsistent categorical fields")
         for item in patients[pid].items:
@@ -554,6 +564,7 @@ def load_dataset(path) -> SurvivalDataset:
         try:
             if key.startswith("patient."):
                 pid = key.split(".", 1)[1]
+                _check_patient_id(pid)   # before its volume file is opened
                 kv = _parse_fields(value)
                 age, days, event, items = (kv.pop(k) for k in ("age", "days", "event", "items"))
                 if kv:

@@ -1,5 +1,7 @@
 """Tensor engine semantics and gradient checks against finite differences."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,21 @@ from survtower.errors import DimensionError, ConfigError, UsageError
 
 def _leaves(arrays):
     return [ad.Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
+
+
+def closure_values(fn):
+    """What a backward closure holds: its cells, the cells of every function
+    it wraps, and the items of every list or tuple among them."""
+    values, stack = [], [fn]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in v.__closure__ or ())
+        elif isinstance(v, (list, tuple)):
+            stack.extend(v)
+        else:
+            values.append(v)
+    return values
 
 
 def _check_op(builder, arrays, rng, n_samples=5, tolerance=1e-4):
@@ -341,6 +358,61 @@ class TestBackward:
         with ad.no_grad():
             out = ad.mul(x, 2.0)
         assert out._backward_fn is None and not out.requires_grad
+
+    def test_replaced_backward_fn_runs_once(self):
+        # the hook a tracer uses: read an output's closure, replace it with a wrapper
+        rng = np.random.default_rng(15)
+        arrays = [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))]
+        w = rng.standard_normal((3, 2))
+
+        def grads(wrap):
+            a, b = _leaves(arrays)
+            out = ad.matmul(a, b)
+            calls = []
+            if wrap:
+                inner = out._backward_fn
+
+                def counting(g):
+                    calls.append(g.shape)
+                    inner(g)
+
+                out._backward_fn = counting
+            # two paths into out: its closure still runs once, on the summed gradient
+            ad.backward(ad.add(ad.sum_over(ad.mul(out, w)), ad.sum_over(out)))
+            return a.grad, b.grad, calls
+
+        a_ref, b_ref, _ = grads(wrap=False)
+        a_grad, b_grad, calls = grads(wrap=True)
+        assert calls == [(3, 2)]
+        np.testing.assert_array_equal(a_grad, a_ref)
+        np.testing.assert_array_equal(b_grad, b_ref)
+
+    def test_no_backward_closure_holds_a_tensor(self, monkeypatch):
+        # a closure that held a Tensor would keep its value alive on the tape
+        recorded = []
+        record = ad._record
+
+        def spy(out, parents, backward_fn):
+            out = record(out, parents, backward_fn)
+            if out._backward_fn is not None:
+                recorded.append(out._backward_fn)
+            return out
+
+        monkeypatch.setattr(ad, "_record", spy)
+        results = gc.op_checks(0, instances=1)
+        assert all(r.passed for r in results)
+        ops = {fn.__qualname__.split(".")[0] for fn in recorded}
+        assert ops >= {r.name.split("[")[0] for r in results}
+        for fn in recorded:
+            held = [type(v).__name__ for v in closure_values(fn) if isinstance(v, ad.Tensor)]
+            assert not held, f"{fn.__qualname__} holds {held}"
+
+    def test_constant_has_no_node(self):
+        t = ad.Tensor(np.ones(3))
+        assert t._node is None and t.grad is None and t._backward_fn is None
+        t.grad = None
+        with pytest.raises(UsageError, match="grad"):
+            t.grad = np.ones(3)
 
     def test_forward_determinism(self):
         rng = np.random.default_rng(13)

@@ -289,6 +289,22 @@ class TestDatasetAssembly:
         for v in dataset.volumes.values():
             assert v.min() >= 0.0 and v.max() <= 1.0
 
+    @pytest.mark.parametrize("pid", ["SP/x", "SP\\x"])
+    def test_path_separator_in_patient_id_rejected(self, pid):
+        # the id names the patient's volume file in a saved bundle
+        patients = generate_patients(1, 10)
+        patients[0].patient_id = pid
+        with pytest.raises(PipelineError, match=f"patient id {re.escape(repr(pid))} contains a path separator"):
+            dp.build_dataset(patients, seed=1)
+
+    def test_cohort_without_categorical_fields_rejected(self):
+        # a saved bundle could not encode the patients' empty item lists
+        patients = generate_patients(1, 10)
+        for p in patients:
+            p.categorical = {}
+        with pytest.raises(PipelineError, match="no categorical fields"):
+            dp.build_dataset(patients, seed=1)
+
 
 class TestBundleRoundtrip:
     def test_save_load_save_byte_identical(self, tmp_path):
@@ -359,6 +375,7 @@ class TestBundleRoundtrip:
         ("patient", r"items=\w+", "items=colour"),         # foreign categorical field
         ("patient", r"items=[^,]+,", "items="),            # missing categorical field
         ("patient", r" items=", " split=test items="),     # field the format does not have
+        ("patient", r"^patient\.", "patient.../"),          # id outside the volumes directory
         *[(key, r".+", "") for key in (                    # missing header line
             "split_seed", "split_fold", "split_ratios", "patients", "categorical_fields",
         )],

@@ -1,5 +1,7 @@
 """Visual tower: squeeze-excite algebra, block structure, gradients."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from survtower import autodiff as ad
 from survtower import visual as vz
 from survtower.errors import ConfigError, DimensionError
 from survtower.params import ParameterStore
+from test_autodiff import closure_values
 
 
 def rand_feature(rng, n=1, c=4, f=4, h=3, w=3, dtype=np.float64):
@@ -402,30 +405,43 @@ class TestResBlock:
         np.testing.assert_allclose(out.data, x.data + branch.data, rtol=1e-12, atol=0)
 
     def test_tape_holds_each_activation_once(self):
-        # a stride-1 block keeps x, two conv outputs, two bias sums, the ReLU,
-        # the gated branch and the sum: no padded conv copy, one SE product
+        # a stride-1 block's backward reads four full-size arrays: x (conv1's
+        # kernel gradient), the ReLU output (its mask, conv2's kernel gradient),
+        # the pre-gate branch (the gate's gradient) and the block output; the
+        # conv outputs, the bias sums and the gated branch are not kept
         store = ParameterStore()
         se = vz.SqueezeExciteConfig(ratio=2)
         vz.init_block_params(store, "b", 8, 8, 4, se, np.random.default_rng(24), np.float64, strided=False)
         x = ad.Tensor(np.random.default_rng(25).standard_normal((2, 8, 4, 6, 6)), dtype=np.float64)
         out = vz.se_resblock_forward(store, "b", x, se)
-        held, seen, stack = {}, set(), [out]
+        held, seen, stack = {id(out.data): out.data}, set(), [out._node]
         while stack:
             node = stack.pop()
             if id(node) in seen:
                 continue
             seen.add(id(node))
-            held[id(node.data)] = node.data
-            fn = node._backward_fn
-            cells = [cell.cell_contents for cell in (fn.__closure__ or ())] if fn else []
-            arrays = [v for v in cells if isinstance(v, np.ndarray)]
-            arrays += [v.data for v in cells if isinstance(v, ad.Tensor)]
-            held.update((id(a), a) for a in arrays)
-            if fn is not None and fn.__qualname__.startswith("conv3d."):
-                kernel_size = node._parents[1].data.size
-                assert all(v.size <= kernel_size for v in cells if isinstance(v, np.ndarray))
-            stack.extend(node._parents)
-        assert sum(a.size >= x.data.size for a in held.values()) == 8
+            values = closure_values(node.backward_fn) if node.backward_fn else []
+            assert not any(isinstance(v, ad.Tensor) for v in values), node.backward_fn.__qualname__
+            held.update((id(v), v) for v in values if isinstance(v, np.ndarray))
+            stack.extend(node.parents)
+        assert sum(a.size >= x.data.size for a in held.values()) == 4
+
+    def test_conv_output_before_bias_is_freed(self, monkeypatch):
+        config, store = tiny_backbone()
+        x = rand_feature(np.random.default_rng(26), c=4, f=4, h=6, w=6)
+        refs = []
+        conv3d = ad.conv3d
+
+        def spy(*args, **kwargs):
+            out = conv3d(*args, **kwargs)
+            refs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(ad, "conv3d", spy)
+        out = vz._conv(store, "visual.stage0.block0.conv1", x)
+        assert out.requires_grad and len(refs) == 1
+        freed = refs[0]() is None
+        assert freed, "the tape keeps the conv output that only the bias add read"
 
 
 class TestBackbone:
