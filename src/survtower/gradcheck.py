@@ -249,7 +249,6 @@ def _model_check_at(seed: int, samples_per_tensor: int, only: set | None = None)
         covariates={"age": np.array([0.4, -1.1])},
         volumes=rng.uniform(0, 1, (2, 1, 4, 16, 16)),
         targets=np.array([0.3, 0.7]),
-        events=np.array([1, 1]),
     )
 
     def loss_fn():

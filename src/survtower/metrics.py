@@ -1,38 +1,26 @@
 """Censoring-aware evaluation: Harrell's concordance and MAE.
 
-Predictions are survival times (not risks): a pair is concordant when
-the patient observed to die earlier also has the smaller predicted
-time. A pair (i, j) with observed_i < observed_j is comparable iff
-event_i = 1; prediction ties count one half. Counting is done in exact
-integer arithmetic (half-pairs as units of 1/2), so results match a
-brute-force pair enumeration exactly.
+Every metric takes one ``(predicted, observed, event)`` tuple of
+equal-length arrays. Predictions are survival times (not risks): a pair
+is concordant when the patient observed to die earlier also has the
+smaller predicted time. A pair (i, j) with observed_i < observed_j is
+comparable iff event_i = 1; prediction ties count one half. Counting is
+done in exact integer arithmetic (half-pairs as units of 1/2), so
+results match a brute-force pair enumeration exactly.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import MetricUndefinedError
 
 
-class EvalRecord(NamedTuple):
-    predicted: float
-    observed: float
-    event: int
-
-
 def _as_arrays(records):
-    if len(records) and isinstance(records[0], EvalRecord):
-        pred = np.array([r.predicted for r in records], dtype=np.float64)
-        obs = np.array([r.observed for r in records], dtype=np.float64)
-        ev = np.array([r.event for r in records], dtype=bool)
-    else:
-        pred, obs, ev = records
-        pred = np.asarray(pred, dtype=np.float64)
-        obs = np.asarray(obs, dtype=np.float64)
-        ev = np.asarray(ev).astype(bool)
+    pred, obs, ev = records
+    pred = np.asarray(pred, dtype=np.float64)
+    obs = np.asarray(obs, dtype=np.float64)
+    ev = np.asarray(ev).astype(bool)
     return pred, obs, ev
 
 

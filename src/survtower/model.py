@@ -82,7 +82,6 @@ class BatchInputs:
     covariates: dict[str, np.ndarray]  # field -> (n,) values
     volumes: np.ndarray | None         # (n,1,f,h,w) raw volumes
     targets: np.ndarray
-    events: np.ndarray
 
     def __len__(self):
         return len(self.tokens)
@@ -93,29 +92,27 @@ def make_batch(
     samples: list[Sample],
     config: ModelConfig,
     dtype=np.float32,
-    volume_cache: dict | None = None,
 ) -> BatchInputs:
+    """Stack the samples' inputs; volumes only when a visual tower runs.
+
+    Each volume is the sample's augmented variant of the stored volume,
+    resized only when its shape differs from the model's
+    ``(frames, in_plane, in_plane)``, then cast to ``dtype``.
+    """
     tokens = np.stack([s.tokens for s in samples])
     covariates = {name: np.array([s.covariates[name] for s in samples])
                   for name in samples[0].covariates}
     targets = np.array([s.time_norm for s in samples], dtype=dtype)
-    events = np.array([s.event for s in samples], dtype=np.int64)
     volumes = None
     if config.towers != "textual":
         fhw = (config.visual.frames, config.visual.in_plane, config.visual.in_plane)
-        stack = np.empty((len(samples), 1, *fhw), dtype=dtype)
+        volumes = np.empty((len(samples), 1, *fhw), dtype=dtype)
         for i, s in enumerate(samples):
-            key = (s.patient_id, s.aug_id)
-            vol = volume_cache.get(key) if volume_cache is not None else None
-            if vol is None:
-                vol = dataset.sample_volume(s)
-                if vol.shape != fhw:
-                    vol = resize_volume(vol, fhw).astype(dtype)
-                if volume_cache is not None:
-                    volume_cache[key] = vol
-            stack[i, 0] = vol
-        volumes = stack
-    return BatchInputs(tokens, covariates, volumes, targets, events)
+            vol = dataset.sample_volume(s)
+            if vol.shape != fhw:
+                vol = resize_volume(vol, fhw)
+            volumes[i, 0] = vol
+    return BatchInputs(tokens, covariates, volumes, targets)
 
 
 def forward_batch(store: ParameterStore, config: ModelConfig, batch: BatchInputs) -> ad.Tensor:
@@ -154,14 +151,13 @@ def predict_times(
     config: ModelConfig,
     dataset: SurvivalDataset,
     samples: list[Sample],
-    volume_cache: dict | None = None,
 ) -> np.ndarray:
     """Ensembled predictions for a sample list, without building a tape."""
     out = np.empty(len(samples), dtype=np.float64)
     with ad.no_grad():
         for start in range(0, len(samples), PREDICT_BATCH):
             chunk = samples[start:start + PREDICT_BATCH]
-            batch = make_batch(dataset, chunk, config, volume_cache=volume_cache)
+            batch = make_batch(dataset, chunk, config)
             pred = forward_batch(store, config, batch)
             out[start:start + len(chunk)] = pred.data.reshape(-1)
     return out

@@ -174,15 +174,21 @@ class TrainerState:
     fields: dict = field(default_factory=dict)
 
 
-def split_dataset(dataset: SurvivalDataset, config: TrainConfig):
-    """(train, val, test) sample lists under the configured patient split.
+def _split_samples(ds: SurvivalDataset, split: str, augmented: bool = False):
+    """The split rule: train and val keep uncensored samples only; test keeps them all."""
+    return ds.select(split, uncensored_only=split in ("train", "val"), augmented=augmented)
 
-    Train/val keep uncensored samples only; test keeps everything.
+
+def split_dataset(dataset: SurvivalDataset, config: TrainConfig):
+    """The split dataset and its (train, val, test) sample lists.
+
+    Only the training list holds augmented variants, and only when
+    ``config.augmented_train`` is set.
     """
     ds = apply_split(dataset, config.seed, config.ratios, config.fold)
-    train = ds.select("train", uncensored_only=True, augmented=config.augmented_train)
-    val = ds.select("val", uncensored_only=True, augmented=False)
-    test = ds.select("test", uncensored_only=False, augmented=False)
+    train = _split_samples(ds, "train", augmented=config.augmented_train)
+    val = _split_samples(ds, "val")
+    test = _split_samples(ds, "test")
     if not train:
         raise ConfigError("training split has no uncensored samples")
     return ds, train, val, test
@@ -225,7 +231,6 @@ def train(
     model_cfg = config.model_config()
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = state.rng_state
-    cache: dict = {}
     history: list[dict] = []
 
     target_epoch = state.epoch + epochs if epochs is not None else config.epochs
@@ -240,7 +245,7 @@ def train(
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
             samples = [train_samples[i] for i in idx]
-            batch = make_batch(ds, samples, model_cfg, volume_cache=cache)
+            batch = make_batch(ds, samples, model_cfg)
             pred = forward_batch(state.store, model_cfg, batch)
             loss, mse_t = fu.training_loss(pred, batch.targets, state.store, config.lam)
             loss_value = loss.item()
@@ -257,7 +262,7 @@ def train(
             n_batches += 1
 
         train_mse = sse / n_seen
-        val_row = _validate(state, model_cfg, ds, val_samples, cache)
+        val_row = _validate(state, model_cfg, ds, val_samples)
         row = {
             "epoch": state.epoch,
             "lr": lr,
@@ -285,15 +290,20 @@ def train(
     return state, history
 
 
-def _validate(state, model_cfg, ds, val_samples, cache) -> dict:
+def _score(store, model_cfg, ds, samples):
+    """The ``(predicted, observed, event)`` arrays the metrics take."""
+    preds = predict_times(store, model_cfg, ds, samples)
+    return preds, np.array([s.time_norm for s in samples]), np.array([s.event for s in samples])
+
+
+def _validate(state, model_cfg, ds, val_samples) -> dict:
     if not val_samples:
         return {"mse": float("nan"), "c_index": float("nan")}
-    preds = predict_times(state.store, model_cfg, ds, val_samples, volume_cache=cache)
-    targets = np.array([s.time_norm for s in val_samples])
-    events = np.array([s.event for s in val_samples])
+    scored = _score(state.store, model_cfg, ds, val_samples)
+    preds, targets, _ = scored
     mse = float(np.mean((preds - targets) ** 2))
     try:
-        c = concordance_index((preds, targets, events))
+        c = concordance_index(scored)
     except MetricUndefinedError:
         c = float("nan")
     return {"mse": mse, "c_index": c}
@@ -304,29 +314,21 @@ def evaluate(
     dataset: SurvivalDataset,
     split: str = "test",
     which: str = "best",
-    volume_cache: dict | None = None,
 ) -> dict:
-    """Concordance on all samples of the split, MAE on its uncensored ones."""
+    """Concordance on the split's samples under the split rule, MAE on its uncensored ones."""
     config = state.config
     ds = apply_split(dataset, config.seed, config.ratios, config.fold)
-    samples = ds.select(split, uncensored_only=split in ("train", "val"), augmented=False)
+    samples = _split_samples(ds, split)
     if not samples:
         raise ConfigError(f"split {split!r} has no samples")
-    model_cfg = config.model_config()
 
     store = state.store
     if which == "best" and state.best_params:
         store = ParameterStore()
         for name, t in state.store.items():
             store.add(name, state.best_params[name], decay=state.store.decays(name))
-    preds = predict_times(store, model_cfg, ds, samples, volume_cache=volume_cache)
-    targets = np.array([s.time_norm for s in samples])
-    events = np.array([s.event for s in samples])
-    return {
-        "c_index": concordance_index((preds, targets, events)),
-        "mae": mae((preds, targets, events)),
-        "n": len(samples),
-    }
+    scored = _score(store, config.model_config(), ds, samples)
+    return {"c_index": concordance_index(scored), "mae": mae(scored), "n": len(samples)}
 
 
 # ---------------------------------------------------------------------------

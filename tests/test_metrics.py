@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from survtower.errors import MetricUndefinedError
-from survtower.metrics import EvalRecord, concordance_counts, concordance_index, mae
+from survtower.metrics import concordance_counts, concordance_index, mae
 
 
 def oracle_counts(pred, obs, ev):
@@ -25,7 +25,7 @@ def oracle_counts(pred, obs, ev):
 
 
 def records(pred, obs, ev):
-    return [EvalRecord(p, o, int(e)) for p, o, e in zip(pred, obs, ev)]
+    return np.array(pred, dtype=float), np.array(obs, dtype=float), np.array(ev)
 
 
 class TestConcordance:
@@ -86,7 +86,7 @@ class TestMae:
 
     def test_censored_records_excluded(self):
         base = records([0.3, 0.9], [0.4, 0.8], [1, 1])
-        with_censored = base + [EvalRecord(0.0, 0.5, 0)]
+        with_censored = records([0.3, 0.9, 0.0], [0.4, 0.8, 0.5], [1, 1, 0])
         assert mae(base) == mae(with_censored)
 
     def test_all_censored_rejected(self):

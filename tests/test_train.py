@@ -38,6 +38,20 @@ def test_forward_batch_keeps_float32(dataset, towers):
     assert pred.dtype == np.float32
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_make_batch_volumes_are_resized_variants(dataset, dtype):
+    config = tiny_config(towers="both").model_config()
+    pid = dataset.samples[0].patient_id
+    samples = [s for s in dataset.samples if s.patient_id == pid]
+    assert [s.aug_id for s in samples] == list(range(8))
+    batch = model.make_batch(dataset, samples, config, dtype=dtype)
+    fhw = (config.visual.frames, config.visual.in_plane, config.visual.in_plane)
+    assert batch.volumes.shape == (8, 1, *fhw) and batch.volumes.dtype == dtype
+    for i, s in enumerate(samples):
+        want = data.resize_volume(data.augment_volume(dataset.volumes[pid], s.aug_id), fhw).astype(dtype)
+        np.testing.assert_array_equal(batch.volumes[i, 0], want)
+
+
 @pytest.mark.parametrize("frame_diff", ["on", "forward-only", "backward-only", "off"])
 def test_forward_batch_is_weighted_sum_of_views(dataset, frame_diff):
     omega = 0.4
@@ -76,6 +90,26 @@ def test_omega_one_bit_equals_frame_diff_off(dataset):
         store = model.init_model_params(config, dataset.vocab, dataset.continuous_fields, seed=0)
         preds.append(model.predict_times(store, config, dataset, dataset.samples[:48]))
     np.testing.assert_array_equal(preds[0], preds[1])
+
+
+def test_augmented_train_holds_every_variant(dataset):
+    config = tiny_config(towers="both", epochs=1, augmented_train=True)
+    ds, train_samples, _, _ = train.split_dataset(dataset, config)
+    uncensored = [pid for pid in ds.patient_ids("train") if ds.patients[pid].event == 1]
+    assert uncensored
+    assert sorted((s.patient_id, s.aug_id) for s in train_samples) == [
+        (pid, aug_id) for pid in uncensored for aug_id in range(8)
+    ]
+    _, history = train.train(config, dataset)
+    assert np.isfinite(history[-1]["train_mse"])
+
+
+def test_validation_matches_evaluate(dataset):
+    config = tiny_config()
+    state, history = train.train(config, dataset)
+    scores = train.evaluate(state, dataset, "val", which="last")
+    assert scores["n"] == len(train.split_dataset(dataset, config)[2])
+    assert history[-1]["val_c_index"] == scores["c_index"]
 
 
 @pytest.mark.parametrize("axis", train.ABLATION_AXES)
