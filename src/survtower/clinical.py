@@ -60,6 +60,8 @@ class ClinicalEncoderConfig:
     def __post_init__(self):
         if self.layers < 1:
             raise ConfigError(f"layer count must be >= 1, got {self.layers}")
+        if self.heads < 1 or self.embed_dim < 1:
+            raise ConfigError(f"heads and embed_dim must be >= 1, got {self.heads} and {self.embed_dim}")
         if self.embed_dim % self.heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} must split evenly over {self.heads} heads"
@@ -79,23 +81,22 @@ def init_clinical_params(
     continuous_fields: list[str],
     rng: np.random.Generator,
     dtype=np.float32,
-    prefix: str = "clinical",
 ):
     d, h = config.embed_dim, config.head_dim
-    store.add(f"{prefix}.embed.weight", uniform_fan_in(rng, (vocab.size, d), d, dtype))
+    store.add("clinical.embed.weight", uniform_fan_in(rng, (vocab.size, d), d, dtype))
     for name in continuous_fields:
-        store.add(f"{prefix}.cont.{name}.weight", uniform_fan_in(rng, (1, d), 1, dtype))
-        store.add(f"{prefix}.cont.{name}.bias", np.zeros(d, dtype=dtype))
+        store.add(f"clinical.cont.{name}.weight", uniform_fan_in(rng, (1, d), 1, dtype))
+        store.add(f"clinical.cont.{name}.bias", np.zeros(d, dtype=dtype))
 
     if config.encoder == "mlp":
-        store.add(f"{prefix}.mlp_enc.w1", uniform_fan_in(rng, (d, config.mlp_hidden), d, dtype))
-        store.add(f"{prefix}.mlp_enc.b1", np.zeros(config.mlp_hidden, dtype=dtype))
-        store.add(f"{prefix}.mlp_enc.w2", uniform_fan_in(rng, (config.mlp_hidden, d), config.mlp_hidden, dtype))
-        store.add(f"{prefix}.mlp_enc.b2", np.zeros(d, dtype=dtype))
+        store.add("clinical.mlp_enc.w1", uniform_fan_in(rng, (d, config.mlp_hidden), d, dtype))
+        store.add("clinical.mlp_enc.b1", np.zeros(config.mlp_hidden, dtype=dtype))
+        store.add("clinical.mlp_enc.w2", uniform_fan_in(rng, (config.mlp_hidden, d), config.mlp_hidden, dtype))
+        store.add("clinical.mlp_enc.b2", np.zeros(d, dtype=dtype))
         return
 
     for i in range(config.layers):
-        layer = f"{prefix}.layer{i}"
+        layer = f"clinical.layer{i}"
         store.add(f"{layer}.ln1.gain", np.ones(d, dtype=dtype), decay=False)
         store.add(f"{layer}.ln1.bias", np.zeros(d, dtype=dtype), decay=False)
         # head j owns columns j*h:(j+1)*h of each projection; drawing q, k, v
@@ -112,26 +113,25 @@ def init_clinical_params(
         store.add(f"{layer}.mlp.b1", np.zeros(config.mlp_hidden, dtype=dtype))
         store.add(f"{layer}.mlp.w2", np.zeros((config.mlp_hidden, d), dtype=dtype))
         store.add(f"{layer}.mlp.b2", np.zeros(d, dtype=dtype))
-    store.add(f"{prefix}.final_ln.gain", np.ones(d, dtype=dtype), decay=False)
-    store.add(f"{prefix}.final_ln.bias", np.zeros(d, dtype=dtype), decay=False)
+    store.add("clinical.final_ln.gain", np.ones(d, dtype=dtype), decay=False)
+    store.add("clinical.final_ln.bias", np.zeros(d, dtype=dtype), decay=False)
 
 
 def embed_tokens(
     store: ParameterStore,
     token_indices: np.ndarray,
     covariates: dict[str, np.ndarray],
-    prefix: str = "clinical",
 ) -> ad.Tensor:
     """(n, m) item indices and {field: (n,)} covariates -> (n, m+p, d) tokens.
 
     Covariate tokens follow the item tokens in sorted field order; a field
     left out of ``covariates`` contributes no token.
     """
-    tokens = [ad.gather_rows(store[f"{prefix}.embed.weight"], token_indices)]
+    tokens = [ad.gather_rows(store["clinical.embed.weight"], token_indices)]
     for name in sorted(covariates):
         values = np.asarray(covariates[name]).reshape(-1, 1, 1)
-        w = store[f"{prefix}.cont.{name}.weight"]
-        tokens.append(ad.add(ad.mul(w, values), store[f"{prefix}.cont.{name}.bias"]))
+        w = store[f"clinical.cont.{name}.weight"]
+        tokens.append(ad.add(ad.mul(w, values), store[f"clinical.cont.{name}.bias"]))
     return ad.concat(tokens, axis=1) if len(tokens) > 1 else tokens[0]
 
 
@@ -162,41 +162,25 @@ def multi_head_attention(store, config, x, layer_prefix):
     return out, weights
 
 
-def encode_clinical(
-    store: ParameterStore,
-    config: ClinicalEncoderConfig,
-    tokens: ad.Tensor,
-    prefix: str = "clinical",
-    return_weights: bool = False,
-):
-    """Encode (n, m, d) token tensors to (n, d) clinical feature vectors.
-
-    With ``return_weights`` the attention encoder also returns one
-    (n, heads, m, m) weight tensor per layer.
-    """
+def encode_clinical(store: ParameterStore, config: ClinicalEncoderConfig, tokens: ad.Tensor) -> ad.Tensor:
+    """Encode (n, m, d) token tensors to (n, d) clinical feature vectors."""
     if tokens.data.ndim != 3 or tokens.shape[-1] != config.embed_dim:
         raise ConfigError(
             f"tokens must have shape (n, m, {config.embed_dim}), got {tuple(tokens.shape)}"
         )
     if config.encoder == "mlp":
         pooled = ad.mean_over(tokens, (1,))
-        hidden = ad.relu(ad.add(
-            ad.matmul(pooled, store[f"{prefix}.mlp_enc.w1"]), store[f"{prefix}.mlp_enc.b1"]
-        ))
-        out = ad.add(ad.matmul(hidden, store[f"{prefix}.mlp_enc.w2"]), store[f"{prefix}.mlp_enc.b2"])
-        return (out, []) if return_weights else out
+        hidden = ad.relu(ad.add(ad.matmul(pooled, store["clinical.mlp_enc.w1"]), store["clinical.mlp_enc.b1"]))
+        return ad.add(ad.matmul(hidden, store["clinical.mlp_enc.w2"]), store["clinical.mlp_enc.b2"])
 
     x = tokens
-    collected = []
     for i in range(config.layers):
-        layer = f"{prefix}.layer{i}"
+        layer = f"clinical.layer{i}"
         normed = ad.layer_norm(x, store[f"{layer}.ln1.gain"], store[f"{layer}.ln1.bias"])
-        attended, weights = multi_head_attention(store, config, normed, layer)
-        collected.append(weights)
+        attended, _ = multi_head_attention(store, config, normed, layer)
         x = ad.add(x, attended)
         normed2 = ad.layer_norm(x, store[f"{layer}.ln2.gain"], store[f"{layer}.ln2.bias"])
         hidden = ad.relu(ad.add(ad.matmul(normed2, store[f"{layer}.mlp.w1"]), store[f"{layer}.mlp.b1"]))
         x = ad.add(x, ad.add(ad.matmul(hidden, store[f"{layer}.mlp.w2"]), store[f"{layer}.mlp.b2"]))
-    final = ad.layer_norm(x, store[f"{prefix}.final_ln.gain"], store[f"{prefix}.final_ln.bias"])
-    pooled = ad.mean_over(final, (1,))
-    return (pooled, collected) if return_weights else pooled
+    final = ad.layer_norm(x, store["clinical.final_ln.gain"], store["clinical.final_ln.bias"])
+    return ad.mean_over(final, (1,))

@@ -12,10 +12,6 @@ stored preprocessed (resized to 8x96x96, range-normalized to [0,1]);
 the eight augmented variants are derived on demand from the stored
 volume and the sample's augmentation id, never materialized on disk.
 
-Clinical input is UTF-8 CSV with header
-``patient_id,<categorical...>,age,survival_days,event``; a missing age
-is an empty field.
-
 The manifest header holds ``format``, ``version``,
 ``categorical_fields``, ``patients`` and the split parameters
 ``split_seed``, ``split_ratios`` and ``split_fold``. Each patient is
@@ -30,7 +26,6 @@ patients are written in sorted order.
 
 from __future__ import annotations
 
-import csv
 import logging
 import os
 import struct
@@ -229,7 +224,7 @@ def load_volume(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# clinical records on disk
+# raw clinical records
 
 @dataclass
 class RawPatient:
@@ -243,43 +238,6 @@ class RawPatient:
     @property
     def items(self) -> list[str]:
         return [f"{k}={self.categorical[k]}" for k in sorted(self.categorical)]
-
-
-def save_clinical_csv(path, patients: list[RawPatient]):
-    fields = sorted(patients[0].categorical) if patients else []
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["patient_id", *fields, "age", "survival_days", "event"])
-        for p in patients:
-            age = "" if p.age is None else repr(float(p.age))
-            writer.writerow(
-                [p.patient_id, *[p.categorical[f] for f in fields],
-                 age, repr(float(p.survival_days)), p.event]
-            )
-
-
-def load_clinical_csv(path) -> list[RawPatient]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty clinical file") from None
-        if header[:1] != ["patient_id"] or header[-3:] != ["age", "survival_days", "event"]:
-            raise FormatError(
-                f"{path}: header must be patient_id,<categorical...>,age,survival_days,event; got {header}"
-            )
-        fields = header[1:-3]
-        patients = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise FormatError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            categorical = dict(zip(fields, row[1:-3]))
-            age = None if row[-3] == "" else float(row[-3])
-            patients.append(
-                RawPatient(row[0], categorical, age, float(row[-2]), int(row[-1]))
-            )
-    return patients
 
 
 # ---------------------------------------------------------------------------

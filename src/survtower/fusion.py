@@ -18,23 +18,23 @@ from .params import ParameterStore, uniform_fan_in
 FRAME_DIFF_MODES = ("on", "forward-only", "backward-only", "off")
 
 
-def init_head_params(store: ParameterStore, in_dim: int, hidden: int, rng, dtype=np.float32, prefix="head"):
-    store.add(f"{prefix}.w1", uniform_fan_in(rng, (in_dim, hidden), in_dim, dtype))
-    store.add(f"{prefix}.b1", np.zeros(hidden, dtype=dtype))
-    store.add(f"{prefix}.w2", uniform_fan_in(rng, (hidden, 1), hidden, dtype))
+def init_head_params(store: ParameterStore, in_dim: int, hidden: int, rng, dtype=np.float32):
+    store.add("head.w1", uniform_fan_in(rng, (in_dim, hidden), in_dim, dtype))
+    store.add("head.b1", np.zeros(hidden, dtype=dtype))
+    store.add("head.w2", uniform_fan_in(rng, (hidden, 1), hidden, dtype))
     # start predictions mid-range of the [0,1]-normalized targets
-    store.add(f"{prefix}.b2", np.full(1, 0.5, dtype=dtype))
+    store.add("head.b2", np.full(1, 0.5, dtype=dtype))
 
 
-def fuse_predict(store: ParameterStore, features: ad.Tensor, prefix="head") -> ad.Tensor:
+def fuse_predict(store: ParameterStore, features: ad.Tensor) -> ad.Tensor:
     """Two-layer ReLU MLP with linear output: (n, in_dim) -> (n, 1)."""
-    w1 = store[f"{prefix}.w1"]
+    w1 = store["head.w1"]
     if features.shape[1] != w1.shape[0]:
         raise ConfigError(
             f"fusion head expects width {w1.shape[0]}, got features of width {features.shape[1]}"
         )
-    hidden = ad.relu(ad.add(ad.matmul(features, w1), ad.reshape(store[f"{prefix}.b1"], (1, -1))))
-    return ad.add(ad.matmul(hidden, store[f"{prefix}.w2"]), ad.reshape(store[f"{prefix}.b2"], (1, -1)))
+    hidden = ad.relu(ad.add(ad.matmul(features, w1), ad.reshape(store["head.b1"], (1, -1))))
+    return ad.add(ad.matmul(hidden, store["head.w2"]), ad.reshape(store["head.b2"], (1, -1)))
 
 
 def frame_difference(volume: np.ndarray, direction: str) -> np.ndarray:

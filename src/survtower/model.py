@@ -46,6 +46,8 @@ class ModelConfig:
         if self.towers == "textual":
             # no volumes flow, so differencing has nothing to act on
             self.frame_diff = "off"
+        if len(fu.ensemble_views(self.frame_diff, self.omega)) > 1 and self.visual.frames < 2:
+            raise ConfigError(f"frame differencing needs at least 2 frames, got {self.visual.frames}")
 
     @property
     def head_in_dim(self) -> int:

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from . import clinical as cl
 from . import fusion as fu
 from . import visual as vz
-from .data import SurvivalDataset, apply_split, write_atomic
+from .data import N_FOLDS, SurvivalDataset, apply_split, check_ratios, write_atomic
 from .errors import ConfigError, FormatError, MetricUndefinedError, TrainingDivergedError
 from .metrics import concordance_index, mae
 from .model import ModelConfig, forward_batch, init_model_params, make_batch, predict_times
@@ -70,7 +70,9 @@ class TrainConfig:
 
     def __post_init__(self):
         self.widths = tuple(int(w) for w in self.widths)
-        self.ratios = tuple(float(r) for r in self.ratios)
+        self.ratios = check_ratios(self.ratios)
+        if not 0 <= self.fold < N_FOLDS:
+            raise ConfigError(f"fold must lie in [0,{N_FOLDS}), got {self.fold}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
         if self.lr <= 0 or self.lr_decay_every < 1 or not 0 < self.lr_decay_factor <= 1:
@@ -134,8 +136,10 @@ def learning_rate(config: TrainConfig, epoch: int) -> float:
 
 
 class Adam:
-    def __init__(self, store: ParameterStore, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    # constants: a checkpoint stores neither the betas nor eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, store: ParameterStore):
         self.step_count = 0
         self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
@@ -368,7 +372,7 @@ def save_checkpoint(state: TrainerState, path):
         "config": state.config.to_dict(),
         "epoch": state.epoch,
         "adam_step": state.adam.step_count,
-        "rng_state": _jsonable(state.rng_state),
+        "rng_state": state.rng_state,
         "best": {
             "epoch": state.best_epoch,
             "c_index": state.best_c_index,
@@ -411,14 +415,6 @@ def _read_tensors(path, blob: bytes, header_end: int, table) -> dict[str, dict[s
         arr = np.frombuffer(blob, dtype=np.dtype(dtype), count=count, offset=start)
         arrays.setdefault(group, {})[name] = arr.reshape(shape).copy()
     return arrays
-
-
-def _jsonable(x):
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    return x
 
 
 def load_checkpoint(path) -> TrainerState:

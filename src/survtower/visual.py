@@ -19,6 +19,7 @@ the full branch once, by the product of its gates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,46 +64,26 @@ class VisualBackboneConfig:
     in_plane: int = 96
     widths: tuple = (16, 32, 64)
     blocks_per_stage: int = 2
-    stem_stride: tuple = (1, 2, 2)
-    stage_stride: tuple = (1, 2, 2)
     se: SqueezeExciteConfig = field(default_factory=SqueezeExciteConfig)
+    # fixed: no stride touches the frame axis, so the temporal gate fits every stage
+    stem_stride: ClassVar[tuple] = (1, 2, 2)
+    stage_stride: ClassVar[tuple] = (1, 2, 2)
 
     def __post_init__(self):
         self.widths = tuple(self.widths)
-        self.stem_stride = ad._triple(self.stem_stride, "stem_stride", 1)
-        self.stage_stride = ad._triple(self.stage_stride, "stage_stride", 1)
-        if not self.widths:
-            raise ConfigError("backbone needs at least one stage width")
+        if not self.widths or min(self.widths) < 1:
+            raise ConfigError(f"backbone needs at least one stage width, each >= 1, got {self.widths}")
         if self.blocks_per_stage < 1:
             raise ConfigError("blocks_per_stage must be >= 1")
+        # a stride-2, padding-1 conv maps any p >= 1 to (p-1)//2+1 >= 1
+        if self.frames < 1 or self.in_plane < 1:
+            raise ConfigError(f"frames and in_plane must be >= 1, got {self.frames} and {self.in_plane}")
         r = self.se.ratio
         if self.se.temporal_enabled and self.frames % r:
             raise ConfigError(f"frame count {self.frames} not divisible by SE ratio {r}")
         for w in self.widths:
             if self.se.channel_enabled and w % r:
                 raise ConfigError(f"stage width {w} not divisible by SE ratio {r}")
-        dims = self._trace_dims()
-        if min(dims[-1]) < 1:
-            raise ConfigError(
-                f"downsampling schedule reduces dims below 1: input {dims[0]} -> {dims[-1]}"
-            )
-        # the temporal gate's weights are sized for the input frame count
-        if self.se.temporal_enabled and any(d[0] != self.frames for d in dims[1:]):
-            raise ConfigError(
-                f"temporal SE needs {self.frames} frames in every stage, "
-                f"but the strides give {[d[0] for d in dims[1:]]}"
-            )
-
-    def _trace_dims(self):
-        dims = [(self.frames, self.in_plane, self.in_plane)]
-        cur = tuple(
-            (d + 2 - 3) // s + 1 for d, s in zip(dims[0], self.stem_stride)
-        )
-        dims.append(cur)
-        for i in range(1, len(self.widths)):
-            cur = tuple((d + 2 - 3) // s + 1 for d, s in zip(cur, self.stage_stride))
-            dims.append(cur)
-        return dims
 
     @property
     def feature_dim(self) -> int:
@@ -194,22 +175,22 @@ def se_resblock_forward(store, prefix, x, se: SqueezeExciteConfig, stride=1):
     return ad.add(shortcut, branch)
 
 
-def init_visual_params(store, config: VisualBackboneConfig, rng, dtype=np.float32, prefix="visual"):
+def init_visual_params(store, config: VisualBackboneConfig, rng, dtype=np.float32):
     first = config.widths[0]
-    store.add(f"{prefix}.stem.weight", uniform_fan_in(rng, (first, 1, 3, 3, 3), 27, dtype))
-    store.add(f"{prefix}.stem.bias", np.zeros(first, dtype=dtype))
+    store.add("visual.stem.weight", uniform_fan_in(rng, (first, 1, 3, 3, 3), 27, dtype))
+    store.add("visual.stem.bias", np.zeros(first, dtype=dtype))
     c_in = first
     for s, width in enumerate(config.widths):
         for b in range(config.blocks_per_stage):
             strided = s > 0 and b == 0
             init_block_params(
-                store, f"{prefix}.stage{s}.block{b}", c_in, width, config.frames,
+                store, f"visual.stage{s}.block{b}", c_in, width, config.frames,
                 config.se, rng, dtype, strided,
             )
             c_in = width
 
 
-def backbone_forward(store, config: VisualBackboneConfig, volumes: ad.Tensor, prefix="visual") -> ad.Tensor:
+def backbone_forward(store, config: VisualBackboneConfig, volumes: ad.Tensor) -> ad.Tensor:
     """(n,1,f,h,w) volume batch -> (n, feature_dim) pooled features."""
     n = volumes.shape[0]
     expected = (config.frames, config.in_plane, config.in_plane)
@@ -217,9 +198,9 @@ def backbone_forward(store, config: VisualBackboneConfig, volumes: ad.Tensor, pr
         raise ConfigError(
             f"volume batch shape {tuple(volumes.shape)} does not match configured input {expected}"
         )
-    x = ad.relu(_conv(store, f"{prefix}.stem", volumes, stride=config.stem_stride))
+    x = ad.relu(_conv(store, "visual.stem", volumes, stride=config.stem_stride))
     for s in range(len(config.widths)):
         for b in range(config.blocks_per_stage):
             stride = config.stage_stride if (s > 0 and b == 0) else 1
-            x = se_resblock_forward(store, f"{prefix}.stage{s}.block{b}", x, config.se, stride=stride)
+            x = se_resblock_forward(store, f"visual.stage{s}.block{b}", x, config.se, stride=stride)
     return ad.mean_over(x, (2, 3, 4))

@@ -220,9 +220,8 @@ class TestEncoder:
         store = build_store(config, vocab)
         _randomize_branches(store, np.random.default_rng(7))
         tokens = cl.embed_tokens(store, np.array([[0, 1, 2], [2, 2, 3]]), {"age": np.array([0.3, 1.2])})
-        _, weights = cl.encode_clinical(store, config, tokens, return_weights=True)
-        assert len(weights) == config.layers
-        for w in weights:
+        for i in range(config.layers):
+            _, w = cl.multi_head_attention(store, config, tokens, f"clinical.layer{i}")
             assert w.shape == (2, config.heads, 4, 4)
             np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-6)
 

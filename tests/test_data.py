@@ -189,35 +189,6 @@ class TestVolumeFile:
             dp.load_volume(p)
 
 
-class TestClinicalCsv:
-    def test_roundtrip_with_missing_age(self, tmp_path):
-        patients = generate_patients(3, 10)
-        for p in patients:
-            p.volume = None
-        path = tmp_path / "clin.csv"
-        dp.save_clinical_csv(path, patients)
-        loaded = dp.load_clinical_csv(path)
-        assert len(loaded) == 10
-        for a, b in zip(patients, loaded):
-            assert a.patient_id == b.patient_id
-            assert a.categorical == b.categorical
-            assert a.age == b.age
-            assert a.survival_days == b.survival_days and a.event == b.event
-        assert any(p.age is None for p in loaded)
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("id,age\n1,2\n")
-        with pytest.raises(FormatError, match="header"):
-            dp.load_clinical_csv(path)
-
-    def test_ragged_row(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("patient_id,stage,age,survival_days,event\np1,II,61\n")
-        with pytest.raises(FormatError, match="columns"):
-            dp.load_clinical_csv(path)
-
-
 class TestSplits:
     def test_ratio_counts(self):
         ids = [f"p{i}" for i in range(10)]

@@ -77,10 +77,23 @@ def test_forward_batch_is_weighted_sum_of_views(dataset, frame_diff):
 
 @pytest.mark.parametrize("bad", [
     dict(omega=2.0), dict(se_mode="sideways"), dict(towers="none"), dict(heads=5), dict(frames=3),
+    dict(heads=0), dict(embed_dim=0), dict(heads=-3), dict(widths=(0,)), dict(widths=(16, -2)),
+    dict(frames=0, se_mode="off"), dict(in_plane=0), dict(frames=1, se_mode="off"),
+    dict(towers="visual", frames=1, se_mode="off", frame_diff="forward-only"),
+    dict(ratios=(0.5, 0.5, 0.5)), dict(ratios=(0.5, 0.5)), dict(fold=-1), dict(fold=9),
 ])
 def test_config_rejects_model_that_cannot_run(bad):
     with pytest.raises(ConfigError):
         train.TrainConfig(**bad)
+
+
+@pytest.mark.parametrize("kw", [dict(towers="textual"), dict(towers="both", frame_diff="off"),
+                                dict(towers="both", omega=1.0)])
+def test_one_frame_runs_without_differencing(dataset, kw):
+    # one frame has no neighbour to subtract, but a model that never differences needs none
+    config = tiny_config(frames=1, se_mode="off", epochs=1, **kw)
+    _, history = train.train(config, dataset)
+    assert np.isfinite(history[-1]["train_mse"])
 
 
 def test_omega_one_bit_equals_frame_diff_off(dataset):
@@ -121,6 +134,36 @@ def test_ablation_grid_builds_unique_variants(dataset, axis):
         model.init_model_params(config.model_config(), dataset.vocab, dataset.continuous_fields, seed=0)
     if axis == "direction":
         assert {config.frame_diff for _, config in rows} == set(fusion.FRAME_DIFF_MODES)
+
+
+def test_ablate_trains_and_scores_each_tower_variant(dataset):
+    rows = train.ablate(tiny_config(epochs=1), dataset, "towers")
+    assert [r["variant"] for r in rows] == ["towers=both", "towers=visual", "towers=textual"]
+    assert len({r["config_hash"] for r in rows}) == 3
+    for r in rows:
+        assert r["axis"] == "towers" and r["split"] == "test"
+        assert 0.0 <= r["c_index"] <= 1.0
+
+
+def test_append_results_writes_header_once(tmp_path):
+    path = tmp_path / "results.csv"
+    rows = [
+        dict(config_hash="a6e94a3bcff1", fold=0, epoch=2, split="test", c_index=0.1 + 0.2, mae=1 / 3,
+             wall_seconds=1.23456),
+        dict(config_hash="89241d8108ff", fold=1, epoch=0, split="test", c_index=0.6, mae=2e-17,
+             wall_seconds=0.5),
+    ]
+    train.append_results(path, rows[:1])
+    train.append_results(path, rows[1:])
+    lines = path.read_text().splitlines()
+    assert lines[0] == train.RESULTS_HEADER
+    assert len(lines) == 3
+    for line, row in zip(lines[1:], rows):
+        fields = dict(zip(train.RESULTS_HEADER.split(","), line.split(",")))
+        assert fields["config_hash"] == row["config_hash"]
+        assert (int(fields["fold"]), int(fields["epoch"])) == (row["fold"], row["epoch"])
+        assert float(fields["c_index"]) == row["c_index"]
+        assert float(fields["mae"]) == row["mae"]
 
 
 def test_ablation_grid_rejects_unknown_axis():

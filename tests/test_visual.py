@@ -476,17 +476,15 @@ class TestBackbone:
             vz.SqueezeExciteConfig(ratio=0)
         with pytest.raises(ConfigError):
             vz.SqueezeExciteConfig(mode="sideways")
-        # a frame stride leaves later stages fewer frames than the temporal gate's weights
-        with pytest.raises(ConfigError, match="temporal SE"):
-            vz.VisualBackboneConfig(stage_stride=(2, 2, 2))
-        with pytest.raises(ConfigError, match="temporal SE"):
-            vz.VisualBackboneConfig(stem_stride=(2, 2, 2))
-        vz.VisualBackboneConfig(stage_stride=(2, 2, 2), se=vz.SqueezeExciteConfig(blocks="channel"))
-        for bad in ((1, 0, 2), (1, 2, -1), (1, 2)):
-            with pytest.raises(ConfigError, match="stem_stride"):
-                vz.VisualBackboneConfig(stem_stride=bad)
-            with pytest.raises(ConfigError, match="stage_stride"):
-                vz.VisualBackboneConfig(stage_stride=bad)
+
+    def test_smallest_input_keeps_every_stage(self):
+        # a stride-2, padding-1 conv maps in-plane 1 to 1, and no stride touches the frames
+        config = vz.VisualBackboneConfig(frames=1, in_plane=1, widths=(2, 2, 2), blocks_per_stage=1,
+                                         se=vz.SqueezeExciteConfig(ratio=1))
+        store = ParameterStore()
+        vz.init_visual_params(store, config, np.random.default_rng(0), dtype=np.float64)
+        out = vz.backbone_forward(store, config, ad.Tensor(np.ones((2, 1, 1, 1, 1))))
+        assert out.shape == (2, 2)
 
     def test_stem_conv_matches_loop_oracle(self):
         # the one-channel stem takes conv3d's im2col branch
