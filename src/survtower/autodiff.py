@@ -32,6 +32,9 @@ import numpy as np
 from .errors import DimensionError, ConfigError, UsageError
 
 DEFAULT_DTYPE = np.float32
+# conv3d sums all kernel offsets into one output tile of about this size
+# before it moves to the next (loop tiling, Goto & van de Geijn 2008)
+BLOCK_BYTES = 1 << 18
 
 _state = threading.local()
 
@@ -436,19 +439,48 @@ def _padded(arr, pads) -> np.ndarray:
     return out
 
 
-def _window(arr, offset, stride, dims) -> np.ndarray:
-    """The (n, *dims, c) strided window of a channels-last array that one
-    kernel offset reads."""
-    return arr[(slice(None), *(slice(o, o + s * d, s) for o, s, d in zip(offset, stride, dims)))]
+def _window(arr, offset, stride, dims, samples=slice(None), frame=0) -> np.ndarray:
+    """The (samples, *dims, c) strided window of a channels-last array that
+    one kernel offset reads for the outputs from frame ``frame`` on."""
+    (of, oh, ow), (sf, sh, sw), (df, dh, dw) = offset, stride, dims
+    of += sf * frame
+    return arr[samples, of:of + sf * df:sf, oh:oh + sh * dh:sh, ow:ow + sw * dw:sw]
+
+
+def _tiles(arr, width):
+    """Split a channels-last (n, f, h, w, k) array into tiles of about
+    BLOCK_BYTES: runs of whole samples when one sample fits, else runs of
+    frames of one sample. Yields ``(samples, frame, tile, tmp)``: ``tile``
+    is the contiguous view ``arr[samples, frame:frame + len]`` and ``tmp``
+    a (*tile.shape[:-1], width) view of one scratch buffer shared by all
+    tiles."""
+    n, f = arr.shape[:2]
+    step = max(1, BLOCK_BYTES // arr[0, 0].nbytes)      # frames per tile
+    if step >= f:
+        step //= f
+        spans = [(slice(i, i + step), 0, f) for i in range(0, n, step)]
+    else:
+        spans = [(slice(i, i + 1), j, min(step, f - j)) for i in range(n) for j in range(0, f, step)]
+    scratch = None
+    for samples, frame, frames in spans:
+        tile = arr[samples, frame:frame + frames]
+        if scratch is None:     # the first tile is the largest
+            scratch = np.empty((*tile.shape[:-1], width), dtype=arr.dtype)
+        yield samples, frame, tile, scratch[:tile.shape[0], :frames]
 
 
 def _correlate(src, kl, stride, dims) -> np.ndarray:
-    """Channels-last cross-correlation: one (..., c) @ (c, ko) product per
-    kernel offset of ``kl`` (kf, kh, kw, c, ko), summed into one contiguous
-    (n, *dims, ko) buffer."""
+    """Channels-last cross-correlation of ``src`` with ``kl`` (kf, kh, kw, c, ko)
+    into a new (n, *dims, ko) array, one output tile (``_tiles``) at a
+    time: each kernel offset's (..., c) @ (c, ko) product over its window
+    goes into a tile-sized scratch buffer and is added to the tile, in
+    offset order. Every output element sums the same products in the same
+    order whatever the tile size, so the result equals an untiled sum."""
     out = np.zeros((src.shape[0], *dims, kl.shape[-1]), dtype=src.dtype)
-    for offset in np.ndindex(kl.shape[:3]):
-        out += _window(src, offset, stride, dims) @ kl[offset]
+    for samples, frame, tile, tmp in _tiles(out, kl.shape[-1]):
+        for offset in np.ndindex(kl.shape[:3]):
+            window = _window(src, offset, stride, tile.shape[1:4], samples, frame)
+            tile += np.matmul(window, kl[offset], out=tmp)
     return out
 
 
@@ -457,24 +489,34 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
 
     Internally the input is copied once into a zero-padded channels-last
     buffer, (n,F,H,W,c), and each of the kf*kh*kw kernel offsets reads
-    one strided window of it. The forward pass adds one (..., c) @ (c, ko)
+    one strided window of it. The forward pass sums one (..., c) @ (c, ko)
     product per offset (``_correlate``). A one-channel input (the stem)
     would give those products an inner dimension of 1, so it is lowered
     to im2col instead: the windows are copied into an
     (n, kf*kh*kw, of*oh*ow) column buffer, and one (ko, kf*kh*kw) @ buffer
     GEMM writes the output in its [n,ko,...] layout.
 
-    The tape keeps no padded copy: the backward pass rebuilds it from x,
-    and only when the kernel needs a gradient. It reshapes the output
-    gradient channels-last to g = (rows, ko) once, rows = n*of*oh*ow, and
-    runs window(rows, c).T @ g per offset for the kernel gradient. At
-    stride 1 with padding <= k-1 on every axis, the input gradient is the
-    same ``_correlate`` loop run on g zero-padded by k-1-padding, with
-    the kernel flipped and its channel axes swapped. Other convs
-    scatter-add g @ kernel(c, ko).T into each offset's window.
+    The per-offset loops are tiled (Goto & van de Geijn, ACM TOMS 2008):
+    ``_tiles`` cuts the channels-last output, or output gradient, into
+    tiles of about BLOCK_BYTES, and each loop runs every kernel offset on
+    one tile before it moves to the next, so a tile is re-read from cache
+    rather than from memory. Every buffer the loops add is tile-sized.
 
-    The output and the input gradient keep x's dtype; the kernel is
-    cast to it for the products.
+    The tape keeps no padded copy: the backward pass rebuilds it from x,
+    and only when the kernel needs a gradient. For each tile of the output
+    gradient g and each offset, the kernel gradient adds
+    window(rows, c).T @ g(rows, ko) over the tile's rows. At stride 1 with
+    padding <= k-1 on every axis, the input gradient is the same
+    ``_correlate`` loop run on g zero-padded by k-1-padding, with the
+    kernel flipped and its channel axes swapped. Other convs scatter-add
+    g(rows, ko) @ kernel(c, ko).T, per tile of g, into each offset's
+    window.
+
+    The output and the stride-1 input gradient equal an untiled sum bit
+    for bit, whatever the tile size. The kernel gradient and the other
+    input gradients sum tile by tile, so they differ from an untiled sum
+    only in summation order. The output and the input gradient keep x's
+    dtype; the kernel is cast to it for the products.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 5 or kernel.data.ndim != 5:
@@ -494,7 +536,6 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
             f"conv3d output dims {dims} must be positive for input {tuple(in_dims)}, "
             f"kernel {tuple(ksize)}, stride {strides}, padding {pads}"
         )
-    rows = n * int(np.prod(dims))
     offsets = list(np.ndindex(*ksize))
     kl = np.ascontiguousarray(kernel.data.transpose(2, 3, 4, 1, 0), dtype=x.dtype)  # (kf,kh,kw,c,ko)
 
@@ -516,23 +557,27 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
     x_data = x.data if kn is not None else None        # read only by the kernel gradient
 
     def backward_fn(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1)).reshape(rows, ko)
+        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))                   # (n,of,oh,ow,ko)
         if kn is not None:
             xl = _padded(x_data.transpose(0, 2, 3, 4, 1), pads)   # local: the tape holds x, not xl
-            dkl = np.empty_like(kl)
-            for offset in offsets:
-                dkl[offset] = _window(xl, offset, strides, dims).reshape(rows, c).T @ g2
+            dkl = np.zeros_like(kl)
+            for samples, frame, tile, tmp in _tiles(g2, c):
+                for offset in offsets:
+                    tmp[...] = _window(xl, offset, strides, tile.shape[1:4], samples, frame)
+                    dkl[offset] += tmp.reshape(-1, c).T @ tile.reshape(-1, ko)
             kn.accumulate(dkl.transpose(4, 3, 0, 1, 2))
         if xn is None:
             return
         if correlate_dx:
             flipped = np.ascontiguousarray(kl[::-1, ::-1, ::-1].swapaxes(3, 4))         # (kf,kh,kw,ko,c)
-            dxl = _correlate(_padded(g2.reshape(n, *dims, ko), flip_pads), flipped, (1, 1, 1), in_dims)
+            dxl = _correlate(_padded(g2, flip_pads), flipped, (1, 1, 1), in_dims)
             xn.accumulate(dxl.transpose(0, 4, 1, 2, 3))
             return
         dxl = np.zeros((n, *(d + 2 * p for d, p in zip(in_dims, pads)), c), dtype=x_dtype)
-        for offset in offsets:
-            _window(dxl, offset, strides, dims).__iadd__((g2 @ kl[offset].T).reshape(n, *dims, c))
+        for samples, frame, tile, tmp in _tiles(g2, c):
+            for offset in offsets:
+                np.matmul(tile.reshape(-1, ko), kl[offset].T, out=tmp.reshape(-1, c))
+                _window(dxl, offset, strides, tile.shape[1:4], samples, frame).__iadd__(tmp)
         xn.accumulate(dxl[_interior(pads, in_dims)].transpose(0, 4, 1, 2, 3))
 
     return _record(out, (xn, kn), backward_fn)

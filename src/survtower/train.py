@@ -82,20 +82,22 @@ class TrainConfig:
         self.model_config()  # rejects a model that cannot run
 
     def model_config(self) -> ModelConfig:
+        # a clinical-only model never builds the visual tower, so its settings go unchecked
+        visual = vz.VisualBackboneConfig() if self.towers == "textual" else vz.VisualBackboneConfig(
+            frames=self.frames, in_plane=self.in_plane, widths=self.widths,
+            blocks_per_stage=self.blocks_per_stage,
+            se=vz.SqueezeExciteConfig(
+                ratio=self.se_ratio, mode=self.se_mode,
+                order=self.se_order, blocks=self.se_blocks,
+            ),
+        )
         return ModelConfig(
             towers=self.towers,
             clinical=cl.ClinicalEncoderConfig(
                 embed_dim=self.embed_dim, heads=self.heads, layers=self.layers,
                 mlp_hidden=self.mlp_hidden, encoder=self.textual_encoder,
             ),
-            visual=vz.VisualBackboneConfig(
-                frames=self.frames, in_plane=self.in_plane, widths=self.widths,
-                blocks_per_stage=self.blocks_per_stage,
-                se=vz.SqueezeExciteConfig(
-                    ratio=self.se_ratio, mode=self.se_mode,
-                    order=self.se_order, blocks=self.se_blocks,
-                ),
-            ),
+            visual=visual,
             head_hidden=self.head_hidden,
             omega=self.omega,
             frame_diff=self.frame_diff,

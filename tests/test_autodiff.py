@@ -179,6 +179,36 @@ class TestConv3d:
             expected[i] = (loss(hi) - loss(lo)) / (2 * step)
         np.testing.assert_allclose(leaf.grad, expected, rtol=1e-6, atol=1e-8)
 
+    # at 512-byte tiles every float64 conv below spans at least four tiles,
+    # and each sample's frames end on a shorter run than the first
+    @pytest.mark.parametrize("c", [1, 3])
+    @pytest.mark.parametrize("stride", [1, (1, 2, 2), (2, 1, 3)])
+    def test_tile_seams(self, monkeypatch, c, stride):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((2, c, 13, 4, 4))
+        k = rng.standard_normal((2, c, 3, 3, 3))
+        with ad.no_grad():
+            n, ko, *dims = ad.conv3d(ad.Tensor(x), ad.Tensor(k), stride=stride, padding=1).shape
+        w = rng.standard_normal((n, ko, *dims))
+
+        def run(dtype):
+            leaves = [ad.Tensor(a, requires_grad=True, dtype=dtype) for a in (x, k)]
+            out = ad.conv3d(*leaves, stride=stride, padding=1)
+            ad.backward(ad.sum_over(ad.mul(out, w)))
+            return [out.data] + [leaf.grad for leaf in leaves]
+
+        dtypes = {np.float32: 1e-5, np.float64: 1e-12}
+        whole = {dtype: run(dtype) for dtype in dtypes}
+        monkeypatch.setattr(ad, "BLOCK_BYTES", 512)
+        frames = [tile.shape[1] for _, _, tile, _ in ad._tiles(np.empty((n, *dims, ko)), 1)]
+        assert len(frames) >= 4 and frames[-1] < frames[0]
+        for dtype, rtol in dtypes.items():
+            out, *grads = run(dtype)
+            np.testing.assert_array_equal(out, whole[dtype][0])
+            for got, want in zip(grads, whole[dtype][1:]):
+                np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+        _check_op(lambda a, b: ad.conv3d(a, b, stride=stride, padding=1), [x, k], rng, n_samples=8)
+
 
 class TestSoftmax:
     def test_uniform(self):

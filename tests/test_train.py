@@ -87,6 +87,14 @@ def test_config_rejects_model_that_cannot_run(bad):
         train.TrainConfig(**bad)
 
 
+@pytest.mark.parametrize("visual", [dict(frames=1), dict(frames=3), dict(widths=(5,)), dict(se_mode="sideways")])
+def test_clinical_only_config_ignores_visual_settings(visual):
+    assert train.TrainConfig(towers="textual", **visual).model_config().towers == "textual"
+    for towers in ("both", "visual"):
+        with pytest.raises(ConfigError):
+            train.TrainConfig(towers=towers, **visual)
+
+
 @pytest.mark.parametrize("kw", [dict(towers="textual"), dict(towers="both", frame_diff="off"),
                                 dict(towers="both", omega=1.0)])
 def test_one_frame_runs_without_differencing(dataset, kw):
