@@ -2,11 +2,11 @@
 multi-head self-attention encoder that pools to one feature vector.
 
 A batch of n records enters as an (n, m) array of item indices (m
-categorical fields, the same for every record) plus, per continuous
-covariate, an (n,) array of values. Item indices become embedding-table
-rows; each covariate becomes one extra token through a learned 1->d
-projection, so the encoder sees an (n, m+p, d) token tensor for p
-covariates and runs every record and every head in one batched pass.
+categorical fields, the same for every record) plus an (n,) array of
+z-scored ages. Item indices become embedding-table rows; the age becomes
+one extra token through a learned 1->d projection, so the encoder sees
+an (n, m+1, d) token tensor and runs every record and every head in one
+batched pass.
 Tokens are an unordered set: there is no positional encoding, and mean
 pooling keeps the output permutation invariant.
 """
@@ -20,14 +20,6 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, VocabularyError
 from .params import ParameterStore, uniform_fan_in
-
-
-@dataclass
-class FieldStats:
-    min: float
-    max: float
-    mean: float
-    std: float
 
 
 @dataclass
@@ -78,15 +70,13 @@ def init_clinical_params(
     store: ParameterStore,
     config: ClinicalEncoderConfig,
     vocab: ClinicalVocabulary,
-    continuous_fields: list[str],
     rng: np.random.Generator,
     dtype=np.float32,
 ):
     d, h = config.embed_dim, config.head_dim
     store.add("clinical.embed.weight", uniform_fan_in(rng, (vocab.size, d), d, dtype))
-    for name in continuous_fields:
-        store.add(f"clinical.cont.{name}.weight", uniform_fan_in(rng, (1, d), 1, dtype))
-        store.add(f"clinical.cont.{name}.bias", np.zeros(d, dtype=dtype))
+    store.add("clinical.cont.age.weight", uniform_fan_in(rng, (1, d), 1, dtype))
+    store.add("clinical.cont.age.bias", np.zeros(d, dtype=dtype))
 
     if config.encoder == "mlp":
         store.add("clinical.mlp_enc.w1", uniform_fan_in(rng, (d, config.mlp_hidden), d, dtype))
@@ -120,19 +110,13 @@ def init_clinical_params(
 def embed_tokens(
     store: ParameterStore,
     token_indices: np.ndarray,
-    covariates: dict[str, np.ndarray],
+    ages: np.ndarray,
 ) -> ad.Tensor:
-    """(n, m) item indices and {field: (n,)} covariates -> (n, m+p, d) tokens.
-
-    Covariate tokens follow the item tokens in sorted field order; a field
-    left out of ``covariates`` contributes no token.
-    """
-    tokens = [ad.gather_rows(store["clinical.embed.weight"], token_indices)]
-    for name in sorted(covariates):
-        values = np.asarray(covariates[name]).reshape(-1, 1, 1)
-        w = store[f"clinical.cont.{name}.weight"]
-        tokens.append(ad.add(ad.mul(w, values), store[f"clinical.cont.{name}.bias"]))
-    return ad.concat(tokens, axis=1) if len(tokens) > 1 else tokens[0]
+    """(n, m) item indices and (n,) ages -> (n, m+1, d) tokens, the age token last."""
+    items = ad.gather_rows(store["clinical.embed.weight"], token_indices)
+    values = np.asarray(ages).reshape(-1, 1, 1)
+    age = ad.add(ad.mul(store["clinical.cont.age.weight"], values), store["clinical.cont.age.bias"])
+    return ad.concat([items, age], axis=1)
 
 
 def multi_head_attention(store, config, x, layer_prefix):

@@ -8,9 +8,10 @@ A dataset bundle is a directory:
 
 Volume files: magic "PSNV", u16 little-endian version (=1), u32 dims
 d,h,w, then d*h*w float32 little-endian values, slice-major. Volumes are
-stored preprocessed (resized to 8x96x96, range-normalized to [0,1]);
-the eight augmented variants are derived on demand from the stored
-volume and the sample's augmentation id, never materialized on disk.
+stored preprocessed (resized to 8x96x96, range-normalized to [0,1]).
+A dataset holds one sample per patient, of augmentation id 0; an
+augmented variant is a copy of that sample with another id, and
+``SurvivalDataset.sample_volume`` derives its volume from the stored one.
 
 The manifest header holds ``format``, ``version``,
 ``categorical_fields``, ``patients`` and the split parameters
@@ -18,8 +19,8 @@ The manifest header holds ``format``, ``version``,
 stored once, as ``patient.<id>: age=<a> days=<d> event=<e>
 items=<field=value,...>`` (``age=missing`` when absent). Nothing derived
 from those lines is stored: ``load_dataset`` rebuilds the split
-assignment, vocabulary, training-split statistics and samples with the
-same ``_assemble`` that ``build_dataset`` and ``apply_split`` use.
+assignment, vocabulary and samples, scaled by training-split statistics,
+with the same ``_assemble`` that ``build_dataset`` and ``apply_split`` use.
 Round-trips are byte-exact: floats are serialized with ``repr``, and
 patients are written in sorted order.
 """
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clinical import ClinicalVocabulary, FieldStats
+from .clinical import ClinicalVocabulary
 from .errors import (
     ConfigError,
     DegenerateFeatureError,
@@ -248,7 +249,7 @@ class Sample:
     patient_id: str
     aug_id: int
     tokens: np.ndarray
-    covariates: dict[str, float]
+    age: float           # z-scored over the training split
     time_norm: float
     event: int
 
@@ -256,34 +257,24 @@ class Sample:
 @dataclass
 class SurvivalDataset:
     categorical_fields: list[str]
-    continuous_fields: list[str]
     vocab: ClinicalVocabulary
-    stats: dict[str, FieldStats]
     patients: dict[str, RawPatient]          # raw clinical meta, no volume attached
     volumes: dict[str, np.ndarray]           # preprocessed 8x96x96 in [0,1]
     split: dict[str, str]
     split_seed: int
     split_ratios: tuple[float, float, float]
     split_fold: int
-    samples: list[Sample] = field(default_factory=list)
-
-    def patient_ids(self, split: str | None = None) -> list[str]:
-        ids = sorted(self.patients)
-        if split is None:
-            return ids
-        return [p for p in ids if self.split[p] == split]
+    samples: list[Sample] = field(default_factory=list)  # one per patient, aug_id 0
 
     def sample_volume(self, sample: Sample) -> np.ndarray:
         return augment_volume(self.volumes[sample.patient_id], sample.aug_id)
 
-    def select(self, split: str, uncensored_only: bool = False, augmented: bool = False) -> list[Sample]:
+    def select(self, split: str, uncensored_only: bool = False) -> list[Sample]:
         out = []
         for s in self.samples:
             if self.split[s.patient_id] != split:
                 continue
             if uncensored_only and s.event != 1:
-                continue
-            if not augmented and s.aug_id != 0:
                 continue
             out.append(s)
         return out
@@ -364,13 +355,6 @@ def _assemble(
     age_mu, age_sd = zscore_fit(train_ages)
     train_days = [patients[p].survival_days for p in ids if split[p] == "train"]
     days_lo, days_hi = minmax_fit(train_days)
-    stats = {
-        "age": FieldStats(min=float(min(train_ages)), max=float(max(train_ages)), mean=age_mu, std=age_sd),
-        "survival_days": FieldStats(
-            min=days_lo, max=days_hi,
-            mean=float(np.mean(train_days)), std=float(np.std(train_days)),
-        ),
-    }
 
     vocab = ClinicalVocabulary(
         items={v: i for i, v in enumerate(sorted({it for p in patients.values() for it in p.items}))}
@@ -380,19 +364,14 @@ def _assemble(
     for pid in ids:
         p = patients[pid]
         tokens = vocab.encode_items(p.items)
-        covariates = {"age": float(zscore_apply(age_by_pid[pid], age_mu, age_sd))}
+        age = float(zscore_apply(age_by_pid[pid], age_mu, age_sd))
         time_norm = float(minmax_apply(p.survival_days, days_lo, days_hi))
-        for aug_id in range(len(AUGMENTATIONS)):
-            samples.append(Sample(pid, aug_id, tokens, covariates, time_norm, p.event))
+        samples.append(Sample(pid, 0, tokens, age, time_norm, p.event))
 
     return SurvivalDataset(
         categorical_fields=categorical_fields,
-        continuous_fields=["age"],
         vocab=vocab,
-        stats=stats,
-        patients={pid: RawPatient(pid, dict(patients[pid].categorical), patients[pid].age,
-                                  patients[pid].survival_days, patients[pid].event)
-                  for pid in ids},
+        patients={pid: patients[pid] for pid in ids},
         volumes=volumes,
         split=split,
         split_seed=int(seed),
@@ -417,8 +396,8 @@ def build_dataset(raw_patients: list[RawPatient], seed: int, ratios=(0.6, 0.2, 0
 
 
 def apply_split(dataset: SurvivalDataset, seed: int, ratios, fold: int) -> SurvivalDataset:
-    """Re-split an existing dataset; statistics and normalized targets are
-    recomputed from the new training split (volumes are reused as stored)."""
+    """Re-split an existing dataset; ages and targets are rescaled by the
+    new training split's statistics (volumes are reused as stored)."""
     if (
         dataset.split_seed == int(seed)
         and dataset.split_ratios == check_ratios(ratios)
@@ -529,7 +508,12 @@ def load_dataset(path) -> SurvivalDataset:
                     raise ValueError(f"unknown fields {', '.join(sorted(kv))}")
                 categorical = dict(item.split("=", 1) for item in items.split(","))
                 age = None if age == "missing" else float(age)
-                patients[pid] = RawPatient(pid, categorical, age, float(days), int(event))
+                days, event = float(days), int(event)
+                if event not in (0, 1):
+                    raise ValueError(f"event {event} is neither 0 nor 1")
+                if not np.isfinite(days) or (age is not None and not np.isfinite(age)):
+                    raise ValueError(f"days {days} and age {age} must be finite")
+                patients[pid] = RawPatient(pid, categorical, age, days, event)
                 patient_lines[pid] = lineno
             elif key in _HEADER_FIELDS:
                 header[key] = _HEADER_FIELDS[key](value)

@@ -113,29 +113,25 @@ def directional_check(
 # ---------------------------------------------------------------------------
 # op-level and full-model checks
 
-def _weighted_scalar(builder, arrays, weights):
-    from . import autodiff as ad
-
-    with ad.no_grad():
-        fresh = [ad.Tensor(a, dtype=np.float64) for a in arrays]
-        return float(ad.sum_over(ad.mul(builder(*fresh), weights)).data)
-
-
-def _check_builder(name, builder, arrays, rng, n_samples=4) -> list[CheckResult]:
+def check_builder(name, builder, arrays, rng, n_samples=4) -> list[CheckResult]:
+    """Backprop gradients of sum(w * builder(*arrays)), for random weights
+    w, against central differences: one result per argument, at 64-bit."""
     from . import autodiff as ad
 
     leaves = [ad.Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
     out = builder(*leaves)
     weights = rng.standard_normal(out.shape)
     ad.backward(ad.sum_over(ad.mul(out, weights)))
+
+    def f():
+        with ad.no_grad():
+            fresh = [ad.Tensor(a, dtype=np.float64) for a in arrays]
+            return float(ad.sum_over(ad.mul(builder(*fresh), weights)).data)
+
     results = []
     for i, (leaf, arr) in enumerate(zip(leaves, arrays)):
-        res = check_tensor_grad(
-            f"{name}[arg{i}]",
-            lambda: _weighted_scalar(builder, arrays, weights),
-            arr, leaf.grad, rng, n_samples=n_samples,
-        )
-        results.append(res)
+        assert leaf.grad is not None, f"no gradient reached {name}[arg{i}]"
+        results.append(check_tensor_grad(f"{name}[arg{i}]", f, arr, leaf.grad, rng, n_samples=n_samples))
     return results
 
 
@@ -150,7 +146,7 @@ def op_checks(seed: int = 0, instances: int = 20) -> list[CheckResult]:
         worst = 0.0
         checked = 0
         for _ in range(count):
-            for res in _check_builder(name, builder, arrays_fn(), rng):
+            for res in check_builder(name, builder, arrays_fn(), rng):
                 worst = max(worst, res.max_rel_error)
                 checked += res.checked
         results.append(CheckResult(name, worst, checked, 1e-4))
@@ -242,7 +238,7 @@ def _model_check_at(seed: int, samples_per_tensor: int, only: set | None = None)
         frame_diff="on",
     )
     vocab = ClinicalVocabulary(items={f"item={i}": i for i in range(6)})
-    store = init_model_params(config, vocab, ["age"], seed, dtype=np.float64)
+    store = init_model_params(config, vocab, seed, dtype=np.float64)
     # the zero-initialized residual projections would hide their upstream
     # parameters from the check; randomize them
     for name, t in store.items():
@@ -251,7 +247,7 @@ def _model_check_at(seed: int, samples_per_tensor: int, only: set | None = None)
 
     batch = BatchInputs(
         tokens=np.array([[0, 2, 5], [1, 3, 4]]),
-        covariates={"age": np.array([0.4, -1.1])},
+        ages=np.array([0.4, -1.1]),
         volumes=rng.uniform(0, 1, (2, 1, 4, 16, 16)),
         targets=np.array([0.3, 0.7]),
     )

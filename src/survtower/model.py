@@ -62,14 +62,13 @@ class ModelConfig:
 def init_model_params(
     config: ModelConfig,
     vocab: cl.ClinicalVocabulary,
-    continuous_fields: list[str],
     seed: int,
     dtype=np.float32,
 ) -> ParameterStore:
     rng = np.random.default_rng(seed)
     store = ParameterStore()
     if config.towers in ("both", "textual"):
-        cl.init_clinical_params(store, config.clinical, vocab, continuous_fields, rng, dtype=dtype)
+        cl.init_clinical_params(store, config.clinical, vocab, rng, dtype=dtype)
     if config.towers in ("both", "visual"):
         vz.init_visual_params(store, config.visual, rng, dtype=dtype)
     fu.init_head_params(store, config.head_in_dim, config.head_hidden, rng, dtype=dtype)
@@ -81,7 +80,7 @@ class BatchInputs:
     """Numeric inputs for one batch, decoupled from the dataset object."""
 
     tokens: np.ndarray                 # (n, m) item indices
-    covariates: dict[str, np.ndarray]  # field -> (n,) values
+    ages: np.ndarray                   # (n,) z-scored ages
     volumes: np.ndarray | None         # (n,1,f,h,w) raw volumes
     targets: np.ndarray
 
@@ -102,8 +101,7 @@ def make_batch(
     ``(frames, in_plane, in_plane)``, then cast to ``dtype``.
     """
     tokens = np.stack([s.tokens for s in samples])
-    covariates = {name: np.array([s.covariates[name] for s in samples])
-                  for name in samples[0].covariates}
+    ages = np.array([s.age for s in samples])
     targets = np.array([s.time_norm for s in samples], dtype=dtype)
     volumes = None
     if config.towers != "textual":
@@ -114,7 +112,7 @@ def make_batch(
             if vol.shape != fhw:
                 vol = resize_volume(vol, fhw)
             volumes[i, 0] = vol
-    return BatchInputs(tokens, covariates, volumes, targets)
+    return BatchInputs(tokens, ages, volumes, targets)
 
 
 def forward_batch(store: ParameterStore, config: ModelConfig, batch: BatchInputs) -> ad.Tensor:
@@ -127,7 +125,7 @@ def forward_batch(store: ParameterStore, config: ModelConfig, batch: BatchInputs
     """
     clinical_feats = None
     if config.towers in ("both", "textual"):
-        tokens = cl.embed_tokens(store, batch.tokens, batch.covariates)
+        tokens = cl.embed_tokens(store, batch.tokens, batch.ages)
         clinical_feats = cl.encode_clinical(store, config.clinical, tokens)
 
     views = fu.ensemble_views(config.frame_diff, config.omega)

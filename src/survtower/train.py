@@ -24,7 +24,7 @@ from . import autodiff as ad
 from . import clinical as cl
 from . import fusion as fu
 from . import visual as vz
-from .data import N_FOLDS, SurvivalDataset, apply_split, check_ratios, write_atomic
+from .data import AUGMENTATIONS, N_FOLDS, SurvivalDataset, apply_split, check_ratios, write_atomic
 from .errors import ConfigError, FormatError, MetricUndefinedError, TrainingDivergedError
 from .metrics import concordance_index, mae
 from .model import ModelConfig, forward_batch, init_model_params, make_batch, predict_times
@@ -65,8 +65,6 @@ class TrainConfig:
     ratios: tuple = (0.6, 0.2, 0.2)
     fold: int = 0
     augmented_train: bool = False
-    # optional early exit once the train MSE drops below this value
-    stop_train_mse: float | None = None
 
     def __post_init__(self):
         self.widths = tuple(int(w) for w in self.widths)
@@ -176,23 +174,24 @@ class TrainerState:
     best_mse: float = float("inf")
     best_params: dict = field(default_factory=dict)
     vocab_items: dict = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)
-    fields: dict = field(default_factory=dict)
 
 
-def _split_samples(ds: SurvivalDataset, split: str, augmented: bool = False):
+def _split_samples(ds: SurvivalDataset, split: str):
     """The split rule: train and val keep uncensored samples only; test keeps them all."""
-    return ds.select(split, uncensored_only=split in ("train", "val"), augmented=augmented)
+    return ds.select(split, uncensored_only=split in ("train", "val"))
 
 
 def split_dataset(dataset: SurvivalDataset, config: TrainConfig):
     """The split dataset and its (train, val, test) sample lists.
 
     Only the training list holds augmented variants, and only when
-    ``config.augmented_train`` is set.
+    ``config.augmented_train`` is set: every sample in each of the
+    ``AUGMENTATIONS``, patient by patient.
     """
     ds = apply_split(dataset, config.seed, config.ratios, config.fold)
-    train = _split_samples(ds, "train", augmented=config.augmented_train)
+    train = _split_samples(ds, "train")
+    if config.augmented_train:
+        train = [replace(s, aug_id=a) for s in train for a in range(len(AUGMENTATIONS))]
     val = _split_samples(ds, "val")
     test = _split_samples(ds, "test")
     if not train:
@@ -203,7 +202,7 @@ def split_dataset(dataset: SurvivalDataset, config: TrainConfig):
 def _init_state(config: TrainConfig, dataset: SurvivalDataset) -> TrainerState:
     vocab = dataset.vocab
     model_cfg = config.model_config()
-    store = init_model_params(model_cfg, vocab, dataset.continuous_fields, config.seed)
+    store = init_model_params(model_cfg, vocab, config.seed)
     shuffle_rng = np.random.default_rng([config.seed, 0xA5])
     return TrainerState(
         config=config,
@@ -211,11 +210,6 @@ def _init_state(config: TrainConfig, dataset: SurvivalDataset) -> TrainerState:
         adam=Adam(store),
         rng_state=shuffle_rng.bit_generator.state,
         vocab_items=dict(vocab.items),
-        stats={k: vars(s).copy() for k, s in dataset.stats.items()},
-        fields={
-            "categorical": list(dataset.categorical_fields),
-            "continuous": list(dataset.continuous_fields),
-        },
     )
 
 
@@ -267,13 +261,12 @@ def train(
             n_seen += len(samples)
             n_batches += 1
 
-        train_mse = sse / n_seen
         val_row = _validate(state, model_cfg, ds, val_samples)
         row = {
             "epoch": state.epoch,
             "lr": lr,
             "train_loss": loss_sum / n_batches,
-            "train_mse": train_mse,
+            "train_mse": sse / n_seen,
             "val_mse": val_row["mse"],
             "val_c_index": val_row["c_index"],
             "seconds": time.perf_counter() - epoch_start,
@@ -291,8 +284,6 @@ def train(
             state.best_params = {k: t.data.copy() for k, t in state.store.items()}
         state.epoch += 1
         state.rng_state = rng.bit_generator.state
-        if config.stop_train_mse is not None and train_mse < config.stop_train_mse:
-            break
     return state, history
 
 
@@ -341,10 +332,11 @@ def evaluate(
 # checkpoint format (PSNC)
 
 _CKPT_MAGIC = b"PSNC"
-# version 2 names one (d, d) wq/wk/wv per clinical layer; a version 1 file
-# holds per-head parameters that no model of this version has
-_CKPT_VERSION = 2
-_CKPT_HEADER_KEYS = ("adam_step", "best", "config", "epoch", "fields", "rng_state", "stats", "tensors", "vocab")
+# version 3 drops the header's unread "stats" and "fields" and the config's
+# "stop_train_mse"; version 2 had them, and version 1 also held per-head
+# wq/wk/wv parameters. Both are rejected
+_CKPT_VERSION = 3
+_CKPT_HEADER_KEYS = ("adam_step", "best", "config", "epoch", "rng_state", "tensors", "vocab")
 _CKPT_BEST_KEYS = ("epoch", "c_index", "mse")
 _CKPT_TENSOR_KEYS = ("group", "name", "shape", "dtype", "offset", "nbytes")
 _CKPT_DTYPES = ("float32", "float64")
@@ -381,8 +373,6 @@ def save_checkpoint(state: TrainerState, path):
             "mse": state.best_mse,
         },
         "vocab": state.vocab_items,
-        "stats": state.stats,
-        "fields": state.fields,
         "tensors": tensors,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -441,15 +431,28 @@ def load_checkpoint(path) -> TrainerState:
         missing = [f"best.{k}" for k in _CKPT_BEST_KEYS if not isinstance(best, dict) or k not in best]
     if missing:
         raise FormatError(f"checkpoint {path}: header lacks {missing}", offset=14)
+    valid = {
+        "epoch": type(header["epoch"]) is int and header["epoch"] >= 0,
+        "adam_step": type(header["adam_step"]) is int and header["adam_step"] >= 0,
+        "best.epoch": type(best["epoch"]) is int and best["epoch"] >= -1,
+        "best.c_index": type(best["c_index"]) in (int, float),
+        "best.mse": type(best["mse"]) in (int, float),
+    }
+    try:
+        np.random.PCG64().state = header["rng_state"]
+    except (KeyError, OverflowError, TypeError, ValueError):
+        valid["rng_state"] = False
+    malformed = [key for key, ok in valid.items() if not ok]
+    if malformed:
+        raise FormatError(f"checkpoint {path}: malformed {malformed}", offset=14)
 
     arrays = _read_tensors(path, blob, header_end, header["tensors"])
     try:
         config = TrainConfig.from_dict(header["config"])
         vocab = cl.ClinicalVocabulary(items={k: int(v) for k, v in header["vocab"].items()})
-        continuous = list(header["fields"]["continuous"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"checkpoint {path}: malformed config, vocab or fields: {exc!r}", offset=14) from None
-    store = init_model_params(config.model_config(), vocab, continuous, config.seed)
+        raise FormatError(f"checkpoint {path}: malformed config or vocab: {exc!r}", offset=14) from None
+    store = init_model_params(config.model_config(), vocab, config.seed)
     shapes = {name: t.shape for name, t in store.items()}
     for group in [g for g in _CKPT_GROUPS if g != "best" or g in arrays]:
         if {name: a.shape for name, a in arrays.get(group, {}).items()} != shapes:
@@ -470,13 +473,11 @@ def load_checkpoint(path) -> TrainerState:
         adam=adam,
         rng_state=header["rng_state"],
         epoch=header["epoch"],
-        best_epoch=header["best"]["epoch"],
-        best_c_index=header["best"]["c_index"],
-        best_mse=header["best"]["mse"],
+        best_epoch=best["epoch"],
+        best_c_index=best["c_index"],
+        best_mse=best["mse"],
         best_params=arrays.get("best", {}),
         vocab_items=dict(header["vocab"]),
-        stats=header["stats"],
-        fields=header["fields"],
     )
     return state
 

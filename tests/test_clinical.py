@@ -27,7 +27,7 @@ def small_config(**kw):
 def build_store(config, vocab, rng=None, dtype=np.float64):
     store = ParameterStore()
     rng = rng or np.random.default_rng(0)
-    cl.init_clinical_params(store, config, vocab, ["age"], rng, dtype=dtype)
+    cl.init_clinical_params(store, config, vocab, rng, dtype=dtype)
     return store
 
 
@@ -48,30 +48,27 @@ class TestEmbedding:
     def test_identity_weight_lookup(self):
         store = ParameterStore()
         store.add("clinical.embed.weight", np.eye(4))
-        out = cl.embed_tokens(store, np.array([[2], [0]]), {})
-        np.testing.assert_allclose(out.data, np.eye(4)[[[2], [0]]])
+        store.add("clinical.cont.age.weight", np.zeros((1, 4)))
+        store.add("clinical.cont.age.bias", np.zeros(4))
+        out = cl.embed_tokens(store, np.array([[2], [0]]), np.zeros(2))
+        np.testing.assert_allclose(out.data[:, :1], np.eye(4)[[[2], [0]]])
 
     def test_shape_with_covariate_token(self):
         vocab = make_vocab()
         config = small_config()
         store = build_store(config, vocab)
         tokens = np.array([[2, 0], [3, 1], [2, 1]])
-        out = cl.embed_tokens(store, tokens, {"age": np.array([61.0, 55.0, 70.0])})
+        out = cl.embed_tokens(store, tokens, np.array([61.0, 55.0, 70.0]))
         assert out.shape == (3, 2 + 1, config.embed_dim)
         # the covariate token is age * weight + bias, record by record
         w = store["clinical.cont.age.weight"].data[0]
         np.testing.assert_array_equal(out.data[1, 2], 55.0 * w + store["clinical.cont.age.bias"].data)
 
-    def test_missing_covariate_skipped(self):
-        store = build_store(small_config(), make_vocab())
-        out = cl.embed_tokens(store, np.array([[2, 1]]), {})
-        assert out.shape == (1, 2, 12)
-
     def test_gradient_hits_only_looked_up_rows(self):
         vocab = make_vocab()
         store = build_store(small_config(), vocab)
         idx = vocab.encode_items(["hist=adeno", "stage=II"])
-        out = cl.embed_tokens(store, np.stack([idx, idx[::-1]]), {})
+        out = cl.embed_tokens(store, np.stack([idx, idx[::-1]]), np.array([0.5, -0.5]))
         ad.backward(ad.sum_over(out))
         grad = store["clinical.embed.weight"].grad
         touched = {vocab.items["hist=adeno"], vocab.items["stage=II"]}
@@ -163,7 +160,7 @@ class TestSelfAttention:
 class TestEncoder:
     def _tokens(self, store, vocab, rng):
         idx = rng.integers(0, vocab.size, size=(2, 3))
-        return cl.embed_tokens(store, idx, {"age": np.array([0.7, -0.2])})
+        return cl.embed_tokens(store, idx, np.array([0.7, -0.2]))
 
     def test_zeroed_branches_reduce_to_pooled_layernorm(self):
         # residual-branch output projections are zero at init, so a fresh
@@ -186,7 +183,7 @@ class TestEncoder:
         config = small_config()
         store = build_store(config, vocab)
         for m in (1, 2, 4):
-            tokens = cl.embed_tokens(store, np.arange(2 * m).reshape(2, m) % vocab.size, {})
+            tokens = cl.embed_tokens(store, np.arange(2 * m).reshape(2, m) % vocab.size, np.zeros(2))
             assert cl.encode_clinical(store, config, tokens).shape == (2, config.embed_dim)
 
     def test_permutation_invariance(self):
@@ -195,8 +192,9 @@ class TestEncoder:
         store = build_store(config, vocab)
         _randomize_branches(store, np.random.default_rng(6))
         idx = np.array([[0, 1, 2, 3], [3, 3, 1, 0]])
-        out1 = cl.encode_clinical(store, config, cl.embed_tokens(store, idx, {}))
-        out2 = cl.encode_clinical(store, config, cl.embed_tokens(store, idx[:, ::-1].copy(), {}))
+        ages = np.array([0.3, -1.0])
+        out1 = cl.encode_clinical(store, config, cl.embed_tokens(store, idx, ages))
+        out2 = cl.encode_clinical(store, config, cl.embed_tokens(store, idx[:, ::-1].copy(), ages))
         np.testing.assert_allclose(out1.data, out2.data, atol=1e-9)
 
     def test_records_are_independent(self):
@@ -207,10 +205,10 @@ class TestEncoder:
         _randomize_branches(store, np.random.default_rng(9))
         idx = np.array([[0, 1, 2], [3, 2, 1], [1, 1, 0]])
         ages = np.array([0.3, -1.0, 2.0])
-        batched = cl.encode_clinical(store, config, cl.embed_tokens(store, idx, {"age": ages}))
+        batched = cl.encode_clinical(store, config, cl.embed_tokens(store, idx, ages))
         for i in range(3):
             alone = cl.encode_clinical(
-                store, config, cl.embed_tokens(store, idx[i:i + 1], {"age": ages[i:i + 1]})
+                store, config, cl.embed_tokens(store, idx[i:i + 1], ages[i:i + 1])
             )
             np.testing.assert_allclose(batched.data[i:i + 1], alone.data, atol=1e-12)
 
@@ -219,7 +217,7 @@ class TestEncoder:
         config = small_config()
         store = build_store(config, vocab)
         _randomize_branches(store, np.random.default_rng(7))
-        tokens = cl.embed_tokens(store, np.array([[0, 1, 2], [2, 2, 3]]), {"age": np.array([0.3, 1.2])})
+        tokens = cl.embed_tokens(store, np.array([[0, 1, 2], [2, 2, 3]]), np.array([0.3, 1.2]))
         for i in range(config.layers):
             _, w = cl.multi_head_attention(store, config, tokens, f"clinical.layer{i}")
             assert w.shape == (2, config.heads, 4, 4)
@@ -229,7 +227,7 @@ class TestEncoder:
         vocab = make_vocab()
         config = small_config(encoder="mlp")
         store = build_store(config, vocab)
-        tokens = cl.embed_tokens(store, np.array([[0, 1], [1, 3]]), {"age": np.array([0.1, 0.5])})
+        tokens = cl.embed_tokens(store, np.array([[0, 1], [1, 3]]), np.array([0.1, 0.5]))
         assert cl.encode_clinical(store, config, tokens).shape == (2, config.embed_dim)
 
     def test_head_split_validation(self):
@@ -273,7 +271,7 @@ class TestEncoderGradients:
         idx = np.array([[0, 2, 3], [1, 1, 2]])
 
         def forward():
-            tokens = cl.embed_tokens(store, idx, {"age": np.array([0.4, -0.9])})
+            tokens = cl.embed_tokens(store, idx, np.array([0.4, -0.9]))
             out = cl.encode_clinical(store, config, tokens)
             return ad.sum_over(ad.mul(out, weights))
 

@@ -235,21 +235,24 @@ class TestDatasetAssembly:
             by_patient.setdefault(s.patient_id, set()).add(dataset.split[s.patient_id])
         assert all(len(v) == 1 for v in by_patient.values())
 
-    def test_eight_samples_per_patient(self, dataset):
-        assert len(dataset.samples) == 8 * len(dataset.patients)
+    def test_one_sample_per_patient(self, dataset):
+        assert [(s.patient_id, s.aug_id) for s in dataset.samples] == [(pid, 0) for pid in sorted(dataset.patients)]
 
     def test_stats_come_from_training_split_only(self, dataset):
-        train_days = [p.survival_days for pid, p in dataset.patients.items()
-                      if dataset.split[pid] == "train"]
-        assert dataset.stats["survival_days"].min == min(train_days)
-        assert dataset.stats["survival_days"].max == max(train_days)
+        train = [s for s in dataset.samples if dataset.split[s.patient_id] == "train"]
+        times = [s.time_norm for s in train]
+        assert (min(times), max(times)) == (0.0, 1.0)
+        ages = np.array([s.age for s in train])
+        assert ages.mean() == pytest.approx(0.0, abs=1e-12)
+        assert ages.std() == pytest.approx(1.0, rel=1e-12)
 
     def test_targets_unclamped_outside_training_range(self, dataset):
-        s = dataset.stats["survival_days"]
-        targets = {p: t for p, t in ((x.patient_id, x.time_norm) for x in dataset.samples)}
-        for pid, p in dataset.patients.items():
-            expected = (p.survival_days - s.min) / (s.max - s.min)
-            assert targets[pid] == pytest.approx(expected, abs=1e-12)
+        days = [p.survival_days for pid, p in dataset.patients.items() if dataset.split[pid] == "train"]
+        lo, hi = min(days), max(days)
+        for s in dataset.samples:
+            expected = (dataset.patients[s.patient_id].survival_days - lo) / (hi - lo)
+            assert s.time_norm == pytest.approx(expected, abs=1e-12)
+        assert min(s.time_norm for s in dataset.samples) < 0 or max(s.time_norm for s in dataset.samples) > 1
 
     def test_apply_split_changes_assignment_and_stats(self, dataset):
         moved = dp.apply_split(dataset, seed=99, ratios=(0.6, 0.2, 0.2), fold=1)
@@ -294,17 +297,15 @@ class TestBundleRoundtrip:
         loaded = dp.load_dataset(tmp_path / "ds")
         assert loaded.split == ds.split
         assert loaded.vocab.items == ds.vocab.items
-        assert loaded.stats == ds.stats
         assert loaded.patients == ds.patients
         assert any(p.age is None for p in loaded.patients.values())
         assert loaded.categorical_fields == ds.categorical_fields
-        assert loaded.continuous_fields == ds.continuous_fields
         assert (loaded.split_seed, loaded.split_ratios, loaded.split_fold) == (
             ds.split_seed, ds.split_ratios, ds.split_fold)
         assert len(loaded.samples) == len(ds.samples)
         for a, b in zip(loaded.samples, ds.samples):
-            assert (a.patient_id, a.aug_id, a.covariates, a.time_norm, a.event) == (
-                b.patient_id, b.aug_id, b.covariates, b.time_norm, b.event)
+            assert (a.patient_id, a.aug_id, a.age, a.time_norm, a.event) == (
+                b.patient_id, b.aug_id, b.age, b.time_norm, b.event)
             assert a.tokens.dtype == b.tokens.dtype
             np.testing.assert_array_equal(a.tokens, b.tokens)
         for pid in ds.volumes:
@@ -347,6 +348,10 @@ class TestBundleRoundtrip:
         ("patient", r"items=[^,]+,", "items="),            # missing categorical field
         ("patient", r" items=", " split=test items="),     # field the format does not have
         ("patient", r"^patient\.", "patient.../"),          # id outside the volumes directory
+        ("patient", r" event=\d", " event=2"),             # event neither 0 nor 1
+        ("patient", r" days=\S+", " days=nan"),            # non-finite target
+        ("patient", r" days=\S+", " days=inf"),
+        ("patient", r" age=\S+", " age=nan"),              # non-finite age
         *[(key, r".+", "") for key in (                    # missing header line
             "split_seed", "split_fold", "split_ratios", "patients", "categorical_fields",
         )],

@@ -31,7 +31,7 @@ def dataset():
 @pytest.mark.parametrize("towers", ["both", "visual", "textual"])
 def test_forward_batch_keeps_float32(dataset, towers):
     config = tiny_config(towers=towers).model_config()
-    store = model.init_model_params(config, dataset.vocab, dataset.continuous_fields, seed=0)
+    store = model.init_model_params(config, dataset.vocab, seed=0)
     batch = model.make_batch(dataset, dataset.samples[:3], config)
     pred = model.forward_batch(store, config, batch)
     assert pred.shape == (3, 1)
@@ -42,8 +42,7 @@ def test_forward_batch_keeps_float32(dataset, towers):
 def test_make_batch_volumes_are_resized_variants(dataset, dtype):
     config = tiny_config(towers="both").model_config()
     pid = dataset.samples[0].patient_id
-    samples = [s for s in dataset.samples if s.patient_id == pid]
-    assert [s.aug_id for s in samples] == list(range(8))
+    samples = [dataclasses.replace(dataset.samples[0], aug_id=a) for a in range(8)]
     batch = model.make_batch(dataset, samples, config, dtype=dtype)
     fhw = (config.visual.frames, config.visual.in_plane, config.visual.in_plane)
     assert batch.volumes.shape == (8, 1, *fhw) and batch.volumes.dtype == dtype
@@ -56,7 +55,7 @@ def test_make_batch_volumes_are_resized_variants(dataset, dtype):
 def test_forward_batch_is_weighted_sum_of_views(dataset, frame_diff):
     omega = 0.4
     config = tiny_config(towers="both", frame_diff=frame_diff, omega=omega).model_config()
-    store = model.init_model_params(config, dataset.vocab, dataset.continuous_fields, seed=0, dtype=np.float64)
+    store = model.init_model_params(config, dataset.vocab, seed=0, dtype=np.float64)
     batch = model.make_batch(dataset, dataset.samples[:5], config, dtype=np.float64)
 
     single = dataclasses.replace(config, frame_diff="off")
@@ -108,7 +107,7 @@ def test_omega_one_bit_equals_frame_diff_off(dataset):
     preds = []
     for kw in (dict(omega=1.0), dict(frame_diff="off")):
         config = tiny_config(towers="both", **kw).model_config()
-        store = model.init_model_params(config, dataset.vocab, dataset.continuous_fields, seed=0)
+        store = model.init_model_params(config, dataset.vocab, seed=0)
         preds.append(model.predict_times(store, config, dataset, dataset.samples[:48]))
     np.testing.assert_array_equal(preds[0], preds[1])
 
@@ -116,9 +115,9 @@ def test_omega_one_bit_equals_frame_diff_off(dataset):
 def test_augmented_train_holds_every_variant(dataset):
     config = tiny_config(towers="both", epochs=1, augmented_train=True)
     ds, train_samples, _, _ = train.split_dataset(dataset, config)
-    uncensored = [pid for pid in ds.patient_ids("train") if ds.patients[pid].event == 1]
+    uncensored = sorted(pid for pid, split in ds.split.items() if split == "train" and ds.patients[pid].event == 1)
     assert uncensored
-    assert sorted((s.patient_id, s.aug_id) for s in train_samples) == [
+    assert [(s.patient_id, s.aug_id) for s in train_samples] == [
         (pid, aug_id) for pid in uncensored for aug_id in range(8)
     ]
     _, history = train.train(config, dataset)
@@ -139,7 +138,7 @@ def test_ablation_grid_builds_unique_variants(dataset, axis):
     labels = [label for label, _ in rows]
     assert len(labels) == len(set(labels)) > 1
     for _, config in rows:
-        model.init_model_params(config.model_config(), dataset.vocab, dataset.continuous_fields, seed=0)
+        model.init_model_params(config.model_config(), dataset.vocab, seed=0)
     if axis == "direction":
         assert {config.frame_diff for _, config in rows} == set(fusion.FRAME_DIFF_MODES)
 
@@ -190,7 +189,15 @@ HEADER_EDITS = {
     "no param group": lambda h: h.update(tensors=[t for t in h["tensors"] if t["group"] != "param"]),
     "config without widths": lambda h: h["config"].pop("widths"),
     "config with unknown key": lambda h: h["config"].update(dropout=0.1),
-    "fields without continuous": lambda h: h["fields"].pop("continuous"),
+    "epoch not int": lambda h: h.update(epoch="x"),
+    "negative epoch": lambda h: h.update(epoch=-5),
+    "adam_step not int": lambda h: h.update(adam_step="x"),
+    "negative adam_step": lambda h: h.update(adam_step=-1),
+    "best epoch below -1": lambda h: h["best"].update(epoch=-2),
+    "best c_index not number": lambda h: h["best"].update(c_index="x"),
+    "best mse not number": lambda h: h["best"].update(mse=None),
+    "rng_state empty": lambda h: h.update(rng_state={}),
+    "rng_state not a dict": lambda h: h.update(rng_state="x"),
     "adam_m entry missing": lambda h: h["tensors"].remove(
         next(t for t in h["tensors"] if t["group"] == "adam_m")
     ),
@@ -223,14 +230,17 @@ class TestCheckpoint:
         assert (tmp_path / "full").read_bytes() == (tmp_path / "resumed").read_bytes()
 
     def test_version_1_rejected(self, dataset, tmp_path):
+        # so is version 2, whose header and config hold keys that version 3 dropped
         state, _ = train.train(tiny_config(epochs=1), dataset)
         path = tmp_path / "ckpt"
         train.save_checkpoint(state, path)
         blob = bytearray(path.read_bytes())
-        struct.pack_into("<H", blob, 4, 1)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="version 1"):
-            train.load_checkpoint(path)
+        for version in (1, 2):
+            struct.pack_into("<H", blob, 4, version)
+            path.write_bytes(bytes(blob))
+            with pytest.raises(FormatError, match=f"version {version}") as info:
+                train.load_checkpoint(path)
+            assert info.value.offset == 4
 
     @pytest.mark.parametrize("corrupt", ["byte 20", *HEADER_EDITS])
     def test_corrupt_header_rejected(self, dataset, tmp_path, corrupt):
