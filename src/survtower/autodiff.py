@@ -226,7 +226,14 @@ def mul(a, b) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     """Matrix product under numpy's batched rule: the last two axes multiply
-    as matrices and any leading axes broadcast, e.g. (n, m, d) @ (d, k)."""
+    as matrices and any leading axes broadcast, e.g. (n, m, d) @ (d, k).
+
+    When b is a (d, k) matrix, a's leading axes fold into rows: the
+    forward is one (-1, d) @ (d, k) GEMM, and the backward is one GEMM per
+    operand, (g @ b.T) reshaped to a's shape and a(-1, d).T @ g(-1, k),
+    rather than one small product per leading index each way. Other
+    shapes, such as attention's 4-D @ 4-D, keep the batched rule.
+    """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"cannot matmul shapes {tuple(a.shape)} and {tuple(b.shape)}")
@@ -234,6 +241,19 @@ def matmul(a, b) -> Tensor:
     an, bn, a_shape, b_shape = a._node, b._node, a.shape, b.shape
     a_data = a.data if bn is not None else None
     b_data = b.data if an is not None else None
+
+    if b.data.ndim == 2:
+        d, k = b_shape
+
+        def backward_fn(g):
+            g2 = g.reshape(-1, k)
+            if an is not None:
+                an.accumulate((g2 @ b_data.T).reshape(a_shape))
+            if bn is not None:
+                bn.accumulate(a_data.reshape(-1, d).T @ g2)
+
+        out = (a.data.reshape(-1, d) @ b.data).reshape(*a_shape[:-1], k)
+        return _record(Tensor(out), (an, bn), backward_fn)
 
     def backward_fn(g):
         if an is not None:
@@ -351,6 +371,30 @@ def sum_over(t, axes=None) -> Tensor:
         tn.accumulate(np.broadcast_to(g_full, shape).astype(dtype))
 
     return _record(Tensor(t.data.sum(axis=axes)), (tn,), backward_fn)
+
+
+def sum_of_squares(tensors) -> Tensor:
+    """Sum of the squared entries of every tensor, as one tape node.
+
+    The forward adds each tensor's (t * t).sum() in the given order; the
+    backward adds 2 * g * t to each tensor's gradient.
+    """
+    tensors = [as_tensor(t) for t in tensors]
+    if not tensors:
+        raise DimensionError("sum_of_squares needs at least one tensor")
+    total = None
+    for t in tensors:
+        sq = (t.data * t.data).sum()
+        total = sq if total is None else total + sq
+    nodes = [t._node for t in tensors]
+    # each gradient reads its own tensor's value, so only those are kept
+    held = [(node, t.data) for node, t in zip(nodes, tensors) if node is not None]
+
+    def backward_fn(g):
+        for node, data in held:
+            node.accumulate(data * (2 * g))
+
+    return _record(Tensor(total), nodes, backward_fn)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

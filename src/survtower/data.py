@@ -28,6 +28,7 @@ patients are written in sorted order.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -92,7 +93,7 @@ def zscore_apply(values, mean: float, std: float):
     return (np.asarray(values, dtype=np.float64) - mean) / std
 
 
-def impute_ages(ages: list[float | None], is_train: list[bool]) -> tuple[list[float], float]:
+def impute_ages(ages: list[float | None], is_train: list[bool]) -> list[float]:
     """Replace missing ages with the mean of observed *training* ages.
 
     The mean is computed over observed values only; imputation happens
@@ -102,7 +103,7 @@ def impute_ages(ages: list[float | None], is_train: list[bool]) -> tuple[list[fl
     if not observed:
         raise PipelineError("cannot impute: every training-split age is missing")
     mean = float(np.mean(observed))
-    return [mean if a is None else float(a) for a in ages], mean
+    return [mean if a is None else float(a) for a in ages]
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +328,15 @@ def _check_patient_id(pid: str):
         raise PipelineError(f"patient id {pid!r} contains a path separator")
 
 
+def _check_outcome(event, days: float, age: float | None):
+    """The values a stored patient may hold: an event of 0 or 1, finite
+    survival days, and a finite or missing age. ValueError otherwise."""
+    if event not in (0, 1):
+        raise ValueError(f"event {event} is neither 0 nor 1")
+    if not math.isfinite(days) or (age is not None and not math.isfinite(age)):
+        raise ValueError(f"days {days} and age {age} must be finite")
+
+
 def _assemble(
     patients: dict[str, RawPatient],
     volumes: dict[str, np.ndarray],
@@ -341,14 +351,19 @@ def _assemble(
         # a patient line would read items= with nothing after it
         raise PipelineError("the cohort has no categorical fields; the bundle format needs at least one")
     for pid in ids:
+        p = patients[pid]
         _check_patient_id(pid)
-        if sorted(patients[pid].categorical) != categorical_fields:
+        if sorted(p.categorical) != categorical_fields:
             raise PipelineError(f"patient {pid} has inconsistent categorical fields")
-        for item in patients[pid].items:
+        for item in p.items:
             _check_token("clinical item", item)
+        try:
+            _check_outcome(p.event, p.survival_days, p.age)
+        except ValueError as exc:
+            raise PipelineError(f"patient {pid}: {exc}") from None
 
     is_train = [split[p] == "train" for p in ids]
-    ages, age_mean = impute_ages([patients[p].age for p in ids], is_train)
+    ages = impute_ages([patients[p].age for p in ids], is_train)
     age_by_pid = dict(zip(ids, ages))
 
     train_ages = [age_by_pid[p] for p in ids if split[p] == "train"]
@@ -509,10 +524,7 @@ def load_dataset(path) -> SurvivalDataset:
                 categorical = dict(item.split("=", 1) for item in items.split(","))
                 age = None if age == "missing" else float(age)
                 days, event = float(days), int(event)
-                if event not in (0, 1):
-                    raise ValueError(f"event {event} is neither 0 nor 1")
-                if not np.isfinite(days) or (age is not None and not np.isfinite(age)):
-                    raise ValueError(f"days {days} and age {age} must be finite")
+                _check_outcome(event, days, age)
                 patients[pid] = RawPatient(pid, categorical, age, days, event)
                 patient_lines[pid] = lineno
             elif key in _HEADER_FIELDS:

@@ -156,8 +156,11 @@ def op_checks(seed: int = 0, instances: int = 20) -> list[CheckResult]:
 
     run("matmul", ad.matmul,
         lambda: [rng.standard_normal((3, 4)), rng.standard_normal((4, 2))])
-    run("matmul[3d x weight]", ad.matmul,
+    run("matmul[3d x 2d]", ad.matmul,
         lambda: [rng.standard_normal((2, 3, 4)), rng.standard_normal((4, 2))])
+    # the SE excitation multiplies by a transposed (non-contiguous) weight view
+    run("matmul[3d x transposed 2d]", lambda a, b: ad.matmul(a, ad.transpose(b)),
+        lambda: [rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 4))])
     run("matmul[4d x 4d]", ad.matmul,
         lambda: [rng.standard_normal((2, 1, 3, 4)), rng.standard_normal((1, 3, 4, 2))])
     run("conv3d", lambda x, k: ad.conv3d(x, k, stride=(1, 2, 2), padding=1),
@@ -189,6 +192,8 @@ def op_checks(seed: int = 0, instances: int = 20) -> list[CheckResult]:
     run("reshape", lambda t: ad.reshape(t, (-1,)), lambda: [rng.standard_normal((3, 4))])
     run("transpose", lambda t: ad.transpose(t, (1, 0, 2)),
         lambda: [rng.standard_normal((2, 3, 2))])
+    run("sum_of_squares", lambda a, b: ad.sum_of_squares([a, b]),
+        lambda: [rng.standard_normal((3, 4)), rng.standard_normal(5)])
     run("gather_rows", lambda t: ad.gather_rows(t, [0, 2, 2]),
         lambda: [rng.standard_normal((4, 3))])
     return results

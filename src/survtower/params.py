@@ -47,16 +47,12 @@ class ParameterStore:
             t.grad = None
 
     def l2_penalty(self) -> ad.Tensor:
-        """Sum of squared entries over every decayed parameter tensor."""
-        total = None
-        for name, t in self._params.items():
-            if not self._decay[name]:
-                continue
-            sq = ad.sum_over(ad.mul(t, t))
-            total = sq if total is None else ad.add(total, sq)
-        if total is None:
+        """Sum of squared entries over every decayed parameter tensor, in
+        registration order, as one ``sum_of_squares`` tape node."""
+        decayed = [t for name, t in self._params.items() if self._decay[name]]
+        if not decayed:
             raise ConfigError("no decayed parameters registered")
-        return total
+        return ad.sum_of_squares(decayed)
 
 
 def uniform_fan_in(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:

@@ -25,7 +25,7 @@ from . import clinical as cl
 from . import fusion as fu
 from . import visual as vz
 from .data import AUGMENTATIONS, N_FOLDS, SurvivalDataset, apply_split, check_ratios, write_atomic
-from .errors import ConfigError, FormatError, MetricUndefinedError, TrainingDivergedError
+from .errors import ConfigError, FormatError, MetricUndefinedError, TrainingDivergedError, UsageError
 from .metrics import concordance_index, mae
 from .model import ModelConfig, forward_batch, init_model_params, make_batch, predict_times
 from .params import ParameterStore
@@ -136,30 +136,66 @@ def learning_rate(config: TrainConfig, epoch: int) -> float:
 
 
 class Adam:
+    """Adam (Kingma & Ba, arXiv 1412.6980) over one flat buffer per moment.
+
+    ``m`` and ``v`` each live in one flat array that holds every parameter
+    in the store's order; ``self.m[name]`` and ``self.v[name]`` are
+    reshaped views into them, so a new value is written into a view
+    (``adam.m[name][...] = ...``), never bound in its place. A step
+    concatenates the gradients and runs the per-element update once over
+    the whole vector, in the same operation order as a per-tensor loop,
+    so it gives the same bits; each parameter's ``data`` then becomes a
+    view of the step's new flat parameter array. A parameter without a
+    gradient raises UsageError at ``step``, and a store whose parameters
+    do not share one dtype raises it here.
+    """
+
     # constants: a checkpoint stores neither the betas nor eps
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, store: ParameterStore):
+        dtypes = {str(t.dtype) for _, t in store.items()}
+        if len(dtypes) != 1:
+            raise UsageError(f"Adam needs parameters of one dtype, got {sorted(dtypes)}")
         self.step_count = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in store.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in store.items()}
+        self._layout = []          # (name, slice of the flat buffers, shape)
+        end = 0
+        for name, t in store.items():
+            self._layout.append((name, slice(end, end + t.data.size), t.shape))
+            end += t.data.size
+        self._m = np.zeros(end, dtype=dtypes.pop())
+        self._v = np.zeros_like(self._m)
+        self.m = {name: self._m[span].reshape(shape) for name, span, shape in self._layout}
+        self.v = {name: self._v[span].reshape(shape) for name, span, shape in self._layout}
 
     def step(self, store: ParameterStore, lr: float):
+        params = [store[name] for name, _, _ in self._layout]
+        missing = [name for name, _, _ in self._layout if store[name].grad is None]
+        if missing:
+            raise UsageError(f"no gradient reached {', '.join(missing)}; run backward on a loss that uses them")
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         corr1 = 1.0 - b1 ** self.step_count
         corr2 = 1.0 - b2 ** self.step_count
-        for name, t in store.items():
-            if t.grad is None:
-                continue
-            g = t.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            t.data = t.data - lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
+        # two flat temporaries: g ends as the step, tmp as the new parameters
+        g = np.concatenate([t.grad.reshape(-1) for t in params])
+        tmp = np.multiply(g, 1 - b1)
+        self._m *= b1
+        self._m += tmp
+        np.multiply(g, g, out=tmp)
+        tmp *= 1 - b2
+        self._v *= b2
+        self._v += tmp
+        np.divide(self._m, corr1, out=g)
+        g *= lr
+        np.divide(self._v, corr2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        g /= tmp
+        np.concatenate([t.data.reshape(-1) for t in params], out=tmp)
+        tmp -= g
+        for t, (_, span, shape) in zip(params, self._layout):
+            t.data = tmp[span].reshape(shape)
 
 
 @dataclass
@@ -464,8 +500,8 @@ def load_checkpoint(path) -> TrainerState:
     adam.step_count = header["adam_step"]
     for name, t in store.items():
         t.data = arrays["param"][name].astype(t.dtype)
-        adam.m[name] = arrays["adam_m"][name].astype(t.dtype)
-        adam.v[name] = arrays["adam_v"][name].astype(t.dtype)
+        adam.m[name][...] = arrays["adam_m"][name]     # views into the flat moments
+        adam.v[name][...] = arrays["adam_v"][name]
 
     state = TrainerState(
         config=config,

@@ -75,6 +75,50 @@ class TestMatmul:
             _check_op(ad.matmul, [rng.standard_normal((2, 1, m, k)),
                                   rng.standard_normal((3, k, n))], rng)
 
+    @pytest.mark.parametrize("a_shape", [(5, 3), (2, 5, 3), (2, 4, 5, 3)])
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_matrix_operand_matches_batched_rule(self, a_shape, transposed):
+        # a (..., d) @ (d, k) product folds a's leading axes into one GEMM
+        rng = np.random.default_rng(3)
+        a_arr, b_arr = rng.standard_normal(a_shape), rng.standard_normal((3, 2))
+        g = rng.standard_normal((*a_shape[:-1], 2))
+        a, b = _leaves([a_arr, b_arr.T.copy() if transposed else b_arr])
+        out = ad.matmul(a, ad.transpose(b) if transposed else b)
+        ad.backward(ad.sum_over(ad.mul(out, g)))
+        np.testing.assert_allclose(out.data, a_arr @ b_arr, rtol=1e-12)
+        np.testing.assert_allclose(a.grad, g @ b_arr.T, rtol=1e-12)
+        b_grad = (np.swapaxes(a_arr, -1, -2) @ g).reshape(-1, 3, 2).sum(axis=0)
+        np.testing.assert_allclose(b.grad.T if transposed else b.grad, b_grad, rtol=1e-12)
+        assert a.grad.shape == a_shape
+
+
+class TestSumOfSquares:
+    def test_value_and_gradient(self):
+        rng = np.random.default_rng(4)
+        arrays = [rng.standard_normal((3, 4)), rng.standard_normal(5), rng.standard_normal((2, 1, 3))]
+        leaves = _leaves(arrays[:2])
+        const = ad.Tensor(arrays[2], dtype=np.float64)
+        total = ad.sum_of_squares([*leaves, const])
+        assert total.shape == ()
+        assert total.item() == pytest.approx(sum(float((a * a).sum()) for a in arrays), rel=1e-12)
+        ad.backward(ad.mul(total, 0.5))
+        for leaf, arr in zip(leaves, arrays):
+            np.testing.assert_array_equal(leaf.grad, arr)     # d(0.5 * sum x^2)/dx = x
+        assert const.grad is None
+
+    def test_one_tape_node_adds_in_order(self):
+        rng = np.random.default_rng(5)
+        arrays = [rng.standard_normal(7).astype(np.float32) for _ in range(3)]
+        leaves = [ad.Tensor(a, requires_grad=True) for a in arrays]
+        total = ad.sum_of_squares(leaves)
+        assert total.dtype == np.float32 and total._node.parents == tuple(t._node for t in leaves)
+        expected = (arrays[0] * arrays[0]).sum() + (arrays[1] * arrays[1]).sum() + (arrays[2] * arrays[2]).sum()
+        assert total.data == expected
+
+    def test_empty_rejected(self):
+        with pytest.raises(DimensionError):
+            ad.sum_of_squares([])
+
 
 class TestConv3d:
     def test_identity_kernel(self):

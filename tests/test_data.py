@@ -58,17 +58,15 @@ class TestScaling:
 
 class TestImputation:
     def test_mean_fill(self):
-        filled, mean = dp.impute_ages([40.0, None, 60.0], [True, True, True])
-        assert filled == [40.0, 50.0, 60.0] and mean == 50.0
+        assert dp.impute_ages([40.0, None, 60.0], [True, True, True]) == [40.0, 50.0, 60.0]
 
     def test_no_missing_is_identity(self):
-        filled, _ = dp.impute_ages([41.0, 52.0], [True, True])
-        assert filled == [41.0, 52.0]
+        assert dp.impute_ages([41.0, 52.0], [True, True]) == [41.0, 52.0]
 
     def test_mean_over_observed_training_only(self):
         # the non-train 90.0 and the missing entry must not shift the mean
-        filled, mean = dp.impute_ages([40.0, None, 90.0, 60.0], [True, True, False, True])
-        assert mean == 50.0 and filled[1] == 50.0
+        filled = dp.impute_ages([40.0, None, 90.0, 60.0], [True, True, False, True])
+        assert filled == [40.0, 50.0, 90.0, 60.0]
 
     def test_all_missing(self):
         with pytest.raises(PipelineError):
@@ -269,6 +267,21 @@ class TestDatasetAssembly:
         patients = generate_patients(1, 10)
         patients[0].patient_id = pid
         with pytest.raises(PipelineError, match=f"patient id {re.escape(repr(pid))} contains a path separator"):
+            dp.build_dataset(patients, seed=1)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("event", 2, "event 2 is neither 0 nor 1"),
+        ("event", -1, "event -1 is neither 0 nor 1"),
+        ("survival_days", float("nan"), "must be finite"),
+        ("survival_days", float("inf"), "must be finite"),
+        ("age", float("nan"), "must be finite"),
+        ("age", float("-inf"), "must be finite"),
+    ])
+    def test_values_a_bundle_cannot_hold_rejected(self, field, value, message):
+        # load_dataset refuses these on a manifest line, so build_dataset must not accept them
+        patients = generate_patients(1, 10)
+        setattr(patients[3], field, value)
+        with pytest.raises(PipelineError, match=f"patient {patients[3].patient_id}: .*{message}"):
             dp.build_dataset(patients, seed=1)
 
     def test_cohort_without_categorical_fields_rejected(self):

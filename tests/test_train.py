@@ -9,8 +9,9 @@ import struct
 import numpy as np
 import pytest
 
+from survtower import autodiff as ad
 from survtower import data, fusion, model, train
-from survtower.errors import ConfigError, FormatError
+from survtower.errors import ConfigError, FormatError, UsageError
 from survtower.synthetic import generate_synthetic
 
 
@@ -178,6 +179,84 @@ def test_ablation_grid_rejects_unknown_axis():
         train.ablation_grid(tiny_config(), "dropout")
 
 
+def _every_config():
+    """Each tower x encoder x SE gate layout, with no repeat of a model
+    that a setting does not reach."""
+    se = [dict(se_mode="off")] + [
+        dict(se_mode=mode, se_blocks=blocks)
+        for mode in ("global", "local", "joint") for blocks in ("channel", "temporal", "both")
+    ]
+    encoders = [dict(textual_encoder=e) for e in ("attention", "mlp")]
+    return ([dict(towers="textual", **e) for e in encoders]
+            + [dict(towers="visual", **s) for s in se]
+            + [dict(towers="both", **e, **s) for e in encoders for s in se])
+
+
+@pytest.mark.parametrize("kw", _every_config(), ids=lambda kw: "-".join(map(str, kw.values())))
+def test_train_step_reaches_every_parameter(dataset, kw):
+    config = tiny_config(**kw).model_config()
+    store = model.init_model_params(config, dataset.vocab, seed=0)
+    batch = model.make_batch(dataset, dataset.samples[:3], config)
+    loss, _ = fusion.training_loss(model.forward_batch(store, config, batch), batch.targets, store, 1e-3)
+    ad.backward(loss)
+    missing = [name for name, t in store.items() if t.grad is None]
+    assert not missing
+    train.Adam(store).step(store, 1e-3)
+    assert all(np.isfinite(t.data).all() for _, t in store.items())
+
+
+def _per_tensor_adam(params, grads, m, v, step, lr):
+    """The Adam update one tensor at a time, the reference for the flat one."""
+    b1, b2, eps = train.Adam.beta1, train.Adam.beta2, train.Adam.eps
+    corr1, corr2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+    for name, g in grads.items():
+        m[name] *= b1
+        m[name] += (1 - b1) * g
+        v[name] *= b2
+        v[name] += (1 - b2) * (g * g)
+        params[name] = params[name] - lr * (m[name] / corr1) / (np.sqrt(v[name] / corr2) + eps)
+
+
+class TestAdam:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_update_bit_equals_per_tensor_loop(self, dataset, dtype):
+        config = tiny_config(towers="both").model_config()
+        store = model.init_model_params(config, dataset.vocab, seed=0, dtype=dtype)
+        adam = train.Adam(store)
+        params = {name: t.data.copy() for name, t in store.items()}
+        m = {name: np.zeros_like(a) for name, a in params.items()}
+        v = {name: np.zeros_like(a) for name, a in params.items()}
+        rng = np.random.default_rng(0)
+        for step, lr in enumerate((1e-3, 1e-3, 5e-4, 5e-4, 2.5e-4), start=1):
+            grads = {name: rng.standard_normal(a.shape).astype(dtype) for name, a in params.items()}
+            for name, t in store.items():
+                t.grad = grads[name]
+            adam.step(store, lr)
+            _per_tensor_adam(params, grads, m, v, step, lr)
+            for name, t in store.items():
+                assert t.data.dtype == dtype and t.data.shape == params[name].shape
+                np.testing.assert_array_equal(t.data, params[name])
+                np.testing.assert_array_equal(adam.m[name], m[name])
+                np.testing.assert_array_equal(adam.v[name], v[name])
+        assert adam.step_count == 5
+
+    def test_missing_gradient_names_the_parameter(self, dataset):
+        store = model.init_model_params(tiny_config().model_config(), dataset.vocab, seed=0)
+        names = store.names()
+        for t in (store[name] for name in names[1:]):
+            t.grad = np.zeros_like(t.data)
+        before = store[names[1]].data
+        with pytest.raises(UsageError, match=names[0]):
+            train.Adam(store).step(store, 1e-3)
+        assert store[names[1]].data is before
+
+    def test_mixed_dtypes_rejected(self, dataset):
+        store = model.init_model_params(tiny_config().model_config(), dataset.vocab, seed=0)
+        store.add("extra", np.zeros(3))     # float64 among float32
+        with pytest.raises(UsageError, match="one dtype"):
+            train.Adam(store)
+
+
 # header edits that each leave a checkpoint that must not load
 HEADER_EDITS = {
     "no epoch": lambda h: h.pop("epoch"),
@@ -228,6 +307,15 @@ class TestCheckpoint:
         train.save_checkpoint(full, tmp_path / "full")
         train.save_checkpoint(resumed, tmp_path / "resumed")
         assert (tmp_path / "full").read_bytes() == (tmp_path / "resumed").read_bytes()
+
+    def test_loaded_moments_are_views_of_the_flat_buffers(self, dataset, tmp_path):
+        state, _ = train.train(tiny_config(epochs=1), dataset)
+        train.save_checkpoint(state, tmp_path / "ckpt")
+        adam = train.load_checkpoint(tmp_path / "ckpt").adam
+        for name in state.adam.m:
+            np.testing.assert_array_equal(adam.m[name], state.adam.m[name])
+            np.testing.assert_array_equal(adam.v[name], state.adam.v[name])
+            assert np.shares_memory(adam.m[name], adam._m) and np.shares_memory(adam.v[name], adam._v)
 
     def test_version_1_rejected(self, dataset, tmp_path):
         # so is version 2, whose header and config hold keys that version 3 dropped
