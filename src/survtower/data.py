@@ -216,10 +216,10 @@ def load_volume(path) -> np.ndarray:
     if version != _VOLUME_VERSION:
         raise FormatError(f"volume file {path}: unsupported version {version}", offset=4)
     need = _VOLUME_HEADER.size + d * h * w * 4
-    if len(blob) < need:
+    if len(blob) != need:
         raise FormatError(
-            f"volume file {path}: payload truncated ({len(blob)} of {need} bytes)",
-            offset=len(blob),
+            f"volume file {path}: holds {len(blob)} bytes, not the {need} of a {d}x{h}x{w} volume",
+            offset=min(len(blob), need),
         )
     arr = np.frombuffer(blob, dtype="<f4", count=d * h * w, offset=_VOLUME_HEADER.size)
     return arr.reshape(d, h, w).copy()
@@ -508,11 +508,14 @@ def load_dataset(path) -> SurvivalDataset:
         raise FormatError(f"{manifest}: expected format magic {_MANIFEST_MAGIC}, got {lines[0]!r}")
     header: dict[str, object] = {}
     patients: dict[str, RawPatient] = {}
-    patient_lines: dict[str, int] = {}
+    key_lines: dict[str, int] = {}     # key -> the line it is on
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         key, value = _parse_kv(line, lineno)
+        if key in key_lines:
+            raise FormatError(f"manifest line {lineno}: {key} repeats line {key_lines[key]}")
+        key_lines[key] = lineno
         try:
             if key.startswith("patient."):
                 pid = key.split(".", 1)[1]
@@ -526,7 +529,6 @@ def load_dataset(path) -> SurvivalDataset:
                 days, event = float(days), int(event)
                 _check_outcome(event, days, age)
                 patients[pid] = RawPatient(pid, categorical, age, days, event)
-                patient_lines[pid] = lineno
             elif key in _HEADER_FIELDS:
                 header[key] = _HEADER_FIELDS[key](value)
             else:
@@ -543,7 +545,7 @@ def load_dataset(path) -> SurvivalDataset:
     for pid, p in patients.items():
         if sorted(p.categorical) != header["categorical_fields"]:
             raise FormatError(
-                f"manifest line {patient_lines[pid]}: fields {sorted(p.categorical)} "
+                f"manifest line {key_lines['patient.' + pid]}: fields {sorted(p.categorical)} "
                 f"differ from categorical_fields {header['categorical_fields']}"
             )
     volumes = {pid: load_volume(root / "volumes" / f"{pid}.psnv") for pid in patients}

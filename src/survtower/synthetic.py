@@ -130,29 +130,22 @@ def _pick(rng: np.random.Generator, table: dict[str, float]) -> str:
 
 
 def oracle_scores(patients: list[RawPatient]) -> np.ndarray:
-    """The generative formula itself as a predictor (noise-free part).
-
-    Lesion intensity is read back from the stored volume's interior
-    maximum, so the oracle sees exactly what a model could see.
-    """
-    out = []
-    for p in patients:
-        vis = float(p.volume[:, 8:-8, 8:-8].max())
-        age = 63.0 if p.age is None else p.age
-        out.append(
-            CLINICAL_WEIGHT * _clinical_score(p.categorical, age)
-            + VISUAL_WEIGHT * _visual_score(vis)
-        )
-    return np.array(out)
+    """The generative formula itself as a predictor (noise-free part),
+    from the two single-modality oracles."""
+    return (CLINICAL_WEIGHT * clinical_oracle_scores(patients)
+            + VISUAL_WEIGHT * _visual_score(visual_oracle_scores(patients)))
 
 
 def clinical_oracle_scores(patients: list[RawPatient]) -> np.ndarray:
+    """The clinical score, with a missing age read as the generator's mean age, 63."""
     return np.array([
         _clinical_score(p.categorical, 63.0 if p.age is None else p.age) for p in patients
     ])
 
 
 def visual_oracle_scores(patients: list[RawPatient]) -> np.ndarray:
+    """Lesion intensity, read back from the stored volume's interior
+    maximum, so the oracle sees exactly what a model could see."""
     return np.array([float(p.volume[:, 8:-8, 8:-8].max()) for p in patients])
 
 

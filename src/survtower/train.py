@@ -125,9 +125,13 @@ def desk_preset(**overrides) -> TrainConfig:
     return TrainConfig(**base)
 
 
-def config_hash(config: TrainConfig) -> str:
-    blob = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
+def _digest(obj) -> str:
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
+
+def config_hash(config: TrainConfig) -> str:
+    return _digest(config.to_dict())
 
 
 def learning_rate(config: TrainConfig, epoch: int) -> float:
@@ -135,17 +139,30 @@ def learning_rate(config: TrainConfig, epoch: int) -> float:
     return config.lr * config.lr_decay_factor ** (epoch // config.lr_decay_every)
 
 
-class Adam:
-    """Adam (Kingma & Ba, arXiv 1412.6980) over one flat buffer per moment.
+def _flat(store: ParameterStore, out=None) -> np.ndarray:
+    """Every parameter's values in one vector, in the store's registration order."""
+    return np.concatenate([t.data.reshape(-1) for _, t in store.items()], out=out)
 
-    ``m`` and ``v`` each live in one flat array that holds every parameter
-    in the store's order; ``self.m[name]`` and ``self.v[name]`` are
-    reshaped views into them, so a new value is written into a view
-    (``adam.m[name][...] = ...``), never bound in its place. A step
+
+def _views(store: ParameterStore, flat: np.ndarray):
+    """(name, view of ``flat``) for each parameter, in the layout of ``_flat``."""
+    end = 0
+    for name, t in store.items():
+        yield name, flat[end:end + t.data.size].reshape(t.shape)
+        end += t.data.size
+
+
+class Adam:
+    """Adam (Kingma & Ba, arXiv 1412.6980) over flat moment vectors.
+
+    ``m`` and ``v`` are flat arrays that hold every parameter's moments in
+    the store's registration order, the layout of ``_flat`` and of a
+    checkpoint's vectors; a new value is written into them
+    (``adam.m[...] = ...``), never bound in their place. A step
     concatenates the gradients and runs the per-element update once over
     the whole vector, in the same operation order as a per-tensor loop,
     so it gives the same bits; each parameter's ``data`` then becomes a
-    view of the step's new flat parameter array. A parameter without a
+    view of the step's new flat parameter vector. A parameter without a
     gradient raises UsageError at ``step``, and a store whose parameters
     do not share one dtype raises it here.
     """
@@ -158,19 +175,11 @@ class Adam:
         if len(dtypes) != 1:
             raise UsageError(f"Adam needs parameters of one dtype, got {sorted(dtypes)}")
         self.step_count = 0
-        self._layout = []          # (name, slice of the flat buffers, shape)
-        end = 0
-        for name, t in store.items():
-            self._layout.append((name, slice(end, end + t.data.size), t.shape))
-            end += t.data.size
-        self._m = np.zeros(end, dtype=dtypes.pop())
-        self._v = np.zeros_like(self._m)
-        self.m = {name: self._m[span].reshape(shape) for name, span, shape in self._layout}
-        self.v = {name: self._v[span].reshape(shape) for name, span, shape in self._layout}
+        self.m = np.zeros(sum(t.data.size for _, t in store.items()), dtype=dtypes.pop())
+        self.v = np.zeros_like(self.m)
 
     def step(self, store: ParameterStore, lr: float):
-        params = [store[name] for name, _, _ in self._layout]
-        missing = [name for name, _, _ in self._layout if store[name].grad is None]
+        missing = [name for name, t in store.items() if t.grad is None]
         if missing:
             raise UsageError(f"no gradient reached {', '.join(missing)}; run backward on a loss that uses them")
         self.step_count += 1
@@ -178,24 +187,24 @@ class Adam:
         corr1 = 1.0 - b1 ** self.step_count
         corr2 = 1.0 - b2 ** self.step_count
         # two flat temporaries: g ends as the step, tmp as the new parameters
-        g = np.concatenate([t.grad.reshape(-1) for t in params])
+        g = np.concatenate([t.grad.reshape(-1) for _, t in store.items()])
         tmp = np.multiply(g, 1 - b1)
-        self._m *= b1
-        self._m += tmp
+        self.m *= b1
+        self.m += tmp
         np.multiply(g, g, out=tmp)
         tmp *= 1 - b2
-        self._v *= b2
-        self._v += tmp
-        np.divide(self._m, corr1, out=g)
+        self.v *= b2
+        self.v += tmp
+        np.divide(self.m, corr1, out=g)
         g *= lr
-        np.divide(self._v, corr2, out=tmp)
+        np.divide(self.v, corr2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += self.eps
         g /= tmp
-        np.concatenate([t.data.reshape(-1) for t in params], out=tmp)
+        _flat(store, out=tmp)
         tmp -= g
-        for t, (_, span, shape) in zip(params, self._layout):
-            t.data = tmp[span].reshape(shape)
+        for name, view in _views(store, tmp):
+            store[name].data = view
 
 
 @dataclass
@@ -208,7 +217,7 @@ class TrainerState:
     best_epoch: int = -1
     best_c_index: float = float("-inf")
     best_mse: float = float("inf")
-    best_params: dict = field(default_factory=dict)
+    best_params: np.ndarray | None = None     # the flat parameters of the best epoch
     vocab_items: dict = field(default_factory=dict)
 
 
@@ -317,7 +326,7 @@ def train(
             state.best_c_index = val_row["c_index"]
             state.best_mse = val_row["mse"]
             state.best_epoch = state.epoch
-            state.best_params = {k: t.data.copy() for k, t in state.store.items()}
+            state.best_params = _flat(state.store)
         state.epoch += 1
         state.rng_state = rng.bit_generator.state
     return state, history
@@ -348,7 +357,10 @@ def evaluate(
     split: str = "test",
     which: str = "best",
 ) -> dict:
-    """Concordance on the split's samples under the split rule, MAE on its uncensored ones."""
+    """Concordance on the split's samples under the split rule, MAE on its
+    uncensored ones, scored with the ``"best"`` or the ``"last"`` parameters."""
+    if which not in ("best", "last"):
+        raise ConfigError(f"which must be 'best' or 'last', got {which!r}")
     config = state.config
     ds = apply_split(dataset, config.seed, config.ratios, config.fold)
     samples = _split_samples(ds, split)
@@ -356,10 +368,10 @@ def evaluate(
         raise ConfigError(f"split {split!r} has no samples")
 
     store = state.store
-    if which == "best" and state.best_params:
+    if which == "best" and state.best_params is not None:
         store = ParameterStore()
-        for name, t in state.store.items():
-            store.add(name, state.best_params[name], decay=state.store.decays(name))
+        for name, view in _views(state.store, state.best_params):
+            store.add(name, view, decay=state.store.decays(name))
     scored = _score(store, config.model_config(), ds, samples)
     return {"c_index": concordance_index(scored), "mae": mae(scored), "n": len(samples)}
 
@@ -368,36 +380,32 @@ def evaluate(
 # checkpoint format (PSNC)
 
 _CKPT_MAGIC = b"PSNC"
-# version 3 drops the header's unread "stats" and "fields" and the config's
-# "stop_train_mse"; version 2 had them, and version 1 also held per-head
-# wq/wk/wv parameters. Both are rejected
-_CKPT_VERSION = 3
-_CKPT_HEADER_KEYS = ("adam_step", "best", "config", "epoch", "rng_state", "tensors", "vocab")
-_CKPT_BEST_KEYS = ("epoch", "c_index", "mse")
-_CKPT_TENSOR_KEYS = ("group", "name", "shape", "dtype", "offset", "nbytes")
-_CKPT_DTYPES = ("float32", "float64")
-_CKPT_GROUPS = ("param", "adam_m", "adam_v", "best")
+# versions 1-3 held a per-tensor table, and 1-2 also keys and parameters
+# that no longer exist; all three are rejected
+_CKPT_VERSION = 4
+_CKPT_HEADER_KEYS = ("adam_step", "best", "config", "epoch", "layout", "rng_state", "vocab")
+_CKPT_BEST_KEYS = ("epoch", "c_index", "mse", "saved")
+
+
+def _layout_hash(store: ParameterStore) -> str:
+    return _digest([[name, list(t.shape), str(t.dtype)] for name, t in store.items()])
 
 
 def save_checkpoint(state: TrainerState, path):
-    groups = [("param", {k: t.data for k, t in state.store.items()})]
-    groups.append(("adam_m", state.adam.m))
-    groups.append(("adam_v", state.adam.v))
-    if state.best_params:
-        groups.append(("best", state.best_params))
+    """Write ``state`` as PSNC version 4.
 
-    tensors = []
-    payload = bytearray()
-    for group, arrays in groups:
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name])
-            blob = arr.astype(arr.dtype.newbyteorder("<")).tobytes()
-            tensors.append({
-                "group": group, "name": name, "shape": list(arr.shape),
-                "dtype": str(arr.dtype), "offset": len(payload), "nbytes": len(blob),
-            })
-            payload.extend(blob)
-
+    The file is the magic, a u16 version and a u64 header length (all
+    little-endian), a UTF-8 JSON header, then a payload of three or four
+    little-endian vectors in the layout of ``_flat``: the parameters,
+    Adam's ``m``, Adam's ``v``, and, when ``best.saved`` is true, the
+    parameters of the best validation epoch. The header's ``layout`` is a
+    hash of each parameter's name, shape and dtype in store order, so a
+    load can check that the model it rebuilds from ``config`` is the one
+    the vectors describe.
+    """
+    vectors = [_flat(state.store), state.adam.m, state.adam.v]
+    if state.best_params is not None:
+        vectors.append(state.best_params)
     header = {
         "config": state.config.to_dict(),
         "epoch": state.epoch,
@@ -407,42 +415,14 @@ def save_checkpoint(state: TrainerState, path):
             "epoch": state.best_epoch,
             "c_index": state.best_c_index,
             "mse": state.best_mse,
+            "saved": state.best_params is not None,
         },
         "vocab": state.vocab_items,
-        "tensors": tensors,
+        "layout": _layout_hash(state.store),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    write_atomic(path, _CKPT_MAGIC, struct.pack("<HQ", _CKPT_VERSION, len(blob)), blob, payload)
-
-
-def _read_tensors(path, blob: bytes, header_end: int, table) -> dict[str, dict[str, np.ndarray]]:
-    """group -> name -> array, from the header's tensor table and the payload."""
-    def malformed(what):
-        return FormatError(f"checkpoint {path}: {what}", offset=14)
-
-    if not isinstance(table, list):
-        raise malformed("tensor table is not a list")
-    arrays: dict[str, dict[str, np.ndarray]] = {}
-    for i, meta in enumerate(table):
-        missing = [k for k in _CKPT_TENSOR_KEYS if not isinstance(meta, dict) or k not in meta]
-        if missing:
-            raise malformed(f"tensor entry {i} lacks {missing}")
-        group, name, shape, dtype, offset, nbytes = (meta[k] for k in _CKPT_TENSOR_KEYS)
-        if group not in _CKPT_GROUPS or not isinstance(name, str):
-            raise malformed(f"tensor entry {i} has group {group!r} and name {name!r}")
-        if dtype not in _CKPT_DTYPES:
-            raise malformed(f"tensor {name!r} has dtype {dtype!r}, not one of {_CKPT_DTYPES}")
-        if not (isinstance(shape, list) and all(type(v) is int and v >= 0 for v in [*shape, offset, nbytes])):
-            raise malformed(f"tensor {name!r} has a malformed shape, offset or nbytes")
-        count = int(np.prod(shape, dtype=np.int64))
-        if nbytes != count * np.dtype(dtype).itemsize:
-            raise malformed(f"tensor {name!r} holds {nbytes} bytes, not the {count} {dtype} values of shape {shape}")
-        start = header_end + offset
-        if len(blob) < start + nbytes:
-            raise FormatError(f"checkpoint {path}: tensor {name} truncated", offset=len(blob))
-        arr = np.frombuffer(blob, dtype=np.dtype(dtype), count=count, offset=start)
-        arrays.setdefault(group, {})[name] = arr.reshape(shape).copy()
-    return arrays
+    payload = [v.astype(v.dtype.newbyteorder("<"), copy=False) for v in vectors]
+    write_atomic(path, _CKPT_MAGIC, struct.pack("<HQ", _CKPT_VERSION, len(blob)), blob, *payload)
 
 
 def load_checkpoint(path) -> TrainerState:
@@ -473,6 +453,7 @@ def load_checkpoint(path) -> TrainerState:
         "best.epoch": type(best["epoch"]) is int and best["epoch"] >= -1,
         "best.c_index": type(best["c_index"]) in (int, float),
         "best.mse": type(best["mse"]) in (int, float),
+        "best.saved": type(best["saved"]) is bool,
     }
     try:
         np.random.PCG64().state = header["rng_state"]
@@ -482,28 +463,33 @@ def load_checkpoint(path) -> TrainerState:
     if malformed:
         raise FormatError(f"checkpoint {path}: malformed {malformed}", offset=14)
 
-    arrays = _read_tensors(path, blob, header_end, header["tensors"])
     try:
         config = TrainConfig.from_dict(header["config"])
         vocab = cl.ClinicalVocabulary(items={k: int(v) for k, v in header["vocab"].items()})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"checkpoint {path}: malformed config or vocab: {exc!r}", offset=14) from None
     store = init_model_params(config.model_config(), vocab, config.seed)
-    shapes = {name: t.shape for name, t in store.items()}
-    for group in [g for g in _CKPT_GROUPS if g != "best" or g in arrays]:
-        if {name: a.shape for name, a in arrays.get(group, {}).items()} != shapes:
-            raise FormatError(
-                f"checkpoint {path}: tensor group {group!r} does not match the model's parameters", offset=14
-            )
+    layout = _layout_hash(store)
+    if header["layout"] != layout:
+        raise FormatError(
+            f"checkpoint {path}: layout {header['layout']!r} is not the rebuilt model's {layout!r}", offset=14
+        )
 
     adam = Adam(store)
     adam.step_count = header["adam_step"]
-    for name, t in store.items():
-        t.data = arrays["param"][name].astype(t.dtype)
-        adam.m[name][...] = arrays["adam_m"][name]     # views into the flat moments
-        adam.v[name][...] = arrays["adam_v"][name]
+    n_vectors = 4 if best["saved"] else 3
+    if len(blob) - header_end != n_vectors * adam.m.nbytes:
+        raise FormatError(
+            f"checkpoint {path}: payload holds {len(blob) - header_end} bytes, "
+            f"not {n_vectors} vectors of {adam.m.nbytes}", offset=header_end,
+        )
+    flat = np.frombuffer(blob, adam.m.dtype.newbyteorder("<"), offset=header_end).reshape(n_vectors, -1)
+    for name, view in _views(store, flat[0].astype(adam.m.dtype)):
+        store[name].data = view
+    adam.m[...] = flat[1]
+    adam.v[...] = flat[2]
 
-    state = TrainerState(
+    return TrainerState(
         config=config,
         store=store,
         adam=adam,
@@ -512,10 +498,9 @@ def load_checkpoint(path) -> TrainerState:
         best_epoch=best["epoch"],
         best_c_index=best["c_index"],
         best_mse=best["mse"],
-        best_params=arrays.get("best", {}),
+        best_params=flat[3].astype(adam.m.dtype) if best["saved"] else None,
         vocab_items=dict(header["vocab"]),
     )
-    return state
 
 
 # ---------------------------------------------------------------------------

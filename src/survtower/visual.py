@@ -89,6 +89,16 @@ class VisualBackboneConfig:
     def feature_dim(self) -> int:
         return self.widths[-1]
 
+    def blocks(self):
+        """(prefix, c_in, c_out, stride) of each residual block, in order:
+        the first block of every stage after the first is strided."""
+        c_in = self.widths[0]
+        for s, width in enumerate(self.widths):
+            for b in range(self.blocks_per_stage):
+                stride = self.stage_stride if s > 0 and b == 0 else 1
+                yield f"visual.stage{s}.block{b}", c_in, width, stride
+                c_in = width
+
 
 def excitation(pooled: ad.Tensor, w1: ad.Tensor, w2: ad.Tensor) -> ad.Tensor:
     """Bottleneck gate sigmoid(W1 relu(W2 p)) applied to rows of pooled."""
@@ -179,15 +189,8 @@ def init_visual_params(store, config: VisualBackboneConfig, rng, dtype=np.float3
     first = config.widths[0]
     store.add("visual.stem.weight", uniform_fan_in(rng, (first, 1, 3, 3, 3), 27, dtype))
     store.add("visual.stem.bias", np.zeros(first, dtype=dtype))
-    c_in = first
-    for s, width in enumerate(config.widths):
-        for b in range(config.blocks_per_stage):
-            strided = s > 0 and b == 0
-            init_block_params(
-                store, f"visual.stage{s}.block{b}", c_in, width, config.frames,
-                config.se, rng, dtype, strided,
-            )
-            c_in = width
+    for prefix, c_in, c_out, stride in config.blocks():
+        init_block_params(store, prefix, c_in, c_out, config.frames, config.se, rng, dtype, stride != 1)
 
 
 def backbone_forward(store, config: VisualBackboneConfig, volumes: ad.Tensor) -> ad.Tensor:
@@ -199,8 +202,6 @@ def backbone_forward(store, config: VisualBackboneConfig, volumes: ad.Tensor) ->
             f"volume batch shape {tuple(volumes.shape)} does not match configured input {expected}"
         )
     x = ad.relu(_conv(store, "visual.stem", volumes, stride=config.stem_stride))
-    for s in range(len(config.widths)):
-        for b in range(config.blocks_per_stage):
-            stride = config.stage_stride if (s > 0 and b == 0) else 1
-            x = se_resblock_forward(store, f"visual.stage{s}.block{b}", x, config.se, stride=stride)
+    for prefix, _, _, stride in config.blocks():
+        x = se_resblock_forward(store, prefix, x, config.se, stride=stride)
     return ad.mean_over(x, (2, 3, 4))

@@ -180,6 +180,15 @@ class TestVolumeFile:
         with pytest.raises(FormatError, match="offset"):
             dp.load_volume(p)
 
+    def test_trailing_bytes_report_offset(self, tmp_path):
+        p = tmp_path / "t.psnv"
+        dp.save_volume(p, np.ones((2, 3, 3), dtype=np.float32))
+        blob = p.read_bytes()
+        p.write_bytes(blob + bytes(8))
+        with pytest.raises(FormatError, match="offset") as info:
+            dp.load_volume(p)
+        assert info.value.offset == len(blob)
+
     def test_truncated_header(self, tmp_path):
         p = tmp_path / "h.psnv"
         p.write_bytes(b"PSN")
@@ -385,6 +394,17 @@ class TestBundleRoundtrip:
         # an emptied line drops its key, so the error names the key instead
         match = f"manifest line {lineno}:" if lines[lineno - 1] else f"lacks {kind}"
         with pytest.raises(FormatError, match=match):
+            dp.load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("key", ["patient.SP0000", "split_seed"])
+    def test_repeated_key_names_second_line(self, tmp_path, key):
+        ds = dp.build_dataset(generate_patients(11, 10), seed=11)
+        dp.save_dataset(ds, tmp_path / "ds")
+        manifest = tmp_path / "ds" / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        first = next(i for i, line in enumerate(lines, start=1) if line.startswith(key + ":"))
+        manifest.write_text("\n".join(lines + [lines[first - 1]]) + "\n")
+        with pytest.raises(FormatError, match=f"manifest line {len(lines) + 1}: {key} repeats line {first}"):
             dp.load_dataset(tmp_path / "ds")
 
     def test_version_1_rejected(self, tmp_path):

@@ -71,6 +71,15 @@ class TestSignal:
         c = concordance_index((syn.oracle_scores(patients), obs, ev))
         assert c >= 0.95, f"generator signal too weak: oracle C={c:.3f}"
 
+    def test_oracle_bit_equals_per_patient_formula(self):
+        patients = syn.generate_patients(0, 40)
+        want = [
+            syn.CLINICAL_WEIGHT * syn._clinical_score(p.categorical, 63.0 if p.age is None else p.age)
+            + syn.VISUAL_WEIGHT * syn._visual_score(float(p.volume[:, 8:-8, 8:-8].max()))
+            for p in patients
+        ]
+        np.testing.assert_array_equal(syn.oracle_scores(patients), want)
+
     def test_single_modality_oracles_clearly_below_full(self):
         patients = syn.generate_patients(1, 422)
         obs = np.array([p.survival_days for p in patients])

@@ -133,6 +133,12 @@ def test_validation_matches_evaluate(dataset):
     assert history[-1]["val_c_index"] == scores["c_index"]
 
 
+def test_evaluate_rejects_unknown_parameter_choice(dataset):
+    state, _ = train.train(tiny_config(epochs=1), dataset)
+    with pytest.raises(ConfigError, match="'bets'"):
+        train.evaluate(state, dataset, which="bets")
+
+
 @pytest.mark.parametrize("axis", train.ABLATION_AXES)
 def test_ablation_grid_builds_unique_variants(dataset, axis):
     rows = train.ablation_grid(tiny_config(towers="both"), axis)
@@ -236,8 +242,9 @@ class TestAdam:
             for name, t in store.items():
                 assert t.data.dtype == dtype and t.data.shape == params[name].shape
                 np.testing.assert_array_equal(t.data, params[name])
-                np.testing.assert_array_equal(adam.m[name], m[name])
-                np.testing.assert_array_equal(adam.v[name], v[name])
+            # the flat moments hold the reference's, concatenated in store order
+            np.testing.assert_array_equal(adam.m, np.concatenate([m[name].reshape(-1) for name in store.names()]))
+            np.testing.assert_array_equal(adam.v, np.concatenate([v[name].reshape(-1) for name in store.names()]))
         assert adam.step_count == 5
 
     def test_missing_gradient_names_the_parameter(self, dataset):
@@ -261,11 +268,6 @@ class TestAdam:
 HEADER_EDITS = {
     "no epoch": lambda h: h.pop("epoch"),
     "best without epoch": lambda h: h["best"].pop("epoch"),
-    "tensor without offset": lambda h: h["tensors"][0].pop("offset"),
-    "dtype object": lambda h: h["tensors"][0].update(dtype="object"),
-    "dtype int8": lambda h: h["tensors"][0].update(dtype="int8"),
-    "nbytes not shape": lambda h: h["tensors"][0].update(nbytes=h["tensors"][0]["nbytes"] + 4),
-    "no param group": lambda h: h.update(tensors=[t for t in h["tensors"] if t["group"] != "param"]),
     "config without widths": lambda h: h["config"].pop("widths"),
     "config with unknown key": lambda h: h["config"].update(dropout=0.1),
     "epoch not int": lambda h: h.update(epoch="x"),
@@ -277,10 +279,18 @@ HEADER_EDITS = {
     "best mse not number": lambda h: h["best"].update(mse=None),
     "rng_state empty": lambda h: h.update(rng_state={}),
     "rng_state not a dict": lambda h: h.update(rng_state="x"),
-    "adam_m entry missing": lambda h: h["tensors"].remove(
-        next(t for t in h["tensors"] if t["group"] == "adam_m")
-    ),
+    "no layout": lambda h: h.pop("layout"),
+    "best saved not bool": lambda h: h["best"].update(saved=1),
 }
+
+
+def _edit_header(blob: bytes, edit) -> bytes:
+    """``blob`` with ``edit`` applied to its JSON header."""
+    (length,) = struct.unpack_from("<Q", blob, 6)
+    header = json.loads(blob[14:14 + length])
+    edit(header)
+    text = json.dumps(header).encode()
+    return blob[:6] + struct.pack("<Q", len(text)) + text + blob[14 + length:]
 
 
 class TestCheckpoint:
@@ -308,27 +318,52 @@ class TestCheckpoint:
         train.save_checkpoint(resumed, tmp_path / "resumed")
         assert (tmp_path / "full").read_bytes() == (tmp_path / "resumed").read_bytes()
 
-    def test_loaded_moments_are_views_of_the_flat_buffers(self, dataset, tmp_path):
+    def test_loaded_vectors_equal_the_saved_ones(self, dataset, tmp_path):
         state, _ = train.train(tiny_config(epochs=1), dataset)
         train.save_checkpoint(state, tmp_path / "ckpt")
-        adam = train.load_checkpoint(tmp_path / "ckpt").adam
-        for name in state.adam.m:
-            np.testing.assert_array_equal(adam.m[name], state.adam.m[name])
-            np.testing.assert_array_equal(adam.v[name], state.adam.v[name])
-            assert np.shares_memory(adam.m[name], adam._m) and np.shares_memory(adam.v[name], adam._v)
+        loaded = train.load_checkpoint(tmp_path / "ckpt")
+        np.testing.assert_array_equal(loaded.adam.m, state.adam.m)
+        np.testing.assert_array_equal(loaded.adam.v, state.adam.v)
+        np.testing.assert_array_equal(loaded.best_params, state.best_params)
 
     def test_version_1_rejected(self, dataset, tmp_path):
-        # so is version 2, whose header and config hold keys that version 3 dropped
+        # so are version 2, whose header and config hold keys that version 3
+        # dropped, and version 3, whose header holds a per-tensor table
         state, _ = train.train(tiny_config(epochs=1), dataset)
         path = tmp_path / "ckpt"
         train.save_checkpoint(state, path)
         blob = bytearray(path.read_bytes())
-        for version in (1, 2):
+        for version in (1, 2, 3):
             struct.pack_into("<H", blob, 4, version)
             path.write_bytes(bytes(blob))
             with pytest.raises(FormatError, match=f"version {version}") as info:
                 train.load_checkpoint(path)
             assert info.value.offset == 4
+
+    def test_other_model_rejected_by_layout(self, dataset, tmp_path):
+        state, _ = train.train(tiny_config(epochs=1), dataset)
+        path = tmp_path / "ckpt"
+        train.save_checkpoint(state, path)
+        path.write_bytes(_edit_header(path.read_bytes(), lambda h: h["config"].update(towers="both")))
+        with pytest.raises(FormatError, match="layout") as info:
+            train.load_checkpoint(path)
+        assert info.value.offset == 14
+
+    @pytest.mark.parametrize("extra", [-4, 4])
+    def test_payload_of_wrong_length_rejected(self, dataset, tmp_path, extra):
+        # with and without the best-validation vector
+        for epochs in (0, 1):
+            state, _ = train.train(tiny_config(epochs=epochs), dataset)
+            path = tmp_path / "ckpt"
+            train.save_checkpoint(state, path)
+            blob = path.read_bytes()
+            (length,) = struct.unpack_from("<Q", blob, 6)
+            assert (state.best_params is None) == (epochs == 0)
+            assert len(blob) - 14 - length == (3 if epochs == 0 else 4) * state.adam.m.nbytes
+            path.write_bytes(blob[:extra] if extra < 0 else blob + bytes(extra))
+            with pytest.raises(FormatError, match="payload") as info:
+                train.load_checkpoint(path)
+            assert info.value.offset == 14 + length
 
     @pytest.mark.parametrize("corrupt", ["byte 20", *HEADER_EDITS])
     def test_corrupt_header_rejected(self, dataset, tmp_path, corrupt):
@@ -339,11 +374,7 @@ class TestCheckpoint:
         if corrupt == "byte 20":
             blob[20] = 0xFF
         else:
-            (length,) = struct.unpack_from("<Q", blob, 6)
-            header = json.loads(blob[14:14 + length])
-            HEADER_EDITS[corrupt](header)
-            text = json.dumps(header).encode()
-            blob = blob[:6] + struct.pack("<Q", len(text)) + text + blob[14 + length:]
+            blob = _edit_header(bytes(blob), HEADER_EDITS[corrupt])
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError) as info:
             train.load_checkpoint(path)
