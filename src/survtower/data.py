@@ -2,7 +2,7 @@
 
 A dataset bundle is a directory:
 
-    manifest.txt          key: value lines (PSND version 2: a header,
+    manifest.txt          key: value lines (PSND version 3: a header,
                           then one line per patient)
     volumes/<id>.psnv     one binary volume per patient
 
@@ -15,7 +15,7 @@ augmented variant is a copy of that sample with another id, and
 
 The manifest header holds ``format``, ``version``,
 ``categorical_fields``, ``patients`` and the split parameters
-``split_seed``, ``split_ratios`` and ``split_fold``. Each patient is
+``split_seed`` and ``split_fold``. Each patient is
 stored once, as ``patient.<id>: age=<a> days=<d> event=<e>
 items=<field=value,...>`` (``age=missing`` when absent). Nothing derived
 from those lines is stored: ``load_dataset`` rebuilds the split
@@ -49,6 +49,8 @@ logger = logging.getLogger(__name__)
 VOLUME_DIMS = (8, 96, 96)
 SPLITS = ("train", "val", "test")
 N_FOLDS = 5
+# the paper's 60/20/20 split: one of N_FOLDS folds is test, the rest train:val 0.6:0.2
+TRAIN_SHARE, VAL_SHARE = 0.6, 0.2
 
 # fixed augmentation enumeration (format version 1); every operator is a
 # bijection on the voxel grid
@@ -263,7 +265,6 @@ class SurvivalDataset:
     volumes: dict[str, np.ndarray]           # preprocessed 8x96x96 in [0,1]
     split: dict[str, str]
     split_seed: int
-    split_ratios: tuple[float, float, float]
     split_fold: int
     samples: list[Sample] = field(default_factory=list)  # one per patient, aug_id 0
 
@@ -281,21 +282,15 @@ class SurvivalDataset:
         return out
 
 
-def check_ratios(ratios) -> tuple[float, float, float]:
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"split ratios must be three positive numbers summing to 1, got {ratios}")
-    return ratios
-
-
-def assign_splits(patient_ids, seed: int, ratios, fold: int) -> dict[str, str]:
+def assign_splits(patient_ids, seed: int, fold: int) -> dict[str, str]:
     """Deterministic patient-level split with rotating test folds.
 
-    The held-out portion rotates over N_FOLDS equal chunks of a seeded
-    shuffle; the remainder is divided train/val by the first two ratios.
+    The test split is chunk ``fold`` of N_FOLDS equal chunks of a seeded
+    shuffle; of the rest, in shuffled order, the first
+    round(len(rest) * TRAIN_SHARE / (TRAIN_SHARE + VAL_SHARE)) are train
+    and the others val.
     Across folds the test chunks partition the patients exactly.
     """
-    ratios = check_ratios(ratios)
     if not 0 <= fold < N_FOLDS:
         raise ConfigError(f"fold must lie in [0,{N_FOLDS}), got {fold}")
     ids = sorted(patient_ids)
@@ -304,7 +299,7 @@ def assign_splits(patient_ids, seed: int, ratios, fold: int) -> dict[str, str]:
     chunks = np.array_split(np.arange(len(order)), N_FOLDS)
     test = {order[i] for i in chunks[fold]}
     rest = [p for p in order if p not in test]
-    n_train = int(round(len(rest) * ratios[0] / (ratios[0] + ratios[1])))
+    n_train = int(round(len(rest) * TRAIN_SHARE / (TRAIN_SHARE + VAL_SHARE)))
     split = {}
     for i, p in enumerate(rest):
         split[p] = "train" if i < n_train else "val"
@@ -312,7 +307,7 @@ def assign_splits(patient_ids, seed: int, ratios, fold: int) -> dict[str, str]:
         split[p] = "test"
     counts = {name: sum(1 for v in split.values() if v == name) for name in SPLITS}
     if min(counts.values()) < 1:
-        raise ConfigError(f"too few patients for a {ratios} split: got counts {counts}")
+        raise ConfigError(f"too few patients to split: got counts {counts}")
     return split
 
 
@@ -341,11 +336,10 @@ def _assemble(
     patients: dict[str, RawPatient],
     volumes: dict[str, np.ndarray],
     seed: int,
-    ratios,
     fold: int,
 ) -> SurvivalDataset:
     ids = sorted(patients)
-    split = assign_splits(ids, seed, ratios, fold)
+    split = assign_splits(ids, seed, fold)
     categorical_fields = sorted(patients[ids[0]].categorical)
     if not categorical_fields:
         # a patient line would read items= with nothing after it
@@ -390,13 +384,12 @@ def _assemble(
         volumes=volumes,
         split=split,
         split_seed=int(seed),
-        split_ratios=check_ratios(ratios),
         split_fold=int(fold),
         samples=samples,
     )
 
 
-def build_dataset(raw_patients: list[RawPatient], seed: int, ratios=(0.6, 0.2, 0.2), fold: int = 0) -> SurvivalDataset:
+def build_dataset(raw_patients: list[RawPatient], seed: int, fold: int = 0) -> SurvivalDataset:
     """Preprocess raw patients (volumes included) into a dataset."""
     if len({p.patient_id for p in raw_patients}) != len(raw_patients):
         raise PipelineError("duplicate patient ids")
@@ -407,28 +400,24 @@ def build_dataset(raw_patients: list[RawPatient], seed: int, ratios=(0.6, 0.2, 0
         volumes[p.patient_id] = normalize_volume(p.volume)
     patients = {p.patient_id: RawPatient(p.patient_id, dict(p.categorical), p.age, p.survival_days, p.event)
                 for p in raw_patients}
-    return _assemble(patients, volumes, seed, ratios, fold)
+    return _assemble(patients, volumes, seed, fold)
 
 
-def apply_split(dataset: SurvivalDataset, seed: int, ratios, fold: int) -> SurvivalDataset:
+def apply_split(dataset: SurvivalDataset, seed: int, fold: int) -> SurvivalDataset:
     """Re-split an existing dataset; ages and targets are rescaled by the
     new training split's statistics (volumes are reused as stored)."""
-    if (
-        dataset.split_seed == int(seed)
-        and dataset.split_ratios == check_ratios(ratios)
-        and dataset.split_fold == int(fold)
-    ):
+    if dataset.split_seed == int(seed) and dataset.split_fold == int(fold):
         return dataset
-    return _assemble(dataset.patients, dataset.volumes, seed, ratios, fold)
+    return _assemble(dataset.patients, dataset.volumes, seed, fold)
 
 
 # ---------------------------------------------------------------------------
 # dataset bundle on disk
 
 _MANIFEST_MAGIC = "PSND"
-# version 2 stores each patient once and derives the rest on load; version 1
-# also stored the vocabulary, statistics, split and samples, and is rejected
-_MANIFEST_VERSION = 2
+# version 3 stores each patient once and derives the rest on load; versions 1
+# (which also stored derived state) and 2 (also split_ratios) are rejected
+_MANIFEST_VERSION = 3
 
 
 def _manifest_lines(ds: SurvivalDataset) -> list[str]:
@@ -438,7 +427,6 @@ def _manifest_lines(ds: SurvivalDataset) -> list[str]:
         f"categorical_fields: {','.join(ds.categorical_fields)}",
         f"patients: {len(ds.patients)}",
         f"split_seed: {ds.split_seed}",
-        f"split_ratios: {','.join(repr(r) for r in ds.split_ratios)}",
         f"split_fold: {ds.split_fold}",
     ]
     for pid in sorted(ds.patients):
@@ -474,7 +462,6 @@ _HEADER_FIELDS = {
     "categorical_fields": lambda value: value.split(","),
     "patients": int,
     "split_seed": int,
-    "split_ratios": lambda value: tuple(float(r) for r in value.split(",")),
     "split_fold": int,
 }
 
@@ -550,6 +537,6 @@ def load_dataset(path) -> SurvivalDataset:
             )
     volumes = {pid: load_volume(root / "volumes" / f"{pid}.psnv") for pid in patients}
     try:
-        return _assemble(patients, volumes, header["split_seed"], header["split_ratios"], header["split_fold"])
+        return _assemble(patients, volumes, header["split_seed"], header["split_fold"])
     except (PipelineError, ConfigError, DegenerateFeatureError) as exc:
         raise FormatError(f"{manifest}: {exc}") from None

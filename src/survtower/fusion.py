@@ -33,8 +33,8 @@ def fuse_predict(store: ParameterStore, features: ad.Tensor) -> ad.Tensor:
         raise ConfigError(
             f"fusion head expects width {w1.shape[0]}, got features of width {features.shape[1]}"
         )
-    hidden = ad.relu(ad.add(ad.matmul(features, w1), ad.reshape(store["head.b1"], (1, -1))))
-    return ad.add(ad.matmul(hidden, store["head.w2"]), ad.reshape(store["head.b2"], (1, -1)))
+    hidden = ad.relu(ad.add(ad.matmul(features, w1), store["head.b1"]))
+    return ad.add(ad.matmul(hidden, store["head.w2"]), store["head.b2"])
 
 
 def frame_difference(volume: np.ndarray, direction: str) -> np.ndarray:

@@ -236,7 +236,7 @@ def _model_check_at(seed: int, samples_per_tensor: int, only: set | None = None)
         clinical=ClinicalEncoderConfig(embed_dim=12, heads=3, layers=2, mlp_hidden=24),
         visual=VisualBackboneConfig(
             frames=4, in_plane=16, widths=(4, 8, 16), blocks_per_stage=1,
-            se=SqueezeExciteConfig(ratio=2),
+            se=SqueezeExciteConfig(),
         ),
         head_hidden=16,
         omega=0.4,

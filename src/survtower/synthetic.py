@@ -149,6 +149,6 @@ def visual_oracle_scores(patients: list[RawPatient]) -> np.ndarray:
     return np.array([float(p.volume[:, 8:-8, 8:-8].max()) for p in patients])
 
 
-def generate_synthetic(seed: int, n_patients: int, ratios=(0.6, 0.2, 0.2), fold: int = 0) -> SurvivalDataset:
+def generate_synthetic(seed: int, n_patients: int, fold: int = 0) -> SurvivalDataset:
     """Deterministic synthetic dataset; same seed, same bytes."""
-    return build_dataset(generate_patients(seed, n_patients), seed=seed, ratios=ratios, fold=fold)
+    return build_dataset(generate_patients(seed, n_patients), seed=seed, fold=fold)

@@ -17,6 +17,7 @@ import struct
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from . import autodiff as ad
 from . import clinical as cl
 from . import fusion as fu
 from . import visual as vz
-from .data import AUGMENTATIONS, N_FOLDS, SurvivalDataset, apply_split, check_ratios, write_atomic
+from .data import AUGMENTATIONS, N_FOLDS, SurvivalDataset, apply_split, write_atomic
 from .errors import ConfigError, FormatError, MetricUndefinedError, TrainingDivergedError, UsageError
 from .metrics import concordance_index, mae
 from .model import ModelConfig, forward_batch, init_model_params, make_batch, predict_times
@@ -38,8 +39,6 @@ class TrainConfig:
     epochs: int = 120
     batch_size: int = 64
     lr: float = 0.001
-    lr_decay_factor: float = 0.5
-    lr_decay_every: int = 40
     lam: float = 0.001
     omega: float = 0.4
     # clinical tower
@@ -49,7 +48,6 @@ class TrainConfig:
     mlp_hidden: int = 192
     textual_encoder: str = "attention"
     # visual tower
-    se_ratio: int = 2
     se_mode: str = "joint"
     se_order: str = "channel-first"
     se_blocks: str = "both"
@@ -62,39 +60,38 @@ class TrainConfig:
     frame_diff: str = "on"
     head_hidden: int = 64
     # data protocol
-    ratios: tuple = (0.6, 0.2, 0.2)
     fold: int = 0
     augmented_train: bool = False
+    # fixed: the step decay halves the learning rate every 40 epochs
+    lr_decay_factor: ClassVar[float] = 0.5
+    lr_decay_every: ClassVar[int] = 40
 
     def __post_init__(self):
         self.widths = tuple(int(w) for w in self.widths)
-        self.ratios = check_ratios(self.ratios)
         if not 0 <= self.fold < N_FOLDS:
             raise ConfigError(f"fold must lie in [0,{N_FOLDS}), got {self.fold}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        if self.lr <= 0 or self.lr_decay_every < 1 or not 0 < self.lr_decay_factor <= 1:
-            raise ConfigError("invalid learning-rate schedule")
+        if self.lr <= 0:
+            raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.lam < 0:
             raise ConfigError(f"lam must be non-negative, got {self.lam}")
         self.model_config()  # rejects a model that cannot run
 
     def model_config(self) -> ModelConfig:
-        # a clinical-only model never builds the visual tower, so its settings go unchecked
+        # a one-tower model never builds the other tower, so its settings go unchecked
         visual = vz.VisualBackboneConfig() if self.towers == "textual" else vz.VisualBackboneConfig(
             frames=self.frames, in_plane=self.in_plane, widths=self.widths,
             blocks_per_stage=self.blocks_per_stage,
-            se=vz.SqueezeExciteConfig(
-                ratio=self.se_ratio, mode=self.se_mode,
-                order=self.se_order, blocks=self.se_blocks,
-            ),
+            se=vz.SqueezeExciteConfig(mode=self.se_mode, order=self.se_order, blocks=self.se_blocks),
+        )
+        clinical = cl.ClinicalEncoderConfig() if self.towers == "visual" else cl.ClinicalEncoderConfig(
+            embed_dim=self.embed_dim, heads=self.heads, layers=self.layers,
+            mlp_hidden=self.mlp_hidden, encoder=self.textual_encoder,
         )
         return ModelConfig(
             towers=self.towers,
-            clinical=cl.ClinicalEncoderConfig(
-                embed_dim=self.embed_dim, heads=self.heads, layers=self.layers,
-                mlp_hidden=self.mlp_hidden, encoder=self.textual_encoder,
-            ),
+            clinical=clinical,
             visual=visual,
             head_hidden=self.head_hidden,
             omega=self.omega,
@@ -104,14 +101,12 @@ class TrainConfig:
     def to_dict(self) -> dict:
         d = asdict(self)
         d["widths"] = list(self.widths)
-        d["ratios"] = list(self.ratios)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
         d["widths"] = tuple(d["widths"])
-        d["ratios"] = tuple(d["ratios"])
         return cls(**d)
 
 
@@ -135,7 +130,8 @@ def config_hash(config: TrainConfig) -> str:
 
 
 def learning_rate(config: TrainConfig, epoch: int) -> float:
-    """lr(epoch) = lr0 * factor^floor(epoch / every), epochs 0-based."""
+    """lr(epoch) = config.lr * lr_decay_factor^floor(epoch / lr_decay_every),
+    epochs 0-based: the fixed step decay halves ``lr`` every 40 epochs."""
     return config.lr * config.lr_decay_factor ** (epoch // config.lr_decay_every)
 
 
@@ -233,7 +229,7 @@ def split_dataset(dataset: SurvivalDataset, config: TrainConfig):
     ``config.augmented_train`` is set: every sample in each of the
     ``AUGMENTATIONS``, patient by patient.
     """
-    ds = apply_split(dataset, config.seed, config.ratios, config.fold)
+    ds = apply_split(dataset, config.seed, config.fold)
     train = _split_samples(ds, "train")
     if config.augmented_train:
         train = [replace(s, aug_id=a) for s in train for a in range(len(AUGMENTATIONS))]
@@ -362,13 +358,16 @@ def evaluate(
     if which not in ("best", "last"):
         raise ConfigError(f"which must be 'best' or 'last', got {which!r}")
     config = state.config
-    ds = apply_split(dataset, config.seed, config.ratios, config.fold)
+    ds = apply_split(dataset, config.seed, config.fold)
     samples = _split_samples(ds, split)
     if not samples:
         raise ConfigError(f"split {split!r} has no samples")
 
     store = state.store
-    if which == "best" and state.best_params is not None:
+    if which == "best":
+        if state.best_params is None:
+            raise UsageError(f"no epoch set best-validation parameters (best_epoch is {state.best_epoch}); "
+                             "score which='last'")
         store = ParameterStore()
         for name, view in _views(state.store, state.best_params):
             store.add(name, view, decay=state.store.decays(name))

@@ -34,14 +34,13 @@ SE_BLOCKS = ("both", "channel", "temporal")
 
 @dataclass
 class SqueezeExciteConfig:
-    ratio: int = 2
     mode: str = "joint"
     order: str = "channel-first"
     blocks: str = "both"
+    # fixed: the bottleneck of every gate halves its input width
+    ratio: ClassVar[int] = 2
 
     def __post_init__(self):
-        if self.ratio < 1:
-            raise ConfigError(f"reduction ratio must be >= 1, got {self.ratio}")
         if self.mode not in SE_MODES:
             raise ConfigError(f"se mode must be one of {SE_MODES}, got {self.mode!r}")
         if self.order not in SE_ORDERS:

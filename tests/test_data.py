@@ -199,34 +199,40 @@ class TestVolumeFile:
 class TestSplits:
     def test_ratio_counts(self):
         ids = [f"p{i}" for i in range(10)]
-        split = dp.assign_splits(ids, seed=1, ratios=(0.6, 0.2, 0.2), fold=0)
+        split = dp.assign_splits(ids, seed=1, fold=0)
         counts = {s: list(split.values()).count(s) for s in dp.SPLITS}
         assert counts == {"train": 6, "val": 2, "test": 2}
 
+    @pytest.mark.parametrize("n, counts", [(3, (1, 1, 1)), (13, (8, 2, 3)), (23, (13, 5, 5)), (213, (128, 42, 43))])
+    def test_float_rounding_of_train_share(self, n, counts):
+        # round(len(rest) * 0.6 / 0.8) in floats rounds an x.5 up or down:
+        # (3 * rest + 1) // 4 differs at 13 and 213 patients, round(0.75 * rest) at 3 and 23
+        split = dp.assign_splits([f"p{i}" for i in range(n)], 0, 0)
+        assert tuple(list(split.values()).count(s) for s in dp.SPLITS) == counts
+
     def test_deterministic(self):
         ids = [f"p{i}" for i in range(23)]
-        a = dp.assign_splits(ids, 7, (0.6, 0.2, 0.2), 2)
-        b = dp.assign_splits(ids, 7, (0.6, 0.2, 0.2), 2)
+        a = dp.assign_splits(ids, 7, 2)
+        b = dp.assign_splits(ids, 7, 2)
         assert a == b
 
     def test_folds_partition_patients(self):
         ids = [f"p{i}" for i in range(53)]
         seen = []
         for fold in range(dp.N_FOLDS):
-            split = dp.assign_splits(ids, 11, (0.6, 0.2, 0.2), fold)
+            split = dp.assign_splits(ids, 11, fold)
             seen.extend(p for p, s in split.items() if s == "test")
         assert sorted(seen) == sorted(ids)
 
     def test_too_few_patients(self):
         with pytest.raises(ConfigError):
-            dp.assign_splits(["a", "b"], 0, (0.6, 0.2, 0.2), 0)
+            dp.assign_splits(["a", "b"], 0, 0)
 
-    def test_bad_fold_and_ratios(self):
+    def test_bad_fold(self):
         ids = [f"p{i}" for i in range(10)]
-        with pytest.raises(ConfigError):
-            dp.assign_splits(ids, 0, (0.6, 0.2, 0.2), 5)
-        with pytest.raises(ConfigError):
-            dp.assign_splits(ids, 0, (0.7, 0.2, 0.2), 0)
+        for fold in (-1, dp.N_FOLDS):
+            with pytest.raises(ConfigError, match="fold"):
+                dp.assign_splits(ids, 0, fold)
 
 
 @pytest.fixture(scope="module")
@@ -262,9 +268,9 @@ class TestDatasetAssembly:
         assert min(s.time_norm for s in dataset.samples) < 0 or max(s.time_norm for s in dataset.samples) > 1
 
     def test_apply_split_changes_assignment_and_stats(self, dataset):
-        moved = dp.apply_split(dataset, seed=99, ratios=(0.6, 0.2, 0.2), fold=1)
+        moved = dp.apply_split(dataset, seed=99, fold=1)
         assert moved.split != dataset.split
-        assert dp.apply_split(dataset, dataset.split_seed, dataset.split_ratios, dataset.split_fold) is dataset
+        assert dp.apply_split(dataset, dataset.split_seed, dataset.split_fold) is dataset
 
     def test_volume_values_in_unit_interval(self, dataset):
         for v in dataset.volumes.values():
@@ -322,8 +328,7 @@ class TestBundleRoundtrip:
         assert loaded.patients == ds.patients
         assert any(p.age is None for p in loaded.patients.values())
         assert loaded.categorical_fields == ds.categorical_fields
-        assert (loaded.split_seed, loaded.split_ratios, loaded.split_fold) == (
-            ds.split_seed, ds.split_ratios, ds.split_fold)
+        assert (loaded.split_seed, loaded.split_fold) == (ds.split_seed, ds.split_fold)
         assert len(loaded.samples) == len(ds.samples)
         for a, b in zip(loaded.samples, ds.samples):
             assert (a.patient_id, a.aug_id, a.age, a.time_norm, a.event) == (
@@ -375,11 +380,10 @@ class TestBundleRoundtrip:
         ("patient", r" days=\S+", " days=inf"),
         ("patient", r" age=\S+", " age=nan"),              # non-finite age
         *[(key, r".+", "") for key in (                    # missing header line
-            "split_seed", "split_fold", "split_ratios", "patients", "categorical_fields",
+            "split_seed", "split_fold", "patients", "categorical_fields",
         )],
         ("split_seed", r"\d+$", "x"),                      # malformed header value
         ("split_fold", r"\d+$", "x"),
-        ("split_ratios", r"[\d.]+$", "a"),
         ("patients", r"\d+$", ""),
         ("patients", r"^patients", "samples"),             # key the format does not have
     ])
@@ -408,12 +412,15 @@ class TestBundleRoundtrip:
             dp.load_dataset(tmp_path / "ds")
 
     def test_version_1_rejected(self, tmp_path):
+        # so is version 2, whose header also held split_ratios
         ds = dp.build_dataset(generate_patients(13, 10), seed=13)
         dp.save_dataset(ds, tmp_path / "ds")
         manifest = tmp_path / "ds" / "manifest.txt"
-        manifest.write_text(manifest.read_text().replace("version: 2", "version: 1", 1))
-        with pytest.raises(FormatError, match="manifest line 2: .*unsupported version 1"):
-            dp.load_dataset(tmp_path / "ds")
+        text = manifest.read_text()
+        for version in (1, 2):
+            manifest.write_text(text.replace("version: 3", f"version: {version}", 1))
+            with pytest.raises(FormatError, match=f"manifest line 2: .*unsupported version {version}"):
+                dp.load_dataset(tmp_path / "ds")
 
     @pytest.mark.parametrize("pattern, replacement, message", [
         pytest.param(r"^patient\.SP0003: .*\n", "", "header says 10 patients, found 9", id="dropped_patient"),

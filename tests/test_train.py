@@ -80,7 +80,7 @@ def test_forward_batch_is_weighted_sum_of_views(dataset, frame_diff):
     dict(heads=0), dict(embed_dim=0), dict(heads=-3), dict(widths=(0,)), dict(widths=(16, -2)),
     dict(frames=0, se_mode="off"), dict(in_plane=0), dict(frames=1, se_mode="off"),
     dict(towers="visual", frames=1, se_mode="off", frame_diff="forward-only"),
-    dict(ratios=(0.5, 0.5, 0.5)), dict(ratios=(0.5, 0.5)), dict(fold=-1), dict(fold=9),
+    dict(lr=0.0), dict(lam=-1e-3), dict(fold=-1), dict(fold=9),
 ])
 def test_config_rejects_model_that_cannot_run(bad):
     with pytest.raises(ConfigError):
@@ -93,6 +93,14 @@ def test_clinical_only_config_ignores_visual_settings(visual):
     for towers in ("both", "visual"):
         with pytest.raises(ConfigError):
             train.TrainConfig(towers=towers, **visual)
+
+
+@pytest.mark.parametrize("clinical", [dict(heads=5), dict(embed_dim=0), dict(layers=0), dict(textual_encoder="rnn")])
+def test_visual_only_config_ignores_clinical_settings(clinical):
+    assert train.TrainConfig(towers="visual", **clinical).model_config().towers == "visual"
+    for towers in ("both", "textual"):
+        with pytest.raises(ConfigError):
+            train.TrainConfig(towers=towers, **clinical)
 
 
 @pytest.mark.parametrize("kw", [dict(towers="textual"), dict(towers="both", frame_diff="off"),
@@ -131,6 +139,31 @@ def test_validation_matches_evaluate(dataset):
     scores = train.evaluate(state, dataset, "val", which="last")
     assert scores["n"] == len(train.split_dataset(dataset, config)[2])
     assert history[-1]["val_c_index"] == scores["c_index"]
+
+
+def test_evaluate_best_needs_a_best_epoch(dataset):
+    # with no epoch run, no epoch set a best-validation snapshot
+    state, _ = train.train(tiny_config(epochs=0), dataset)
+    with pytest.raises(UsageError, match="best_epoch is -1"):
+        train.evaluate(state, dataset, which="best")
+    assert train.evaluate(state, dataset, which="last")["n"] > 0
+
+
+def test_seeded_desk_run_is_pinned():
+    # a seeded run's numbers; a change that keeps the computation keeps them
+    dataset = generate_synthetic(0, 60)
+    state, history = train.train(train.desk_preset(epochs=3, seed=0), dataset)
+    np.testing.assert_allclose(
+        [[row[k] for k in ("train_loss", "train_mse", "val_mse")] for row in history],
+        [[0.6532268226146698, 0.05296019667928869, 0.2559287742562751],
+         [0.6991854608058929, 0.14330514746181894, 0.07553206699164304],
+         [0.6095013618469238, 0.10151537826503486, 0.09072875237259154]],
+        rtol=1e-5,
+    )
+    assert [row["val_c_index"] for row in history] == [0.7555555555555555, 0.8222222222222222, 0.7777777777777778]
+    assert state.best_epoch == 1
+    assert train.evaluate(state, dataset)["c_index"] == 0.6
+    assert train.evaluate(state, dataset, which="last")["c_index"] == 0.6181818181818182
 
 
 def test_evaluate_rejects_unknown_parameter_choice(dataset):
@@ -270,6 +303,7 @@ HEADER_EDITS = {
     "best without epoch": lambda h: h["best"].pop("epoch"),
     "config without widths": lambda h: h["config"].pop("widths"),
     "config with unknown key": lambda h: h["config"].update(dropout=0.1),
+    "config with ratios": lambda h: h["config"].update(ratios=[0.6, 0.2, 0.2]),   # a removed field
     "epoch not int": lambda h: h.update(epoch="x"),
     "negative epoch": lambda h: h.update(epoch=-5),
     "adam_step not int": lambda h: h.update(adam_step="x"),

@@ -252,7 +252,7 @@ class TestSqueezeExcite:
 def tiny_backbone(se_mode="joint", order="channel-first", blocks="both", dtype=np.float64, seed=0):
     config = vz.VisualBackboneConfig(
         frames=4, in_plane=8, widths=(4, 8), blocks_per_stage=1,
-        se=vz.SqueezeExciteConfig(ratio=2, mode=se_mode, order=order, blocks=blocks),
+        se=vz.SqueezeExciteConfig(mode=se_mode, order=order, blocks=blocks),
     )
     store = ParameterStore()
     vz.init_visual_params(store, config, np.random.default_rng(seed), dtype=dtype)
@@ -410,7 +410,7 @@ class TestResBlock:
         # the pre-gate branch (the gate's gradient) and the block output; the
         # conv outputs, the bias sums and the gated branch are not kept
         store = ParameterStore()
-        se = vz.SqueezeExciteConfig(ratio=2)
+        se = vz.SqueezeExciteConfig()
         vz.init_block_params(store, "b", 8, 8, 4, se, np.random.default_rng(24), np.float64, strided=False)
         x = ad.Tensor(np.random.default_rng(25).standard_normal((2, 8, 4, 6, 6)), dtype=np.float64)
         out = vz.se_resblock_forward(store, "b", x, se)
@@ -467,20 +467,18 @@ class TestBackbone:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            vz.VisualBackboneConfig(frames=3, se=vz.SqueezeExciteConfig(ratio=2))
+            vz.VisualBackboneConfig(frames=3)
         with pytest.raises(ConfigError):
-            vz.VisualBackboneConfig(widths=(5,), se=vz.SqueezeExciteConfig(ratio=2))
+            vz.VisualBackboneConfig(widths=(5,))
         with pytest.raises(ConfigError):
             vz.VisualBackboneConfig(blocks_per_stage=0)
-        with pytest.raises(ConfigError):
-            vz.SqueezeExciteConfig(ratio=0)
         with pytest.raises(ConfigError):
             vz.SqueezeExciteConfig(mode="sideways")
 
     def test_smallest_input_keeps_every_stage(self):
         # a stride-2, padding-1 conv maps in-plane 1 to 1, and no stride touches the frames
         config = vz.VisualBackboneConfig(frames=1, in_plane=1, widths=(2, 2, 2), blocks_per_stage=1,
-                                         se=vz.SqueezeExciteConfig(ratio=1))
+                                         se=vz.SqueezeExciteConfig(mode="off"))
         store = ParameterStore()
         vz.init_visual_params(store, config, np.random.default_rng(0), dtype=np.float64)
         out = vz.backbone_forward(store, config, ad.Tensor(np.ones((2, 1, 1, 1, 1))))
