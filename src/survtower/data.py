@@ -217,6 +217,9 @@ def load_volume(path) -> np.ndarray:
         )
     if version != _VOLUME_VERSION:
         raise FormatError(f"volume file {path}: unsupported version {version}", offset=4)
+    if 0 in (d, h, w):
+        # the three u32 dims follow the magic and the u16 version
+        raise FormatError(f"volume file {path}: empty {d}x{h}x{w} volume", offset=6 + 4 * (d, h, w).index(0))
     need = _VOLUME_HEADER.size + d * h * w * 4
     if len(blob) != need:
         raise FormatError(
@@ -224,6 +227,9 @@ def load_volume(path) -> np.ndarray:
             offset=min(len(blob), need),
         )
     arr = np.frombuffer(blob, dtype="<f4", count=d * h * w, offset=_VOLUME_HEADER.size)
+    if not np.isfinite(arr).all():
+        first = int(np.flatnonzero(~np.isfinite(arr))[0])
+        raise FormatError(f"volume file {path}: voxel {first} is {arr[first]}", offset=_VOLUME_HEADER.size + 4 * first)
     return arr.reshape(d, h, w).copy()
 
 

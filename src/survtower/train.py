@@ -15,7 +15,7 @@ import hashlib
 import json
 import struct
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import ClassVar
 
@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import clinical as cl
 from . import fusion as fu
 from . import visual as vz
-from .data import AUGMENTATIONS, N_FOLDS, SurvivalDataset, apply_split, write_atomic
+from .data import AUGMENTATIONS, N_FOLDS, SPLITS, SurvivalDataset, apply_split, write_atomic
 from .errors import ConfigError, FormatError, MetricUndefinedError, TrainingDivergedError, UsageError
 from .metrics import concordance_index, mae
 from .model import ModelConfig, forward_batch, init_model_params, make_batch, predict_times
@@ -49,8 +49,7 @@ class TrainConfig:
     textual_encoder: str = "attention"
     # visual tower
     se_mode: str = "joint"
-    se_order: str = "channel-first"
-    se_blocks: str = "both"
+    se_blocks: str = "channel-temporal"
     frames: int = 8
     in_plane: int = 96
     widths: tuple = (16, 32, 64)
@@ -83,7 +82,7 @@ class TrainConfig:
         visual = vz.VisualBackboneConfig() if self.towers == "textual" else vz.VisualBackboneConfig(
             frames=self.frames, in_plane=self.in_plane, widths=self.widths,
             blocks_per_stage=self.blocks_per_stage,
-            se=vz.SqueezeExciteConfig(mode=self.se_mode, order=self.se_order, blocks=self.se_blocks),
+            se=vz.SqueezeExciteConfig(mode=self.se_mode, blocks=self.se_blocks),
         )
         clinical = cl.ClinicalEncoderConfig() if self.towers == "visual" else cl.ClinicalEncoderConfig(
             embed_dim=self.embed_dim, heads=self.heads, layers=self.layers,
@@ -240,6 +239,13 @@ def split_dataset(dataset: SurvivalDataset, config: TrainConfig):
     return ds, train, val, test
 
 
+def _check_vocabulary(state: TrainerState, dataset: SurvivalDataset):
+    """A state's embedding rows index its own vocabulary, so it scores only
+    a dataset whose items map to the same rows."""
+    if dataset.vocab.items != state.vocab_items:
+        raise UsageError("the dataset's clinical vocabulary is not the one the state was trained on")
+
+
 def _init_state(config: TrainConfig, dataset: SurvivalDataset) -> TrainerState:
     vocab = dataset.vocab
     model_cfg = config.model_config()
@@ -263,9 +269,17 @@ def train(
 ) -> tuple[TrainerState, list[dict]]:
     """Minimize the ensembled regression loss; returns state and history.
 
-    ``state`` resumes from a loaded checkpoint. ``epochs`` overrides how
-    many *additional* epochs to run (default: up to config.epochs total).
+    ``state`` resumes from a loaded checkpoint; ``config`` must then be
+    ``state.config`` up to ``epochs``, and the dataset's vocabulary the
+    state's. ``epochs`` overrides how many *additional* epochs to run
+    (default: up to config.epochs total).
     """
+    if state is not None:
+        changed = [f.name for f in fields(TrainConfig)
+                   if f.name != "epochs" and getattr(config, f.name) != getattr(state.config, f.name)]
+        if changed:
+            raise UsageError(f"config differs from the state's in {', '.join(changed)}; resume with state.config")
+        _check_vocabulary(state, dataset)
     ds, train_samples, val_samples, _ = split_dataset(dataset, config)
     if state is None:
         state = _init_state(config, ds)
@@ -357,6 +371,9 @@ def evaluate(
     uncensored ones, scored with the ``"best"`` or the ``"last"`` parameters."""
     if which not in ("best", "last"):
         raise ConfigError(f"which must be 'best' or 'last', got {which!r}")
+    if split not in SPLITS:
+        raise ConfigError(f"split must be one of {SPLITS}, got {split!r}")
+    _check_vocabulary(state, dataset)
     config = state.config
     ds = apply_split(dataset, config.seed, config.fold)
     samples = _split_samples(ds, split)
@@ -549,12 +566,7 @@ def ablation_grid(base: TrainConfig, axis: str) -> list[tuple[str, TrainConfig]]
     if axis == "gates":
         return [(f"se_mode={m}", replace(base, se_mode=m)) for m in ("off", "global", "local", "joint")]
     if axis == "order":
-        return [
-            ("se_blocks=channel", replace(base, se_blocks="channel")),
-            ("se_blocks=temporal", replace(base, se_blocks="temporal")),
-            ("se_order=temporal-first", replace(base, se_blocks="both", se_order="temporal-first")),
-            ("se_order=channel-first", replace(base, se_blocks="both", se_order="channel-first")),
-        ]
+        return [(f"se_blocks={b}", replace(base, se_blocks=b)) for b in vz.SE_BLOCKS]
     if axis == "direction":
         return [(f"frame_diff={d}", replace(base, frame_diff=d))
                 for d in ("off", "forward-only", "backward-only", "on")]

@@ -8,7 +8,9 @@ axis 2 the temporal SE block. It reads the (n, c, f) spatial means of
 the map; the global descriptor also averages the other axis, the local
 descriptors keep it, and the SAME bottleneck weights excite both. Each
 joint gate entry is a product of two sigmoids, so it lies strictly
-inside (0,1).
+inside (0,1). ``SqueezeExciteConfig.blocks`` names the gates a block
+runs, first one first, and ``mode`` the descriptors of every gate;
+"off" runs none.
 
 A gate is constant over space, so gating a map scales its spatial means
 by the gate. A block therefore pools its branch once, computes the
@@ -28,33 +30,30 @@ from .errors import ConfigError, DimensionError
 from .params import uniform_fan_in
 
 SE_MODES = ("joint", "global", "local", "off")
-SE_ORDERS = ("channel-first", "temporal-first")
-SE_BLOCKS = ("both", "channel", "temporal")
+# which gates a block runs, the first one first
+SE_BLOCKS = ("channel-temporal", "temporal-channel", "channel", "temporal")
+# each gate's parameter prefix and the axis of the (n, c, f) means it gates;
+# a block registers its gates' parameters in this order, whichever runs first
+SE_GATES = {"channel": ("se_c", 1), "temporal": ("se_t", 2)}
 
 
 @dataclass
 class SqueezeExciteConfig:
     mode: str = "joint"
-    order: str = "channel-first"
-    blocks: str = "both"
+    blocks: str = "channel-temporal"
     # fixed: the bottleneck of every gate halves its input width
     ratio: ClassVar[int] = 2
 
     def __post_init__(self):
         if self.mode not in SE_MODES:
             raise ConfigError(f"se mode must be one of {SE_MODES}, got {self.mode!r}")
-        if self.order not in SE_ORDERS:
-            raise ConfigError(f"se order must be one of {SE_ORDERS}, got {self.order!r}")
         if self.blocks not in SE_BLOCKS:
             raise ConfigError(f"se blocks must be one of {SE_BLOCKS}, got {self.blocks!r}")
 
     @property
-    def channel_enabled(self) -> bool:
-        return self.mode != "off" and self.blocks in ("both", "channel")
-
-    @property
-    def temporal_enabled(self) -> bool:
-        return self.mode != "off" and self.blocks in ("both", "temporal")
+    def gates(self) -> tuple:
+        """(parameter prefix, axis) of each gate a block runs, in order."""
+        return () if self.mode == "off" else tuple(SE_GATES[g] for g in self.blocks.split("-"))
 
 
 @dataclass
@@ -78,11 +77,11 @@ class VisualBackboneConfig:
         if self.frames < 1 or self.in_plane < 1:
             raise ConfigError(f"frames and in_plane must be >= 1, got {self.frames} and {self.in_plane}")
         r = self.se.ratio
-        if self.se.temporal_enabled and self.frames % r:
-            raise ConfigError(f"frame count {self.frames} not divisible by SE ratio {r}")
-        for w in self.widths:
-            if self.se.channel_enabled and w % r:
-                raise ConfigError(f"stage width {w} not divisible by SE ratio {r}")
+        for _, axis in self.se.gates:
+            what, sizes = ("stage width", self.widths) if axis == 1 else ("frame count", (self.frames,))
+            for size in sizes:
+                if size % r:
+                    raise ConfigError(f"{what} {size} not divisible by SE ratio {r}")
 
     @property
     def feature_dim(self) -> int:
@@ -146,8 +145,9 @@ def init_block_params(store, prefix, c_in, c_out, frames, se: SqueezeExciteConfi
     store.add(f"{prefix}.conv1.bias", np.zeros(c_out, dtype=dtype))
     store.add(f"{prefix}.conv2.weight", uniform_fan_in(rng, (c_out, c_out, 3, 3, 3), c_out * 27, dtype))
     store.add(f"{prefix}.conv2.bias", np.zeros(c_out, dtype=dtype))
-    for name, width, enabled in (("se_c", c_out, se.channel_enabled), ("se_t", frames, se.temporal_enabled)):
-        if enabled:
+    for name, axis in SE_GATES.values():
+        if (name, axis) in se.gates:
+            width = c_out if axis == 1 else frames
             hidden = width // se.ratio
             store.add(f"{prefix}.{name}.w1", uniform_fan_in(rng, (width, hidden), hidden, dtype))
             store.add(f"{prefix}.{name}.w2", uniform_fan_in(rng, (hidden, width), width, dtype))
@@ -158,23 +158,19 @@ def init_block_params(store, prefix, c_in, c_out, frames, se: SqueezeExciteConfi
 def se_resblock_forward(store, prefix, x, se: SqueezeExciteConfig, stride=1):
     """Residual block: conv-relu-conv, SE gates on the branch, then add.
 
-    The gate stack runs after the second convolution and before the
-    residual addition; its order is configurable. The branch is pooled
+    The gates ``se.gates`` names run after the second convolution and
+    before the residual addition, in that order. The branch is pooled
     once; the second gate reads the pooled means times the first gate,
     which are the means of the once-gated branch, and the branch is
     multiplied once, by the product of the gates.
     """
     branch = ad.relu(_conv(store, f"{prefix}.conv1", x, stride=stride))
     branch = _conv(store, f"{prefix}.conv2", branch)
-    gates = [("se_c", 1, se.channel_enabled), ("se_t", 2, se.temporal_enabled)]
-    if se.order == "temporal-first":
-        gates.reverse()
     gate = None
-    for name, axis, enabled in gates:
-        if enabled:
-            pooled = ad.mean_over(branch, (3, 4)) if gate is None else ad.mul(pooled, gate)
-            g = squeeze_excite(pooled, store[f"{prefix}.{name}.w1"], store[f"{prefix}.{name}.w2"], axis, se.mode)
-            gate = g if gate is None else ad.mul(gate, g)
+    for name, axis in se.gates:
+        pooled = ad.mean_over(branch, (3, 4)) if gate is None else ad.mul(pooled, gate)
+        g = squeeze_excite(pooled, store[f"{prefix}.{name}.w1"], store[f"{prefix}.{name}.w2"], axis, se.mode)
+        gate = g if gate is None else ad.mul(gate, g)
     if gate is not None:
         branch = ad.mul(branch, ad.reshape(gate, gate.shape + (1, 1)))
     if f"{prefix}.shortcut.weight" in store:

@@ -195,6 +195,24 @@ class TestVolumeFile:
         with pytest.raises(FormatError):
             dp.load_volume(p)
 
+    @pytest.mark.parametrize("shape, offset", [((0, 96, 96), 6), ((2, 3, 0), 14)], ids=["frames", "width"])
+    def test_empty_volume_reports_its_zero_dim(self, tmp_path, shape, offset):
+        p = tmp_path / "e.psnv"
+        dp.save_volume(p, np.ones(shape, dtype=np.float32))
+        with pytest.raises(FormatError, match="e.psnv: empty") as info:
+            dp.load_volume(p)
+        assert info.value.offset == offset
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxel_reports_offset(self, tmp_path, bad):
+        p = tmp_path / "n.psnv"
+        v = np.ones((2, 3, 3), dtype=np.float32)
+        v[1, 0, 2] = v[1, 2, 2] = bad
+        dp.save_volume(p, v)
+        with pytest.raises(FormatError, match="n.psnv: voxel 11") as info:
+            dp.load_volume(p)
+        assert info.value.offset == 18 + 4 * 11
+
 
 class TestSplits:
     def test_ratio_counts(self):

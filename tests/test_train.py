@@ -170,6 +170,32 @@ def test_evaluate_rejects_unknown_parameter_choice(dataset):
     state, _ = train.train(tiny_config(epochs=1), dataset)
     with pytest.raises(ConfigError, match="'bets'"):
         train.evaluate(state, dataset, which="bets")
+    with pytest.raises(ConfigError, match=r"\('train', 'val', 'test'\), got 'bogus'"):
+        train.evaluate(state, dataset, split="bogus")
+
+
+def test_resume_rejects_another_config(dataset):
+    state, _ = train.train(tiny_config(epochs=1), dataset)
+    # another seed trains and scores other splits, another tower set other parameters
+    with pytest.raises(UsageError, match="in seed, lr;"):
+        train.train(tiny_config(epochs=2, seed=5, lr=0.5), dataset, state=state)
+    with pytest.raises(UsageError, match="in towers;"):
+        train.train(tiny_config(epochs=2, towers="both"), dataset, state=state)
+    assert state.epoch == 1
+    state, _ = train.train(tiny_config(epochs=2), dataset, state=state)
+    assert state.epoch == 2
+
+
+def test_state_rejects_dataset_with_another_vocabulary(dataset):
+    # the same items at other embedding rows would score without error
+    state, _ = train.train(tiny_config(epochs=1), dataset)
+    other = generate_synthetic(8, 9)
+    assert other.vocab.items != dataset.vocab.items
+    with pytest.raises(UsageError, match="vocabulary"):
+        train.evaluate(state, other, which="last")
+    with pytest.raises(UsageError, match="vocabulary"):
+        train.train(state.config, other, state=state, epochs=1)
+    assert state.epoch == 1
 
 
 @pytest.mark.parametrize("axis", train.ABLATION_AXES)
@@ -219,19 +245,22 @@ def test_ablation_grid_rejects_unknown_axis():
 
 
 def _every_config():
-    """Each tower x encoder x SE gate layout, with no repeat of a model
-    that a setting does not reach."""
-    se = [dict(se_mode="off")] + [
-        dict(se_mode=mode, se_blocks=blocks)
-        for mode in ("global", "local", "joint") for blocks in ("channel", "temporal", "both")
+    """(id, settings) of each tower x encoder x set of SE gates, with no
+    repeat of a model that a setting does not reach. Which of two gates
+    runs first does not change the parameters a step reaches, so "both"
+    runs the channel gate first."""
+    se = [("off", dict(se_mode="off"))] + [
+        (f"{mode}-{gates}", dict(se_mode=mode, se_blocks=blocks))
+        for mode in ("global", "local", "joint")
+        for gates, blocks in (("channel", "channel"), ("temporal", "temporal"), ("both", "channel-temporal"))
     ]
-    encoders = [dict(textual_encoder=e) for e in ("attention", "mlp")]
-    return ([dict(towers="textual", **e) for e in encoders]
-            + [dict(towers="visual", **s) for s in se]
-            + [dict(towers="both", **e, **s) for e in encoders for s in se])
+    encoders = [(e, dict(textual_encoder=e)) for e in ("attention", "mlp")]
+    return ([(f"textual-{e}", dict(towers="textual", **ekw)) for e, ekw in encoders]
+            + [(f"visual-{s}", dict(towers="visual", **skw)) for s, skw in se]
+            + [(f"both-{e}-{s}", dict(towers="both", **ekw, **skw)) for e, ekw in encoders for s, skw in se])
 
 
-@pytest.mark.parametrize("kw", _every_config(), ids=lambda kw: "-".join(map(str, kw.values())))
+@pytest.mark.parametrize("kw", [pytest.param(kw, id=i) for i, kw in _every_config()])
 def test_train_step_reaches_every_parameter(dataset, kw):
     config = tiny_config(**kw).model_config()
     store = model.init_model_params(config, dataset.vocab, seed=0)

@@ -249,10 +249,10 @@ class TestSqueezeExcite:
             squeeze_excite(np.ones((1, 4, 4, 2, 2)), eye, eye, axis=1, mode="off")
 
 
-def tiny_backbone(se_mode="joint", order="channel-first", blocks="both", dtype=np.float64, seed=0):
+def tiny_backbone(se_mode="joint", blocks="channel-temporal", dtype=np.float64, seed=0):
     config = vz.VisualBackboneConfig(
         frames=4, in_plane=8, widths=(4, 8), blocks_per_stage=1,
-        se=vz.SqueezeExciteConfig(mode=se_mode, order=order, blocks=blocks),
+        se=vz.SqueezeExciteConfig(mode=se_mode, blocks=blocks),
     )
     store = ParameterStore()
     vz.init_visual_params(store, config, np.random.default_rng(seed), dtype=dtype)
@@ -331,9 +331,9 @@ class TestResBlock:
     def test_stacking_order_changes_output(self):
         rng = np.random.default_rng(16)
         x = rng.standard_normal((1, 4, 4, 6, 6))
-        cf, store = tiny_backbone(order="channel-first", seed=3)
+        cf, store = tiny_backbone(blocks="channel-temporal", seed=3)
         out1 = vz.se_resblock_forward(store, "visual.stage0.block0", ad.Tensor(x, dtype=np.float64), cf.se)
-        tf, store2 = tiny_backbone(order="temporal-first", seed=3)
+        tf, store2 = tiny_backbone(blocks="temporal-channel", seed=3)
         out2 = vz.se_resblock_forward(store2, "visual.stage0.block0", ad.Tensor(x, dtype=np.float64), tf.se)
         assert not np.allclose(out1.data, out2.data)
 
@@ -388,19 +388,22 @@ class TestResBlock:
             assert not np.allclose(grads["joint"], grads["global"])
             assert not np.allclose(grads["joint"], grads["local"])
 
-    @pytest.mark.parametrize("blocks", vz.SE_BLOCKS)
-    @pytest.mark.parametrize("order", vz.SE_ORDERS)
+    @pytest.mark.parametrize("gates", ["both", "channel", "temporal"])
+    @pytest.mark.parametrize("first", ["channel-first", "temporal-first"])
     @pytest.mark.parametrize("mode", vz.SE_MODES)
-    def test_matches_two_multiply_composition(self, mode, order, blocks):
-        # one multiply by the product gate equals gating the map once per enabled gate
-        config, store = tiny_backbone(se_mode=mode, order=order, blocks=blocks, seed=5)
+    def test_matches_two_multiply_composition(self, mode, first, gates):
+        # one multiply by the product gate equals gating the map once per gate,
+        # in order; se_blocks names the stack, and a stack of one gate has no order
+        stack = [g for g in ("channel", "temporal") if gates in ("both", g)]
+        if first == "temporal-first":
+            stack.reverse()
+        config, store = tiny_backbone(se_mode=mode, blocks="-".join(stack), seed=5)
         prefix = "visual.stage0.block0"
         x = ad.Tensor(np.random.default_rng(23).standard_normal((2, 4, 4, 6, 6)), dtype=np.float64)
         branch = vz._conv(store, f"{prefix}.conv2", ad.relu(vz._conv(store, f"{prefix}.conv1", x)))
-        gates = [("se_c", 1, config.se.channel_enabled), ("se_t", 2, config.se.temporal_enabled)]
-        for name, axis, enabled in gates[::-1] if order == "temporal-first" else gates:
-            if enabled:
-                branch = gated(branch, store[f"{prefix}.{name}.w1"], store[f"{prefix}.{name}.w2"], axis, mode)
+        for gate in stack if mode != "off" else ():
+            name, axis = {"channel": ("se_c", 1), "temporal": ("se_t", 2)}[gate]
+            branch = gated(branch, store[f"{prefix}.{name}.w1"], store[f"{prefix}.{name}.w2"], axis, mode)
         out = vz.se_resblock_forward(store, prefix, x, config.se)
         np.testing.assert_allclose(out.data, x.data + branch.data, rtol=1e-12, atol=0)
 
@@ -474,6 +477,21 @@ class TestBackbone:
             vz.VisualBackboneConfig(blocks_per_stage=0)
         with pytest.raises(ConfigError):
             vz.SqueezeExciteConfig(mode="sideways")
+        # two gates run in the order the setting names; there is no unordered "both"
+        with pytest.raises(ConfigError, match="'channel-temporal', 'temporal-channel'"):
+            vz.SqueezeExciteConfig(blocks="both")
+
+    def test_each_se_setting_names_one_model(self):
+        # "off" runs no gate, so it alone leaves se_blocks unread
+        x = ad.Tensor(np.random.default_rng(27).standard_normal((2, 1, 4, 8, 8)), dtype=np.float64)
+        outputs = {}
+        for mode in vz.SE_MODES:
+            for blocks in vz.SE_BLOCKS:
+                config, store = tiny_backbone(se_mode=mode, blocks=blocks, seed=8)
+                outputs[mode, blocks] = vz.backbone_forward(store, config, x).data.tobytes()
+        off = {outputs.pop(("off", blocks)) for blocks in vz.SE_BLOCKS}
+        assert len(off) == 1
+        assert len(set(outputs.values()) | off) == len(outputs) + 1
 
     def test_smallest_input_keeps_every_stage(self):
         # a stride-2, padding-1 conv maps in-plane 1 to 1, and no stride touches the frames
