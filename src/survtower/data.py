@@ -2,8 +2,7 @@
 
 A dataset bundle is a directory:
 
-    manifest.txt          key: value lines (PSND version 3: a header,
-                          then one line per patient)
+    manifest.json         PSND version 4: the split and one entry per patient
     volumes/<id>.psnv     one binary volume per patient
 
 Volume files: magic "PSNV", u16 little-endian version (=1), u32 dims
@@ -13,20 +12,24 @@ A dataset holds one sample per patient, of augmentation id 0; an
 augmented variant is a copy of that sample with another id, and
 ``SurvivalDataset.sample_volume`` derives its volume from the stored one.
 
-The manifest header holds ``format``, ``version``,
-``categorical_fields``, ``patients`` and the split parameters
-``split_seed`` and ``split_fold``. Each patient is
-stored once, as ``patient.<id>: age=<a> days=<d> event=<e>
-items=<field=value,...>`` (``age=missing`` when absent). Nothing derived
-from those lines is stored: ``load_dataset`` rebuilds the split
-assignment, vocabulary and samples, scaled by training-split statistics,
-with the same ``_assemble`` that ``build_dataset`` and ``apply_split`` use.
-Round-trips are byte-exact: floats are serialized with ``repr``, and
-patients are written in sorted order.
+The manifest is one UTF-8 JSON object with exactly the keys ``format``
+("PSND"), ``version`` (4), ``split_seed`` and ``split_fold`` (integers)
+and ``patients``. ``patients`` maps each patient id to an object with
+exactly the keys ``age`` (a float, or ``null`` when missing), ``days``
+(a float), ``event`` (the integer 0 or 1) and ``items`` (an object from
+each categorical field to its string value). A patient id is a non-empty
+string with no ``/``, ``\\`` or NUL, since it names the patient's volume
+file. Nothing derived from the patients is stored: ``load_dataset``
+rebuilds the split assignment, vocabulary and samples, scaled by
+training-split statistics, with the same ``_assemble`` that
+``build_dataset`` and ``apply_split`` use. Round-trips are byte-exact:
+the manifest is written with sorted keys, and JSON floats round-trip.
+A repeated key anywhere in the manifest is an error.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import math
 import os
@@ -199,9 +202,13 @@ _VOLUME_HEADER = struct.Struct("<4sHIII")
 
 
 def save_volume(path, volume: np.ndarray):
+    """Write ``volume`` as a PSNV file; a volume ``load_volume`` would
+    refuse raises ConfigError before anything is written."""
     arr = np.ascontiguousarray(np.asarray(volume, dtype="<f4"))
-    if arr.ndim != 3:
-        raise ConfigError(f"volume files hold 3D arrays, got shape {arr.shape}")
+    if arr.ndim != 3 or 0 in arr.shape:
+        raise ConfigError(f"volume files hold non-empty 3D arrays, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ConfigError("volume files hold finite voxels only")
     header = _VOLUME_HEADER.pack(_VOLUME_MAGIC, _VOLUME_VERSION, *arr.shape)
     write_atomic(path, header, arr.tobytes())
 
@@ -265,7 +272,6 @@ class Sample:
 
 @dataclass
 class SurvivalDataset:
-    categorical_fields: list[str]
     vocab: ClinicalVocabulary
     patients: dict[str, RawPatient]          # raw clinical meta, no volume attached
     volumes: dict[str, np.ndarray]           # preprocessed 8x96x96 in [0,1]
@@ -299,6 +305,8 @@ def assign_splits(patient_ids, seed: int, fold: int) -> dict[str, str]:
     """
     if not 0 <= fold < N_FOLDS:
         raise ConfigError(f"fold must lie in [0,{N_FOLDS}), got {fold}")
+    if seed < 0:
+        raise ConfigError(f"split seed must be non-negative, got {seed}")
     ids = sorted(patient_ids)
     rng = np.random.default_rng(seed)
     order = [ids[i] for i in rng.permutation(len(ids))]
@@ -317,16 +325,10 @@ def assign_splits(patient_ids, seed: int, fold: int) -> dict[str, str]:
     return split
 
 
-def _check_token(kind: str, value: str):
-    if not value or any(ch in value for ch in " ,;\t\n"):
-        raise PipelineError(f"{kind} {value!r} contains characters the manifest format reserves")
-
-
 def _check_patient_id(pid: str):
-    """A patient id is a manifest token and the name of its volume file."""
-    _check_token("patient id", pid)
-    if "/" in pid or "\\" in pid:
-        raise PipelineError(f"patient id {pid!r} contains a path separator")
+    """A patient id names its volume file."""
+    if not pid or any(ch in pid for ch in "/\\\x00"):
+        raise PipelineError(f"patient id {pid!r} is empty or contains a path separator or NUL")
 
 
 def _check_outcome(event, days: float, age: float | None):
@@ -346,17 +348,17 @@ def _assemble(
 ) -> SurvivalDataset:
     ids = sorted(patients)
     split = assign_splits(ids, seed, fold)
-    categorical_fields = sorted(patients[ids[0]].categorical)
-    if not categorical_fields:
-        # a patient line would read items= with nothing after it
-        raise PipelineError("the cohort has no categorical fields; the bundle format needs at least one")
+    fields = sorted(patients[ids[0]].categorical)
+    if not fields:
+        # the clinical tower attends over the item tokens, so a record needs one
+        raise PipelineError("the cohort has no categorical fields; a clinical record needs at least one")
     for pid in ids:
         p = patients[pid]
         _check_patient_id(pid)
-        if sorted(p.categorical) != categorical_fields:
+        if sorted(p.categorical) != fields:
             raise PipelineError(f"patient {pid} has inconsistent categorical fields")
-        for item in p.items:
-            _check_token("clinical item", item)
+        if not all(isinstance(v, str) for v in p.categorical.values()):
+            raise PipelineError(f"patient {pid}: categorical values must be strings")
         try:
             _check_outcome(p.event, p.survival_days, p.age)
         except ValueError as exc:
@@ -384,7 +386,6 @@ def _assemble(
         samples.append(Sample(pid, 0, tokens, age, time_norm, p.event))
 
     return SurvivalDataset(
-        categorical_fields=categorical_fields,
         vocab=vocab,
         patients={pid: patients[pid] for pid in ids},
         volumes=volumes,
@@ -421,28 +422,11 @@ def apply_split(dataset: SurvivalDataset, seed: int, fold: int) -> SurvivalDatas
 # dataset bundle on disk
 
 _MANIFEST_MAGIC = "PSND"
-# version 3 stores each patient once and derives the rest on load; versions 1
-# (which also stored derived state) and 2 (also split_ratios) are rejected
-_MANIFEST_VERSION = 3
-
-
-def _manifest_lines(ds: SurvivalDataset) -> list[str]:
-    lines = [
-        f"format: {_MANIFEST_MAGIC}",
-        f"version: {_MANIFEST_VERSION}",
-        f"categorical_fields: {','.join(ds.categorical_fields)}",
-        f"patients: {len(ds.patients)}",
-        f"split_seed: {ds.split_seed}",
-        f"split_fold: {ds.split_fold}",
-    ]
-    for pid in sorted(ds.patients):
-        p = ds.patients[pid]
-        age = "missing" if p.age is None else repr(float(p.age))
-        lines.append(
-            f"patient.{pid}: age={age} days={float(p.survival_days)!r} "
-            f"event={p.event} items={','.join(p.items)}"
-        )
-    return lines
+# version 4 is one JSON object; versions 1-3 were key: value lines in manifest.txt
+_MANIFEST_VERSION = 4
+# the keys of the manifest and of each patient entry, with the JSON types of their values
+_HEADER_TYPES = {"format": (str,), "version": (int,), "split_seed": (int,), "split_fold": (int,), "patients": (dict,)}
+_PATIENT_TYPES = {"age": (float, type(None)), "days": (float,), "event": (int,), "items": (dict,)}
 
 
 def save_dataset(ds: SurvivalDataset, path):
@@ -452,97 +436,74 @@ def save_dataset(ds: SurvivalDataset, path):
     (root / "volumes").mkdir(parents=True, exist_ok=True)
     for pid in sorted(ds.volumes):
         save_volume(root / "volumes" / f"{pid}.psnv", ds.volumes[pid])
-    write_atomic(root / "manifest.txt", ("\n".join(_manifest_lines(ds)) + "\n").encode("utf-8"))
+    manifest = {
+        "format": _MANIFEST_MAGIC,
+        "version": _MANIFEST_VERSION,
+        "split_seed": ds.split_seed,
+        "split_fold": ds.split_fold,
+        # cast to the JSON types load_dataset requires
+        "patients": {
+            pid: {
+                "age": None if p.age is None else float(p.age),
+                "days": float(p.survival_days),
+                "event": int(p.event),
+                "items": p.categorical,
+            }
+            for pid, p in ds.patients.items()
+        },
+    }
+    write_atomic(root / "manifest.json", (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode("utf-8"))
 
 
-def _parse_version(value: str) -> int:
-    if int(value) != _MANIFEST_VERSION:
-        raise ValueError(f"unsupported version {value}")
-    return _MANIFEST_VERSION
-
-
-# the header keys, each with the parser of its value; load_dataset requires
-# all of them and rejects any other key
-_HEADER_FIELDS = {
-    "version": _parse_version,
-    "categorical_fields": lambda value: value.split(","),
-    "patients": int,
-    "split_seed": int,
-    "split_fold": int,
-}
-
-
-def _parse_kv(line: str, lineno: int):
-    if ": " not in line:
-        raise FormatError(f"manifest line {lineno}: expected 'key: value', got {line!r}")
-    key, value = line.split(": ", 1)
-    return key, value
-
-
-def _parse_fields(value: str) -> dict[str, str]:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """``object_pairs_hook`` for ``json.loads`` that rejects a repeated key."""
     out = {}
-    for part in value.split(" "):
-        k, v = part.split("=", 1)
-        out[k] = v
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
     return out
 
 
+def _check_object(what: str, obj, types: dict):
+    """``obj`` must be a JSON object with exactly the keys of ``types``, each
+    holding a value of one of its types. ValueError otherwise."""
+    if type(obj) is not dict or obj.keys() != types.keys():
+        found = sorted(obj) if type(obj) is dict else repr(obj)
+        raise ValueError(f"{what} holds {found}, not the keys {sorted(types)}")
+    wrong = [f"{key} {obj[key]!r}" for key, allowed in types.items() if type(obj[key]) not in allowed]
+    if wrong:
+        raise ValueError(f"{what}: {', '.join(wrong)} has the wrong JSON type")
+
+
 def load_dataset(path) -> SurvivalDataset:
-    """Read a bundle: parse the header and patient lines, load the volumes,
-    and rebuild everything else with ``_assemble``."""
+    """Read a bundle: parse and check the manifest, load the volumes, and
+    rebuild everything else with ``_assemble``."""
     root = Path(path)
-    manifest = root / "manifest.txt"
+    manifest = root / "manifest.json"
     if not manifest.exists():
-        raise FormatError(f"{root}: no manifest.txt found")
-    lines = manifest.read_text(encoding="utf-8").splitlines()
-    if not lines or not lines[0].startswith("format: "):
-        raise FormatError(f"{manifest}: missing format line")
-    if lines[0] != f"format: {_MANIFEST_MAGIC}":
-        raise FormatError(f"{manifest}: expected format magic {_MANIFEST_MAGIC}, got {lines[0]!r}")
-    header: dict[str, object] = {}
-    patients: dict[str, RawPatient] = {}
-    key_lines: dict[str, int] = {}     # key -> the line it is on
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        key, value = _parse_kv(line, lineno)
-        if key in key_lines:
-            raise FormatError(f"manifest line {lineno}: {key} repeats line {key_lines[key]}")
-        key_lines[key] = lineno
-        try:
-            if key.startswith("patient."):
-                pid = key.split(".", 1)[1]
-                _check_patient_id(pid)   # before its volume file is opened
-                kv = _parse_fields(value)
-                age, days, event, items = (kv.pop(k) for k in ("age", "days", "event", "items"))
-                if kv:
-                    raise ValueError(f"unknown fields {', '.join(sorted(kv))}")
-                categorical = dict(item.split("=", 1) for item in items.split(","))
-                age = None if age == "missing" else float(age)
-                days, event = float(days), int(event)
-                _check_outcome(event, days, age)
-                patients[pid] = RawPatient(pid, categorical, age, days, event)
-            elif key in _HEADER_FIELDS:
-                header[key] = _HEADER_FIELDS[key](value)
-            else:
-                raise ValueError("unknown key")
-        except KeyError as exc:
-            raise FormatError(f"manifest line {lineno}: {key} lacks field {exc}") from None
-        except ValueError as exc:
-            raise FormatError(f"manifest line {lineno}: malformed {key} entry: {exc}") from None
-    missing = [k for k in _HEADER_FIELDS if k not in header]
-    if missing:
-        raise FormatError(f"{manifest}: header lacks {', '.join(missing)}")
-    if len(patients) != header["patients"]:
-        raise FormatError(f"{manifest}: header says {header['patients']} patients, found {len(patients)}")
-    for pid, p in patients.items():
-        if sorted(p.categorical) != header["categorical_fields"]:
-            raise FormatError(
-                f"manifest line {key_lines['patient.' + pid]}: fields {sorted(p.categorical)} "
-                f"differ from categorical_fields {header['categorical_fields']}"
-            )
+        raise FormatError(f"{root}: no manifest.json found")
+    try:
+        doc = json.loads(manifest.read_bytes().decode("utf-8"), object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{manifest}: {exc.msg}", offset=len(exc.doc[:exc.pos].encode("utf-8"))) from None
+    except ValueError as exc:   # a repeated key, or bytes that are not UTF-8
+        raise FormatError(f"{manifest}: {exc}") from None
+    if type(doc) is not dict or doc.get("format") != _MANIFEST_MAGIC:
+        raise FormatError(f"{manifest}: not a {_MANIFEST_MAGIC} manifest")
+    if doc.get("version") != _MANIFEST_VERSION:
+        raise FormatError(f"{manifest}: unsupported version {doc.get('version')!r}")
+    patients = {}
+    try:
+        _check_object("the header", doc, _HEADER_TYPES)
+        for pid, entry in doc["patients"].items():
+            _check_patient_id(pid)   # before its volume file is opened
+            _check_object(f"patient {pid!r}", entry, _PATIENT_TYPES)
+            patients[pid] = RawPatient(pid, entry["items"], entry["age"], entry["days"], entry["event"])
+    except ValueError as exc:
+        raise FormatError(f"{manifest}: {exc}") from None
     volumes = {pid: load_volume(root / "volumes" / f"{pid}.psnv") for pid in patients}
     try:
-        return _assemble(patients, volumes, header["split_seed"], header["split_fold"])
+        return _assemble(patients, volumes, doc["split_seed"], doc["split_fold"])
     except (PipelineError, ConfigError, DegenerateFeatureError) as exc:
         raise FormatError(f"{manifest}: {exc}") from None

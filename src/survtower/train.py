@@ -71,6 +71,8 @@ class TrainConfig:
             raise ConfigError(f"fold must lie in [0,{N_FOLDS}), got {self.fold}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ConfigError("epochs must be >= 0 and batch_size >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.lam < 0:
@@ -274,6 +276,8 @@ def train(
     state's. ``epochs`` overrides how many *additional* epochs to run
     (default: up to config.epochs total).
     """
+    if epochs is not None and epochs < 0:
+        raise UsageError(f"epochs must be non-negative, got {epochs}")
     if state is not None:
         changed = [f.name for f in fields(TrainConfig)
                    if f.name != "epochs" and getattr(config, f.name) != getattr(state.config, f.name)]
@@ -470,6 +474,10 @@ def load_checkpoint(path) -> TrainerState:
         "best.c_index": type(best["c_index"]) in (int, float),
         "best.mse": type(best["mse"]) in (int, float),
         "best.saved": type(best["saved"]) is bool,
+        # the embedding row of each item: a dense index 0..n-1
+        "vocab": isinstance(header["vocab"], dict)
+        and all(type(v) is int for v in header["vocab"].values())
+        and sorted(header["vocab"].values()) == list(range(len(header["vocab"]))),
     }
     try:
         np.random.PCG64().state = header["rng_state"]
@@ -481,10 +489,9 @@ def load_checkpoint(path) -> TrainerState:
 
     try:
         config = TrainConfig.from_dict(header["config"])
-        vocab = cl.ClinicalVocabulary(items={k: int(v) for k, v in header["vocab"].items()})
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"checkpoint {path}: malformed config or vocab: {exc!r}", offset=14) from None
-    store = init_model_params(config.model_config(), vocab, config.seed)
+        raise FormatError(f"checkpoint {path}: malformed config: {exc!r}", offset=14) from None
+    store = init_model_params(config.model_config(), cl.ClinicalVocabulary(items=header["vocab"]), config.seed)
     layout = _layout_hash(store)
     if header["layout"] != layout:
         raise FormatError(

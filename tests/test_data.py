@@ -1,6 +1,7 @@
 """Scaling, imputation, resizing, augmentation, and file formats."""
 
 import errno
+import json
 import re
 
 import numpy as np
@@ -155,6 +156,12 @@ class TestAugmentation:
             dp.augment_volume(np.zeros((2, 4, 4)), 8)
 
 
+def write_raw_volume(path, arr):
+    """A PSNV file holding ``arr`` as is, whether or not ``save_volume`` would write it."""
+    arr = np.asarray(arr, dtype="<f4")
+    path.write_bytes(dp._VOLUME_HEADER.pack(b"PSNV", 1, *arr.shape) + arr.tobytes())
+
+
 class TestVolumeFile:
     def test_roundtrip_bytes(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -198,7 +205,7 @@ class TestVolumeFile:
     @pytest.mark.parametrize("shape, offset", [((0, 96, 96), 6), ((2, 3, 0), 14)], ids=["frames", "width"])
     def test_empty_volume_reports_its_zero_dim(self, tmp_path, shape, offset):
         p = tmp_path / "e.psnv"
-        dp.save_volume(p, np.ones(shape, dtype=np.float32))
+        write_raw_volume(p, np.ones(shape))
         with pytest.raises(FormatError, match="e.psnv: empty") as info:
             dp.load_volume(p)
         assert info.value.offset == offset
@@ -208,10 +215,17 @@ class TestVolumeFile:
         p = tmp_path / "n.psnv"
         v = np.ones((2, 3, 3), dtype=np.float32)
         v[1, 0, 2] = v[1, 2, 2] = bad
-        dp.save_volume(p, v)
+        write_raw_volume(p, v)
         with pytest.raises(FormatError, match="n.psnv: voxel 11") as info:
             dp.load_volume(p)
         assert info.value.offset == 18 + 4 * 11
+
+    @pytest.mark.parametrize("shape, bad", [((0, 3, 3), 1.0), ((2, 3, 0), 1.0), ((2, 3, 3), np.nan),
+                                            ((2, 3, 3), np.inf)], ids=["frames", "width", "nan", "inf"])
+    def test_save_refuses_what_load_refuses(self, tmp_path, shape, bad):
+        with pytest.raises(ConfigError, match="volume files hold"):
+            dp.save_volume(tmp_path / "v.psnv", np.full(shape, bad))
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSplits:
@@ -245,6 +259,13 @@ class TestSplits:
     def test_too_few_patients(self):
         with pytest.raises(ConfigError):
             dp.assign_splits(["a", "b"], 0, 0)
+
+    def test_negative_seed(self):
+        ids = [f"p{i}" for i in range(10)]
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            dp.assign_splits(ids, -1, 0)
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            dp.build_dataset(generate_patients(1, 10), seed=-1)
 
     def test_bad_fold(self):
         ids = [f"p{i}" for i in range(10)]
@@ -294,12 +315,12 @@ class TestDatasetAssembly:
         for v in dataset.volumes.values():
             assert v.min() >= 0.0 and v.max() <= 1.0
 
-    @pytest.mark.parametrize("pid", ["SP/x", "SP\\x"])
+    @pytest.mark.parametrize("pid", ["SP/x", "SP\\x", "SP\x00x", ""])
     def test_path_separator_in_patient_id_rejected(self, pid):
         # the id names the patient's volume file in a saved bundle
         patients = generate_patients(1, 10)
         patients[0].patient_id = pid
-        with pytest.raises(PipelineError, match=f"patient id {re.escape(repr(pid))} contains a path separator"):
+        with pytest.raises(PipelineError, match=f"patient id {re.escape(repr(pid))} is empty or contains"):
             dp.build_dataset(patients, seed=1)
 
     @pytest.mark.parametrize("field, value, message", [
@@ -311,19 +332,75 @@ class TestDatasetAssembly:
         ("age", float("-inf"), "must be finite"),
     ])
     def test_values_a_bundle_cannot_hold_rejected(self, field, value, message):
-        # load_dataset refuses these on a manifest line, so build_dataset must not accept them
+        # load_dataset refuses these in a manifest, so build_dataset must not accept them
         patients = generate_patients(1, 10)
         setattr(patients[3], field, value)
         with pytest.raises(PipelineError, match=f"patient {patients[3].patient_id}: .*{message}"):
             dp.build_dataset(patients, seed=1)
 
+    def test_non_string_categorical_value_rejected(self):
+        # a saved bundle stores item values as JSON strings
+        patients = generate_patients(1, 10)
+        patients[3].categorical["stage"] = 3
+        with pytest.raises(PipelineError, match=f"patient {patients[3].patient_id}: categorical values"):
+            dp.build_dataset(patients, seed=1)
+
     def test_cohort_without_categorical_fields_rejected(self):
-        # a saved bundle could not encode the patients' empty item lists
+        # the clinical tower would have no item token to attend over
         patients = generate_patients(1, 10)
         for p in patients:
             p.categorical = {}
         with pytest.raises(PipelineError, match="no categorical fields"):
             dp.build_dataset(patients, seed=1)
+
+
+def saved_bundle(tmp_path, seed, edit=None):
+    """The bundle of ``generate_patients(seed, 10)``, its manifest document
+    changed by ``edit`` when given."""
+    dp.save_dataset(dp.build_dataset(generate_patients(seed, 10), seed=seed), tmp_path / "ds")
+    if edit is not None:
+        manifest = tmp_path / "ds" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        edit(doc)
+        manifest.write_text(json.dumps(doc))
+    return tmp_path / "ds"
+
+
+def rename_patient(doc, old, new):
+    doc["patients"][new] = doc["patients"].pop(old)
+
+
+# (edit of the manifest document, what the error names)
+MANIFEST_EDITS = {
+    "no days": (lambda d: d["patients"]["SP0003"].pop("days"), "patient 'SP0003' holds"),
+    "extra split": (lambda d: d["patients"]["SP0003"].update(split="test"), "patient 'SP0003' holds"),
+    "entry not object": (lambda d: d["patients"].update(SP0003=[]), "patient 'SP0003' holds"),
+    "event true": (lambda d: d["patients"]["SP0003"].update(event=True), "patient 'SP0003': event True has"),
+    "event float": (lambda d: d["patients"]["SP0003"].update(event=1.0), "patient 'SP0003': event 1.0 has"),
+    "days string": (lambda d: d["patients"]["SP0003"].update(days="12"), "patient 'SP0003': days '12' has"),
+    "days int": (lambda d: d["patients"]["SP0003"].update(days=12), "patient 'SP0003': days 12 has"),
+    "age string": (lambda d: d["patients"]["SP0003"].update(age="missing"), "patient 'SP0003': age 'missing'"),
+    "items list": (lambda d: d["patients"]["SP0003"].update(items=["stage=I"]), "patient 'SP0003': items"),
+    "item int": (lambda d: d["patients"]["SP0003"]["items"].update(stage=1), "patient SP0003: categorical"),
+    "foreign field": (lambda d: d["patients"]["SP0003"]["items"].update(colour="red"),
+                      "patient SP0003 has inconsistent categorical fields"),
+    "missing field": (lambda d: d["patients"]["SP0003"]["items"].pop("stage"),
+                      "patient SP0003 has inconsistent categorical fields"),
+    "id with separator": (lambda d: rename_patient(d, "SP0003", "../SP0003"), "patient id '../SP0003' is empty"),
+    "id with NUL": (lambda d: rename_patient(d, "SP0003", "SP\x00x"), r"patient id 'SP\\x00x' is empty"),
+    "event 2": (lambda d: d["patients"]["SP0003"].update(event=2), "patient SP0003: event 2"),
+    "days NaN": (lambda d: d["patients"]["SP0003"].update(days=float("nan")), "patient SP0003: .*must be finite"),
+    "days Infinity": (lambda d: d["patients"]["SP0003"].update(days=float("inf")), "patient SP0003: .*finite"),
+    "age NaN": (lambda d: d["patients"]["SP0003"].update(age=float("nan")), "patient SP0003: .*must be finite"),
+    "no split_seed": (lambda d: d.pop("split_seed"), "the header holds"),
+    "no split_fold": (lambda d: d.pop("split_fold"), "the header holds"),
+    "no patients": (lambda d: d.pop("patients"), "the header holds"),
+    "extra samples": (lambda d: d.update(samples=10), "the header holds"),
+    "split_seed string": (lambda d: d.update(split_seed="x"), "the header: split_seed 'x' has"),
+    "split_fold float": (lambda d: d.update(split_fold=1.0), "the header: split_fold 1.0 has"),
+    "patients list": (lambda d: d.update(patients=[]), r"the header: patients \[\] has"),
+    "version float": (lambda d: d.update(version=4.0), "the header: version 4.0 has"),
+}
 
 
 class TestBundleRoundtrip:
@@ -333,7 +410,7 @@ class TestBundleRoundtrip:
         dp.save_dataset(ds, d1)
         loaded = dp.load_dataset(d1)
         dp.save_dataset(loaded, d2)
-        assert (d1 / "manifest.txt").read_bytes() == (d2 / "manifest.txt").read_bytes()
+        assert (d1 / "manifest.json").read_bytes() == (d2 / "manifest.json").read_bytes()
         for f in sorted((d1 / "volumes").iterdir()):
             assert f.read_bytes() == (d2 / "volumes" / f.name).read_bytes()
 
@@ -345,7 +422,6 @@ class TestBundleRoundtrip:
         assert loaded.vocab.items == ds.vocab.items
         assert loaded.patients == ds.patients
         assert any(p.age is None for p in loaded.patients.values())
-        assert loaded.categorical_fields == ds.categorical_fields
         assert (loaded.split_seed, loaded.split_fold) == (ds.split_seed, ds.split_fold)
         assert len(loaded.samples) == len(ds.samples)
         for a, b in zip(loaded.samples, ds.samples):
@@ -353,6 +429,20 @@ class TestBundleRoundtrip:
                 b.patient_id, b.aug_id, b.age, b.time_norm, b.event)
             assert a.tokens.dtype == b.tokens.dtype
             np.testing.assert_array_equal(a.tokens, b.tokens)
+        for pid in ds.volumes:
+            np.testing.assert_array_equal(loaded.volumes[pid], ds.volumes[pid])
+
+    def test_ids_and_items_with_spaces_commas_semicolons(self, tmp_path):
+        patients = generate_patients(15, 10)
+        for i, p in enumerate(patients):
+            p.patient_id = f"SP {i}, left; upper"
+            p.categorical["histology"] += ", nos; grade 2"
+        ds = dp.build_dataset(patients, seed=15)
+        dp.save_dataset(ds, tmp_path / "ds")
+        loaded = dp.load_dataset(tmp_path / "ds")
+        assert loaded.patients == ds.patients
+        assert loaded.vocab.items == ds.vocab.items
+        assert all(", nos; grade 2" in item for item in loaded.vocab.items if item.startswith("histology="))
         for pid in ds.volumes:
             np.testing.assert_array_equal(loaded.volumes[pid], ds.volumes[pid])
 
@@ -375,82 +465,65 @@ class TestBundleRoundtrip:
         )
 
     def test_corrupted_magic(self, tmp_path):
-        ds = dp.build_dataset(generate_patients(10, 10), seed=10)
-        dp.save_dataset(ds, tmp_path / "ds")
-        manifest = tmp_path / "ds" / "manifest.txt"
-        manifest.write_text(manifest.read_text().replace("format: PSND", "format: ZZZZ", 1))
-        with pytest.raises(FormatError, match="PSND"):
-            dp.load_dataset(tmp_path / "ds")
+        bundle = saved_bundle(tmp_path, 10, lambda d: d.update(format="ZZZZ"))
+        with pytest.raises(FormatError, match="manifest.json: not a PSND manifest"):
+            dp.load_dataset(bundle)
 
     def test_missing_manifest(self, tmp_path):
-        with pytest.raises(FormatError, match="manifest"):
+        # a bundle from before version 4 holds manifest.txt
+        (tmp_path / "manifest.txt").write_text("format: PSND\nversion: 3\n")
+        with pytest.raises(FormatError, match="no manifest.json"):
             dp.load_dataset(tmp_path)
 
-    @pytest.mark.parametrize("kind, pattern, replacement", [
-        ("patient", r" days=\S+", ""),                     # missing key
-        ("patient", r" event=\d", " event=?"),             # malformed number
-        ("patient", r"items=\w+", "items=colour"),         # foreign categorical field
-        ("patient", r"items=[^,]+,", "items="),            # missing categorical field
-        ("patient", r" items=", " split=test items="),     # field the format does not have
-        ("patient", r"^patient\.", "patient.../"),          # id outside the volumes directory
-        ("patient", r" event=\d", " event=2"),             # event neither 0 nor 1
-        ("patient", r" days=\S+", " days=nan"),            # non-finite target
-        ("patient", r" days=\S+", " days=inf"),
-        ("patient", r" age=\S+", " age=nan"),              # non-finite age
-        *[(key, r".+", "") for key in (                    # missing header line
-            "split_seed", "split_fold", "patients", "categorical_fields",
-        )],
-        ("split_seed", r"\d+$", "x"),                      # malformed header value
-        ("split_fold", r"\d+$", "x"),
-        ("patients", r"\d+$", ""),
-        ("patients", r"^patients", "samples"),             # key the format does not have
-    ])
-    def test_malformed_entry_names_line(self, tmp_path, kind, pattern, replacement):
-        ds = dp.build_dataset(generate_patients(11, 10), seed=11)
-        dp.save_dataset(ds, tmp_path / "ds")
-        manifest = tmp_path / "ds" / "manifest.txt"
-        lines = manifest.read_text().splitlines()
-        lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith((kind + ".", kind + ":")))
-        lines[lineno - 1] = re.sub(pattern, replacement, lines[lineno - 1], count=1)
-        manifest.write_text("\n".join(lines) + "\n")
-        # an emptied line drops its key, so the error names the key instead
-        match = f"manifest line {lineno}:" if lines[lineno - 1] else f"lacks {kind}"
-        with pytest.raises(FormatError, match=match):
-            dp.load_dataset(tmp_path / "ds")
+    @pytest.mark.parametrize("case", MANIFEST_EDITS)
+    def test_malformed_entry_names_key(self, tmp_path, case):
+        edit, names = MANIFEST_EDITS[case]
+        bundle = saved_bundle(tmp_path, 11, edit)
+        with pytest.raises(FormatError, match=f"manifest.json: .*{names}"):
+            dp.load_dataset(bundle)
 
-    @pytest.mark.parametrize("key", ["patient.SP0000", "split_seed"])
-    def test_repeated_key_names_second_line(self, tmp_path, key):
-        ds = dp.build_dataset(generate_patients(11, 10), seed=11)
-        dp.save_dataset(ds, tmp_path / "ds")
-        manifest = tmp_path / "ds" / "manifest.txt"
-        lines = manifest.read_text().splitlines()
-        first = next(i for i, line in enumerate(lines, start=1) if line.startswith(key + ":"))
-        manifest.write_text("\n".join(lines + [lines[first - 1]]) + "\n")
-        with pytest.raises(FormatError, match=f"manifest line {len(lines) + 1}: {key} repeats line {first}"):
-            dp.load_dataset(tmp_path / "ds")
+    def test_syntax_error_reports_byte_offset(self, tmp_path):
+        # the offset counts bytes: the id before the error is two bytes longer in UTF-8
+        manifest = saved_bundle(tmp_path, 11) / "manifest.json"
+        text = manifest.read_text().replace('"SP0000"', '"SPéé"', 1)
+        at = text.index('"SP0001"')
+        manifest.write_bytes((text[:at] + "@" + text[at:]).encode("utf-8"))
+        with pytest.raises(FormatError, match="manifest.json: Expecting property name") as info:
+            dp.load_dataset(manifest.parent)
+        assert info.value.offset == at + 2
+
+    def test_not_utf8_rejected(self, tmp_path):
+        manifest = saved_bundle(tmp_path, 11) / "manifest.json"
+        manifest.write_bytes(manifest.read_bytes().replace(b"SP0000", b"SP\xff000", 1))
+        with pytest.raises(FormatError, match="manifest.json: .*can't decode byte 0xff"):
+            dp.load_dataset(manifest.parent)
+
+    @pytest.mark.parametrize("key, old, new", [
+        ("SP0000", '"SP0001": {', '"SP0000": {}, "SP0001": {'),
+        ("split_seed", '"version": 4', '"version": 4, "split_seed": 0'),
+    ], ids=["SP0000", "split_seed"])
+    def test_repeated_key_rejected(self, tmp_path, key, old, new):
+        manifest = saved_bundle(tmp_path, 11) / "manifest.json"
+        manifest.write_text(manifest.read_text().replace(old, new, 1))
+        with pytest.raises(FormatError, match=f"manifest.json: repeated key '{key}'"):
+            dp.load_dataset(manifest.parent)
 
     def test_version_1_rejected(self, tmp_path):
-        # so is version 2, whose header also held split_ratios
-        ds = dp.build_dataset(generate_patients(13, 10), seed=13)
-        dp.save_dataset(ds, tmp_path / "ds")
-        manifest = tmp_path / "ds" / "manifest.txt"
-        text = manifest.read_text()
-        for version in (1, 2):
-            manifest.write_text(text.replace("version: 3", f"version: {version}", 1))
-            with pytest.raises(FormatError, match=f"manifest line 2: .*unsupported version {version}"):
-                dp.load_dataset(tmp_path / "ds")
+        # so are versions 2 and 3
+        for version in (1, 2, 3, "4"):
+            bundle = saved_bundle(tmp_path, 13, lambda d: d.update(version=version))
+            with pytest.raises(FormatError, match=f"manifest.json: unsupported version {re.escape(repr(version))}"):
+                dp.load_dataset(bundle)
 
-    @pytest.mark.parametrize("pattern, replacement, message", [
-        pytest.param(r"^patient\.SP0003: .*\n", "", "header says 10 patients, found 9", id="dropped_patient"),
-        pytest.param(r"age=[\d.]+", "age=missing", "every training-split age is missing", id="all_ages_missing"),
-        pytest.param(r"days=[\d.]+", "days=100.0", "constant feature", id="constant_days"),
-        pytest.param(r"split_fold: \d+", "split_fold: 7", "fold must lie", id="fold_out_of_range"),
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda d: [e.update(age=None) for e in d["patients"].values()],
+                     "every training-split age is missing", id="all_ages_missing"),
+        pytest.param(lambda d: [e.update(days=100.0) for e in d["patients"].values()],
+                     "constant feature", id="constant_days"),
+        pytest.param(lambda d: d.update(split_fold=7), "fold must lie", id="fold_out_of_range"),
+        pytest.param(lambda d: d.update(split_seed=-1), "seed must be non-negative", id="negative_seed"),
     ])
-    def test_inconsistent_bundle_names_manifest(self, tmp_path, pattern, replacement, message):
-        # every line parses, but the header and patients do not make a dataset
-        ds = dp.build_dataset(generate_patients(14, 10), seed=14)
-        dp.save_dataset(ds, tmp_path / "ds")
-        manifest = tmp_path / "ds" / "manifest.txt"
-        manifest.write_text(re.sub(pattern, replacement, manifest.read_text(), flags=re.M))
-        with pytest.raises(FormatError, match=f"manifest.txt: .*{message}"):
-            dp.load_dataset(tmp_path / "ds")
+    def test_inconsistent_bundle_names_manifest(self, tmp_path, edit, message):
+        # every entry is well-formed, but the header and patients do not make a dataset
+        with pytest.raises(FormatError, match=f"manifest.json: .*{message}"):
+            dp.load_dataset(saved_bundle(tmp_path, 14, edit))

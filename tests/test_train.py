@@ -80,7 +80,7 @@ def test_forward_batch_is_weighted_sum_of_views(dataset, frame_diff):
     dict(heads=0), dict(embed_dim=0), dict(heads=-3), dict(widths=(0,)), dict(widths=(16, -2)),
     dict(frames=0, se_mode="off"), dict(in_plane=0), dict(frames=1, se_mode="off"),
     dict(towers="visual", frames=1, se_mode="off", frame_diff="forward-only"),
-    dict(lr=0.0), dict(lam=-1e-3), dict(fold=-1), dict(fold=9),
+    dict(lr=0.0), dict(lam=-1e-3), dict(fold=-1), dict(fold=9), dict(seed=-1),
 ])
 def test_config_rejects_model_that_cannot_run(bad):
     with pytest.raises(ConfigError):
@@ -184,6 +184,11 @@ def test_resume_rejects_another_config(dataset):
     assert state.epoch == 1
     state, _ = train.train(tiny_config(epochs=2), dataset, state=state)
     assert state.epoch == 2
+
+
+def test_negative_epoch_count_rejected(dataset):
+    with pytest.raises(UsageError, match="got -3"):
+        train.train(tiny_config(epochs=1), dataset, epochs=-3)
 
 
 def test_state_rejects_dataset_with_another_vocabulary(dataset):
@@ -344,6 +349,10 @@ HEADER_EDITS = {
     "rng_state not a dict": lambda h: h.update(rng_state="x"),
     "no layout": lambda h: h.pop("layout"),
     "best saved not bool": lambda h: h["best"].update(saved=1),
+    # the vocab maps each item to its embedding row, 0..n-1
+    "vocab index 0.5": lambda h: h["vocab"].update({min(h["vocab"], key=h["vocab"].get): 0.5}),
+    "vocab all 0": lambda h: h.update(vocab=dict.fromkeys(h["vocab"], 0)),
+    "vocab shifted": lambda h: h.update(vocab={k: v + 100 for k, v in h["vocab"].items()}),
 }
 
 
@@ -439,7 +448,7 @@ class TestCheckpoint:
         else:
             blob = _edit_header(bytes(blob), HEADER_EDITS[corrupt])
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError) as info:
+        with pytest.raises(FormatError, match="vocab" if corrupt.startswith("vocab") else None) as info:
             train.load_checkpoint(path)
         assert info.value.offset == 14
 
