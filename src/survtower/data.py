@@ -8,6 +8,8 @@ A dataset bundle is a directory:
 Volume files: magic "PSNV", u16 little-endian version (=1), u32 dims
 d,h,w, then d*h*w float32 little-endian values, slice-major. Volumes are
 stored preprocessed (resized to 8x96x96, range-normalized to [0,1]).
+``load_dataset`` only lists ``volumes/``; each volume is read on its first
+access and kept, so a malformed one raises ``FormatError`` when first used.
 A dataset holds one sample per patient, of augmentation id 0; an
 augmented variant is a copy of that sample with another id, and
 ``SurvivalDataset.sample_volume`` derives its volume from the stored one.
@@ -34,6 +36,7 @@ import logging
 import math
 import os
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -141,18 +144,18 @@ def resize_volume(raw: np.ndarray, out_dims=VOLUME_DIMS) -> np.ndarray:
     return arr
 
 
-def normalize_volume(raw: np.ndarray) -> np.ndarray:
+def normalize_volume(raw: np.ndarray, patient_id: str = "?") -> np.ndarray:
     """Resize to 8x96x96 and linearly map the value range onto [0,1].
 
     A constant volume has no range; by convention it maps to all-0.5
-    (logged, since it indicates a degenerate scan).
+    (logged with ``patient_id``, since it indicates a degenerate scan).
     """
     if not np.all(np.isfinite(raw)):
-        raise PipelineError("volume contains non-finite values")
+        raise PipelineError(f"patient {patient_id}: volume contains non-finite values")
     resized = resize_volume(raw, VOLUME_DIMS)
     lo, hi = float(resized.min()), float(resized.max())
     if hi == lo:
-        logger.warning("constant volume (value %s); normalizing to all-0.5", lo)
+        logger.warning("patient %s: constant volume (value %s); normalizing to all-0.5", patient_id, lo)
         return np.full(VOLUME_DIMS, 0.5, dtype=np.float32)
     return ((resized - lo) / (hi - lo)).astype(np.float32)
 
@@ -240,6 +243,30 @@ def load_volume(path) -> np.ndarray:
     return arr.reshape(d, h, w).copy()
 
 
+class _VolumeFiles(Mapping):
+    """The volumes of a bundle's patients by id: each is read from
+    ``<folder>/<id>.psnv`` by ``load_volume`` on its first access and kept."""
+
+    def __init__(self, folder: Path, ids):
+        self.folder, self.ids, self.read = folder, ids, {}
+
+    def __getitem__(self, pid: str) -> np.ndarray:
+        if pid not in self.read:
+            if pid not in self.ids:
+                raise KeyError(pid)
+            self.read[pid] = load_volume(self.folder / f"{pid}.psnv")
+        return self.read[pid]
+
+    def __contains__(self, pid) -> bool:
+        return pid in self.ids
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 # ---------------------------------------------------------------------------
 # raw clinical records
 
@@ -274,7 +301,7 @@ class Sample:
 class SurvivalDataset:
     vocab: ClinicalVocabulary
     patients: dict[str, RawPatient]          # raw clinical meta, no volume attached
-    volumes: dict[str, np.ndarray]           # preprocessed 8x96x96 in [0,1]
+    volumes: Mapping[str, np.ndarray]        # preprocessed 8x96x96 in [0,1]; read at first use when loaded
     split: dict[str, str]
     split_seed: int
     split_fold: int
@@ -284,14 +311,8 @@ class SurvivalDataset:
         return augment_volume(self.volumes[sample.patient_id], sample.aug_id)
 
     def select(self, split: str, uncensored_only: bool = False) -> list[Sample]:
-        out = []
-        for s in self.samples:
-            if self.split[s.patient_id] != split:
-                continue
-            if uncensored_only and s.event != 1:
-                continue
-            out.append(s)
-        return out
+        return [s for s in self.samples
+                if self.split[s.patient_id] == split and (s.event == 1 or not uncensored_only)]
 
 
 def assign_splits(patient_ids, seed: int, fold: int) -> dict[str, str]:
@@ -342,7 +363,7 @@ def _check_outcome(event, days: float, age: float | None):
 
 def _assemble(
     patients: dict[str, RawPatient],
-    volumes: dict[str, np.ndarray],
+    volumes: Mapping[str, np.ndarray],
     seed: int,
     fold: int,
 ) -> SurvivalDataset:
@@ -368,10 +389,8 @@ def _assemble(
     ages = impute_ages([patients[p].age for p in ids], is_train)
     age_by_pid = dict(zip(ids, ages))
 
-    train_ages = [age_by_pid[p] for p in ids if split[p] == "train"]
-    age_mu, age_sd = zscore_fit(train_ages)
-    train_days = [patients[p].survival_days for p in ids if split[p] == "train"]
-    days_lo, days_hi = minmax_fit(train_days)
+    age_mu, age_sd = zscore_fit([age_by_pid[p] for p in ids if split[p] == "train"])
+    days_lo, days_hi = minmax_fit([patients[p].survival_days for p in ids if split[p] == "train"])
 
     vocab = ClinicalVocabulary(
         items={v: i for i, v in enumerate(sorted({it for p in patients.values() for it in p.items}))}
@@ -404,7 +423,7 @@ def build_dataset(raw_patients: list[RawPatient], seed: int, fold: int = 0) -> S
     for p in raw_patients:
         if p.volume is None:
             raise PipelineError(f"patient {p.patient_id} has no volume")
-        volumes[p.patient_id] = normalize_volume(p.volume)
+        volumes[p.patient_id] = normalize_volume(p.volume, p.patient_id)
     patients = {p.patient_id: RawPatient(p.patient_id, dict(p.categorical), p.age, p.survival_days, p.event)
                 for p in raw_patients}
     return _assemble(patients, volumes, seed, fold)
@@ -455,12 +474,15 @@ def save_dataset(ds: SurvivalDataset, path):
     write_atomic(root / "manifest.json", (json.dumps(manifest, sort_keys=True, indent=1) + "\n").encode("utf-8"))
 
 
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    """``object_pairs_hook`` for ``json.loads`` that rejects a repeated key."""
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict | tuple:
+    """``object_pairs_hook`` for ``json.loads``: an object that repeats a key, or holds
+    one that does, becomes the tuple of keys leading to it (JSON gives no tuples)."""
     out = {}
     for key, value in pairs:
+        if isinstance(value, tuple):
+            return (key, *value)
         if key in out:
-            raise ValueError(f"repeated key {key!r}")
+            return (key,)
         out[key] = value
     return out
 
@@ -477,8 +499,9 @@ def _check_object(what: str, obj, types: dict):
 
 
 def load_dataset(path) -> SurvivalDataset:
-    """Read a bundle: parse and check the manifest, load the volumes, and
-    rebuild everything else with ``_assemble``."""
+    """Read a bundle: parse and check the manifest, check that every patient
+    has a volume file, and rebuild everything else with ``_assemble``. No
+    volume is read here: a malformed one raises ``FormatError`` at first use."""
     root = Path(path)
     manifest = root / "manifest.json"
     if not manifest.exists():
@@ -487,8 +510,10 @@ def load_dataset(path) -> SurvivalDataset:
         doc = json.loads(manifest.read_bytes().decode("utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{manifest}: {exc.msg}", offset=len(exc.doc[:exc.pos].encode("utf-8"))) from None
-    except ValueError as exc:   # a repeated key, or bytes that are not UTF-8
+    except ValueError as exc:   # bytes that are not UTF-8
         raise FormatError(f"{manifest}: {exc}") from None
+    if isinstance(doc, tuple):
+        raise FormatError(f"{manifest}: repeated key {doc[-1]!r}" + "".join(f" in {k!r}" for k in doc[-2::-1]))
     if type(doc) is not dict or doc.get("format") != _MANIFEST_MAGIC:
         raise FormatError(f"{manifest}: not a {_MANIFEST_MAGIC} manifest")
     if doc.get("version") != _MANIFEST_VERSION:
@@ -497,13 +522,17 @@ def load_dataset(path) -> SurvivalDataset:
     try:
         _check_object("the header", doc, _HEADER_TYPES)
         for pid, entry in doc["patients"].items():
-            _check_patient_id(pid)   # before its volume file is opened
+            _check_patient_id(pid)   # before its volume file is looked for
             _check_object(f"patient {pid!r}", entry, _PATIENT_TYPES)
             patients[pid] = RawPatient(pid, entry["items"], entry["age"], entry["days"], entry["event"])
     except ValueError as exc:
         raise FormatError(f"{manifest}: {exc}") from None
-    volumes = {pid: load_volume(root / "volumes" / f"{pid}.psnv") for pid in patients}
+    folder = root / "volumes"
+    files = set(os.listdir(folder)) if folder.is_dir() else set()
+    missing = [pid for pid in patients if f"{pid}.psnv" not in files]
+    if missing:
+        raise FormatError(f"{root}: patient {missing[0]!r} has no volume file {folder / missing[0]}.psnv")
     try:
-        return _assemble(patients, volumes, doc["split_seed"], doc["split_fold"])
+        return _assemble(patients, _VolumeFiles(folder, patients.keys()), doc["split_seed"], doc["split_fold"])
     except (PipelineError, ConfigError, DegenerateFeatureError) as exc:
         raise FormatError(f"{manifest}: {exc}") from None

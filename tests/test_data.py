@@ -3,6 +3,7 @@
 import errno
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -105,6 +106,14 @@ class TestVolumeResize:
             out = dp.normalize_volume(np.full((4, 10, 10), 7.0))
         np.testing.assert_allclose(out, 0.5)
         assert "constant volume" in caplog.text
+        # build_dataset names the patient whose volume it is
+        patients = generate_patients(1, 10)
+        patients[4].volume = np.full((4, 10, 10), 7.0)
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            ds = dp.build_dataset(patients, seed=1)
+        np.testing.assert_allclose(ds.volumes[patients[4].patient_id], 0.5)
+        assert f"patient {patients[4].patient_id}: constant volume (value 7.0)" in caplog.text
 
     def test_non_finite_rejected(self):
         v = np.ones((4, 5, 5))
@@ -403,34 +412,47 @@ MANIFEST_EDITS = {
 }
 
 
+def read_all(ds):
+    """Read every volume of ``ds``, so that none is left to read at first use."""
+    for pid in ds.volumes:
+        ds.volumes[pid]
+    return ds
+
+
 class TestBundleRoundtrip:
     def test_save_load_save_byte_identical(self, tmp_path):
+        # saved once with no volume read since the load, and once with all of them read
         ds = dp.build_dataset(generate_patients(8, 10), seed=8)
-        d1, d2 = tmp_path / "one", tmp_path / "two"
+        d1 = tmp_path / "one"
         dp.save_dataset(ds, d1)
-        loaded = dp.load_dataset(d1)
-        dp.save_dataset(loaded, d2)
-        assert (d1 / "manifest.json").read_bytes() == (d2 / "manifest.json").read_bytes()
-        for f in sorted((d1 / "volumes").iterdir()):
-            assert f.read_bytes() == (d2 / "volumes" / f.name).read_bytes()
+        for d2, touch in ((tmp_path / "untouched", lambda ds: ds), (tmp_path / "read", read_all)):
+            dp.save_dataset(touch(dp.load_dataset(d1)), d2)
+            assert (d1 / "manifest.json").read_bytes() == (d2 / "manifest.json").read_bytes()
+            assert sorted(f.name for f in (d2 / "volumes").iterdir()) == sorted(f"{p}.psnv" for p in ds.patients)
+            for f in sorted((d1 / "volumes").iterdir()):
+                assert f.read_bytes() == (d2 / "volumes" / f.name).read_bytes()
 
     def test_loaded_equals_built(self, tmp_path):
         ds = dp.build_dataset(generate_patients(9, 10), seed=9)
         dp.save_dataset(ds, tmp_path / "ds")
-        loaded = dp.load_dataset(tmp_path / "ds")
-        assert loaded.split == ds.split
-        assert loaded.vocab.items == ds.vocab.items
-        assert loaded.patients == ds.patients
-        assert any(p.age is None for p in loaded.patients.values())
-        assert (loaded.split_seed, loaded.split_fold) == (ds.split_seed, ds.split_fold)
-        assert len(loaded.samples) == len(ds.samples)
-        for a, b in zip(loaded.samples, ds.samples):
-            assert (a.patient_id, a.aug_id, a.age, a.time_norm, a.event) == (
-                b.patient_id, b.aug_id, b.age, b.time_norm, b.event)
-            assert a.tokens.dtype == b.tokens.dtype
-            np.testing.assert_array_equal(a.tokens, b.tokens)
-        for pid in ds.volumes:
-            np.testing.assert_array_equal(loaded.volumes[pid], ds.volumes[pid])
+        # volumes read at first use, in the checks below, and read before them
+        for loaded in (dp.load_dataset(tmp_path / "ds"), read_all(dp.load_dataset(tmp_path / "ds"))):
+            assert loaded.split == ds.split
+            assert loaded.vocab.items == ds.vocab.items
+            assert loaded.patients == ds.patients
+            assert any(p.age is None for p in loaded.patients.values())
+            assert (loaded.split_seed, loaded.split_fold) == (ds.split_seed, ds.split_fold)
+            assert len(loaded.samples) == len(ds.samples)
+            for a, b in zip(loaded.samples, ds.samples):
+                assert (a.patient_id, a.aug_id, a.age, a.time_norm, a.event) == (
+                    b.patient_id, b.aug_id, b.age, b.time_norm, b.event)
+                assert a.tokens.dtype == b.tokens.dtype
+                np.testing.assert_array_equal(a.tokens, b.tokens)
+            assert sorted(loaded.volumes) == sorted(ds.volumes) and len(loaded.volumes) == len(ds.volumes)
+            for pid in ds.volumes:
+                assert pid in loaded.volumes
+                np.testing.assert_array_equal(loaded.volumes[pid], ds.volumes[pid])
+            assert "SP9999" not in loaded.volumes and loaded.volumes.get("SP9999") is None
 
     def test_ids_and_items_with_spaces_commas_semicolons(self, tmp_path):
         patients = generate_patients(15, 10)
@@ -469,6 +491,15 @@ class TestBundleRoundtrip:
         with pytest.raises(FormatError, match="manifest.json: not a PSND manifest"):
             dp.load_dataset(bundle)
 
+    def test_missing_volume_file_names_bundle_and_patient(self, tmp_path):
+        bundle = saved_bundle(tmp_path, 10)
+        (bundle / "volumes" / "SP0004.psnv").unlink()
+        with pytest.raises(FormatError, match=f"{re.escape(str(bundle))}: patient 'SP0004' has no volume file"):
+            dp.load_dataset(bundle)
+        shutil.rmtree(bundle / "volumes")
+        with pytest.raises(FormatError, match="patient 'SP0000' has no volume file"):
+            dp.load_dataset(bundle)
+
     def test_missing_manifest(self, tmp_path):
         # a bundle from before version 4 holds manifest.txt
         (tmp_path / "manifest.txt").write_text("format: PSND\nversion: 3\n")
@@ -498,14 +529,17 @@ class TestBundleRoundtrip:
         with pytest.raises(FormatError, match="manifest.json: .*can't decode byte 0xff"):
             dp.load_dataset(manifest.parent)
 
-    @pytest.mark.parametrize("key, old, new", [
-        ("SP0000", '"SP0001": {', '"SP0000": {}, "SP0001": {'),
-        ("split_seed", '"version": 4', '"version": 4, "split_seed": 0'),
-    ], ids=["SP0000", "split_seed"])
-    def test_repeated_key_rejected(self, tmp_path, key, old, new):
+    @pytest.mark.parametrize("names, old, new", [
+        ("'SP0000' in 'patients'", '"SP0001": {', '"SP0000": {}, "SP0001": {'),
+        ("'split_seed'$", '"version": 4', '"version": 4, "split_seed": 0'),
+        # the first "smoker" is in the items of SP0000
+        ("'smoker' in 'items' in 'SP0000' in 'patients'", '"smoker": "former"',
+         '"smoker": "former", "smoker": "never"'),
+    ], ids=["SP0000", "split_seed", "items"])
+    def test_repeated_key_rejected(self, tmp_path, names, old, new):
         manifest = saved_bundle(tmp_path, 11) / "manifest.json"
         manifest.write_text(manifest.read_text().replace(old, new, 1))
-        with pytest.raises(FormatError, match=f"manifest.json: repeated key '{key}'"):
+        with pytest.raises(FormatError, match=f"manifest.json: repeated key {names}"):
             dp.load_dataset(manifest.parent)
 
     def test_version_1_rejected(self, tmp_path):

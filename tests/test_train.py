@@ -4,7 +4,9 @@ round trip, and the bit-exact resume contract."""
 import dataclasses
 import errno
 import json
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +166,74 @@ def test_seeded_desk_run_is_pinned():
     assert state.best_epoch == 1
     assert train.evaluate(state, dataset)["c_index"] == 0.6
     assert train.evaluate(state, dataset, which="last")["c_index"] == 0.6181818181818182
+
+
+@pytest.fixture
+def volume_reads(monkeypatch):
+    """The names of the volume files ``data.load_volume`` reads, in order."""
+    names, load_volume = [], data.load_volume
+
+    def counted(path):
+        names.append(Path(path).name)
+        return load_volume(path)
+
+    monkeypatch.setattr(data, "load_volume", counted)
+    return names
+
+
+@pytest.fixture(scope="module")
+def bundle(dataset, tmp_path_factory):
+    path = tmp_path_factory.mktemp("bundle") / "ds"
+    data.save_dataset(dataset, path)
+    return path
+
+
+def run_and_evaluate(config, ds):
+    """Train, then evaluate each split; the history and the scores."""
+    state, history = train.train(config, ds)
+    return history, [train.evaluate(state, ds, split) for split in data.SPLITS]
+
+
+def test_clinical_only_run_reads_no_volume(bundle, volume_reads):
+    run_and_evaluate(tiny_config(towers="textual"), data.load_dataset(bundle))
+    assert volume_reads == []
+
+
+def test_visual_run_reads_each_volume_once(dataset, bundle, volume_reads):
+    # two epochs and three evaluations use the training and validation patients again
+    config = train.desk_preset(epochs=2, seed=4)
+    ds = data.load_dataset(bundle)
+    history, scores = run_and_evaluate(config, ds)
+    _, train_s, val_s, test_s = train.split_dataset(ds, config)
+    used = {s.patient_id for s in train_s + val_s + test_s}
+    assert sorted(volume_reads) == sorted(f"{pid}.psnv" for pid in used)
+    assert len(used) < len(ds.patients)   # censored training and validation patients are never read
+
+    def timeless(rows):
+        return [{k: v for k, v in row.items() if k != "seconds"} for row in rows]
+
+    built_history, built_scores = run_and_evaluate(config, dataset)
+    assert timeless(history) == timeless(built_history) and scores == built_scores
+
+
+def test_apply_split_reads_nothing(bundle, volume_reads):
+    ds = data.load_dataset(bundle)
+    moved = data.apply_split(ds, ds.split_seed + 1, ds.split_fold)
+    assert moved.split != ds.split and moved.volumes is ds.volumes
+    assert volume_reads == []
+
+
+def test_malformed_volume_raises_at_first_use(dataset, tmp_path):
+    data.save_dataset(dataset, tmp_path / "ds")
+    config = tiny_config(towers="visual")
+    victim = train.split_dataset(dataset, config)[1][0].patient_id
+    path = tmp_path / "ds" / "volumes" / f"{victim}.psnv"
+    path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+    ds = data.load_dataset(tmp_path / "ds")
+    run_and_evaluate(tiny_config(towers="textual"), ds)
+    with pytest.raises(FormatError, match=f"{re.escape(str(path))}: expected magic b'PSNV'") as info:
+        train.train(config, ds)
+    assert info.value.offset == 0
 
 
 def test_evaluate_rejects_unknown_parameter_choice(dataset):
