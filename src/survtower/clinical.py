@@ -21,6 +21,9 @@ from . import autodiff as ad
 from .errors import ConfigError, VocabularyError
 from .params import ParameterStore, uniform_fan_in
 
+# the self-attention encoder and its ablation substitute
+ENCODERS = ("attention", "mlp")
+
 
 @dataclass
 class ClinicalVocabulary:
@@ -41,25 +44,15 @@ class ClinicalVocabulary:
         return np.asarray(indices, dtype=np.int64)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClinicalEncoderConfig:
-    embed_dim: int = 48
-    heads: int = 3
-    layers: int = 5
-    mlp_hidden: int = 192
-    encoder: str = "attention"  # "attention" or "mlp" (ablation substitute)
+    """The clinical tower's view of a ``TrainConfig``, built by its ``model_config``."""
 
-    def __post_init__(self):
-        if self.layers < 1:
-            raise ConfigError(f"layer count must be >= 1, got {self.layers}")
-        if self.heads < 1 or self.embed_dim < 1:
-            raise ConfigError(f"heads and embed_dim must be >= 1, got {self.heads} and {self.embed_dim}")
-        if self.embed_dim % self.heads != 0:
-            raise ConfigError(
-                f"embed_dim {self.embed_dim} must split evenly over {self.heads} heads"
-            )
-        if self.encoder not in ("attention", "mlp"):
-            raise ConfigError(f"unknown clinical encoder {self.encoder!r}")
+    embed_dim: int
+    heads: int
+    layers: int
+    mlp_hidden: int
+    encoder: str  # one of ENCODERS
 
     @property
     def head_dim(self) -> int:

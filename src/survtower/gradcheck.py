@@ -226,22 +226,15 @@ def _model_check_at(seed: int, samples_per_tensor: int, only: set | None = None)
     from . import autodiff as ad
     from . import fusion as fu
     from .clinical import ClinicalVocabulary
-    from .model import BatchInputs, ModelConfig, forward_batch, init_model_params
-    from .visual import SqueezeExciteConfig, VisualBackboneConfig
-    from .clinical import ClinicalEncoderConfig
+    from .model import BatchInputs, forward_batch, init_model_params
+    from .train import TrainConfig
 
     rng = np.random.default_rng(seed)
-    config = ModelConfig(
-        towers="both",
-        clinical=ClinicalEncoderConfig(embed_dim=12, heads=3, layers=2, mlp_hidden=24),
-        visual=VisualBackboneConfig(
-            frames=4, in_plane=16, widths=(4, 8, 16), blocks_per_stage=1,
-            se=SqueezeExciteConfig(),
-        ),
-        head_hidden=16,
-        omega=0.4,
-        frame_diff="on",
-    )
+    config = TrainConfig(
+        embed_dim=12, heads=3, layers=2, mlp_hidden=24,
+        frames=4, in_plane=16, widths=(4, 8, 16), blocks_per_stage=1,
+        head_hidden=16, omega=0.4, frame_diff="on",
+    ).model_config()
     vocab = ClinicalVocabulary(items={f"item={i}": i for i in range(6)})
     store = init_model_params(config, vocab, seed, dtype=np.float64)
     # the zero-initialized residual projections would hide their upstream

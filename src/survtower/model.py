@@ -8,7 +8,7 @@ shared weights through every pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from . import clinical as cl
 from . import fusion as fu
 from . import visual as vz
 from .data import Sample, SurvivalDataset, resize_volume
-from .errors import ConfigError
 from .params import ParameterStore
 
 TOWER_MODES = ("both", "visual", "textual")
@@ -25,29 +24,16 @@ TOWER_MODES = ("both", "visual", "textual")
 PREDICT_BATCH = 64
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
-    towers: str = "both"
-    clinical: cl.ClinicalEncoderConfig = field(default_factory=cl.ClinicalEncoderConfig)
-    visual: vz.VisualBackboneConfig = field(default_factory=vz.VisualBackboneConfig)
-    head_hidden: int = 64
-    omega: float = 0.4
-    frame_diff: str = "on"
+    """The model's view of a ``TrainConfig``, built by its ``model_config``."""
 
-    def __post_init__(self):
-        if self.towers not in TOWER_MODES:
-            raise ConfigError(f"towers must be one of {TOWER_MODES}, got {self.towers!r}")
-        if self.frame_diff not in fu.FRAME_DIFF_MODES:
-            raise ConfigError(
-                f"frame_diff must be one of {fu.FRAME_DIFF_MODES}, got {self.frame_diff!r}"
-            )
-        if not 0.0 <= self.omega <= 1.0:
-            raise ConfigError(f"omega must lie in [0,1], got {self.omega}")
-        if self.towers == "textual":
-            # no volumes flow, so differencing has nothing to act on
-            self.frame_diff = "off"
-        if len(fu.ensemble_views(self.frame_diff, self.omega)) > 1 and self.visual.frames < 2:
-            raise ConfigError(f"frame differencing needs at least 2 frames, got {self.visual.frames}")
+    towers: str
+    clinical: cl.ClinicalEncoderConfig
+    visual: vz.VisualBackboneConfig
+    head_hidden: int
+    omega: float
+    frame_diff: str
 
     @property
     def head_in_dim(self) -> int:

@@ -14,10 +14,11 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import ClassVar
+from typing import ClassVar, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -25,15 +26,28 @@ from . import autodiff as ad
 from . import clinical as cl
 from . import fusion as fu
 from . import visual as vz
-from .data import AUGMENTATIONS, N_FOLDS, SPLITS, SurvivalDataset, apply_split, write_atomic
+from .data import (AUGMENTATIONS, N_FOLDS, SPLITS, SurvivalDataset, _check_object, _unique_keys, apply_split,
+                   write_atomic)
 from .errors import ConfigError, FormatError, MetricUndefinedError, TrainingDivergedError, UsageError
 from .metrics import concordance_index, mae
-from .model import ModelConfig, forward_batch, init_model_params, make_batch, predict_times
+from .model import TOWER_MODES, ModelConfig, forward_batch, init_model_params, make_batch, predict_times
 from .params import ParameterStore
 
 
 @dataclass
 class TrainConfig:
+    """Every setting of a run and its default: the one place either lives.
+
+    Building a config checks each field once, by the rules ``_FIELD_RULES``
+    derives from its annotation (and ``_BOUNDS`` for a number), whatever
+    the towers; a check that relates two fields runs only for a tower
+    that runs. ``model_config`` derives the frozen views the model reads.
+    The clinical tower reads heads, layers, embed_dim, mlp_hidden and
+    textual_encoder; the visual tower reads se_mode, se_blocks, frames,
+    in_plane, widths, blocks_per_stage, frame_diff and omega; every run
+    reads the rest.
+    """
+
     # optimization protocol
     seed: int = 0
     epochs: int = 120
@@ -46,17 +60,17 @@ class TrainConfig:
     layers: int = 5
     embed_dim: int = 48
     mlp_hidden: int = 192
-    textual_encoder: str = "attention"
+    textual_encoder: Literal[cl.ENCODERS] = "attention"
     # visual tower
-    se_mode: str = "joint"
-    se_blocks: str = "channel-temporal"
+    se_mode: Literal[vz.SE_MODES] = "joint"
+    se_blocks: Literal[vz.SE_BLOCKS] = "channel-temporal"
     frames: int = 8
     in_plane: int = 96
-    widths: tuple = (16, 32, 64)
+    widths: tuple[int, ...] = (16, 32, 64)
     blocks_per_stage: int = 2
     # assembly
-    towers: str = "both"
-    frame_diff: str = "on"
+    towers: Literal[TOWER_MODES] = "both"
+    frame_diff: Literal[fu.FRAME_DIFF_MODES] = "on"
     head_hidden: int = 64
     # data protocol
     fold: int = 0
@@ -66,37 +80,40 @@ class TrainConfig:
     lr_decay_every: ClassVar[int] = 40
 
     def __post_init__(self):
-        self.widths = tuple(int(w) for w in self.widths)
-        if not 0 <= self.fold < N_FOLDS:
-            raise ConfigError(f"fold must lie in [0,{N_FOLDS}), got {self.fold}")
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ConfigError("epochs must be >= 0 and batch_size >= 1")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.lam < 0:
-            raise ConfigError(f"lam must be non-negative, got {self.lam}")
-        self.model_config()  # rejects a model that cannot run
+        for name, rules in _FIELD_RULES.items():
+            value = getattr(self, name)
+            for test, words in rules:
+                if not test(value):
+                    raise ConfigError(f"{name} must be {words}, got {value!r}")
+        self.widths = tuple(self.widths)
+        # the checks that relate two fields, for the towers that run
+        if self.towers != "visual" and self.embed_dim % self.heads:
+            raise ConfigError(f"embed_dim {self.embed_dim} must split evenly over {self.heads} heads")
+        if self.towers != "textual":
+            for _, axis in self.model_config().visual.gates:
+                what, sizes = ("stage width", self.widths) if axis == 1 else ("frame count", (self.frames,))
+                for size in sizes:
+                    if size % vz.SE_RATIO:
+                        raise ConfigError(f"{what} {size} not divisible by SE ratio {vz.SE_RATIO}")
+            if len(fu.ensemble_views(self.frame_diff, self.omega)) > 1 and self.frames < 2:
+                raise ConfigError(f"frame differencing needs at least 2 frames, got {self.frames}")
 
     def model_config(self) -> ModelConfig:
-        # a one-tower model never builds the other tower, so its settings go unchecked
-        visual = vz.VisualBackboneConfig() if self.towers == "textual" else vz.VisualBackboneConfig(
-            frames=self.frames, in_plane=self.in_plane, widths=self.widths,
-            blocks_per_stage=self.blocks_per_stage,
-            se=vz.SqueezeExciteConfig(mode=self.se_mode, blocks=self.se_blocks),
-        )
-        clinical = cl.ClinicalEncoderConfig() if self.towers == "visual" else cl.ClinicalEncoderConfig(
-            embed_dim=self.embed_dim, heads=self.heads, layers=self.layers,
-            mlp_hidden=self.mlp_hidden, encoder=self.textual_encoder,
-        )
+        """The frozen views of this config that the model code reads."""
         return ModelConfig(
             towers=self.towers,
-            clinical=clinical,
-            visual=visual,
+            clinical=cl.ClinicalEncoderConfig(
+                embed_dim=self.embed_dim, heads=self.heads, layers=self.layers,
+                mlp_hidden=self.mlp_hidden, encoder=self.textual_encoder,
+            ),
+            visual=vz.VisualBackboneConfig(
+                frames=self.frames, in_plane=self.in_plane, widths=self.widths,
+                blocks_per_stage=self.blocks_per_stage, se_mode=self.se_mode, se_blocks=self.se_blocks,
+            ),
             head_hidden=self.head_hidden,
             omega=self.omega,
-            frame_diff=self.frame_diff,
+            # no volumes flow, so differencing has nothing to act on
+            frame_diff="off" if self.towers == "textual" else self.frame_diff,
         )
 
     def to_dict(self) -> dict:
@@ -106,9 +123,51 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        d["widths"] = tuple(d["widths"])
+        """The config of a ``to_dict`` dict: exactly this class's fields,
+        each checked as at construction. ConfigError otherwise."""
+        missing, unknown = sorted(_FIELD_RULES.keys() - d.keys()), sorted(d.keys() - _FIELD_RULES.keys())
+        if missing or unknown:
+            raise ConfigError(f"config lacks {missing} and holds unknown {unknown}")
         return cls(**d)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# what a value of each annotated type must be, as a test and the words for it;
+# a float field keeps an int as given, so config_hash does not move
+_TYPE_RULES = {
+    bool: (lambda v: type(v) is bool, "a bool"),
+    int: (_is_int, "an int"),
+    float: (lambda v: (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max, "a finite number"),
+    tuple[int, ...]: (lambda v: type(v) in (tuple, list) and len(v) > 0 and all(_is_int(w) and w > 0 for w in v),
+                      "a non-empty tuple of positive ints"),
+}
+_POSITIVE = (lambda v: v > 0, "positive")
+_NON_NEGATIVE = (lambda v: v >= 0, "non-negative")
+# the values each number admits beyond its type; an in_plane of 1 runs, as a
+# stride-2, padding-1 conv maps any p >= 1 to (p-1)//2+1 >= 1
+_BOUNDS = {
+    "seed": _NON_NEGATIVE, "epochs": _NON_NEGATIVE, "batch_size": _POSITIVE, "lr": _POSITIVE,
+    "lam": _NON_NEGATIVE, "omega": (lambda v: 0 <= v <= 1, "in [0, 1]"),
+    "heads": _POSITIVE, "layers": _POSITIVE, "embed_dim": _POSITIVE, "mlp_hidden": _POSITIVE,
+    "frames": _POSITIVE, "in_plane": _POSITIVE, "blocks_per_stage": _POSITIVE, "head_hidden": _POSITIVE,
+    "fold": (lambda v: 0 <= v < N_FOLDS, f"in [0, {N_FOLDS})"),
+}
+
+
+def _rules(name: str, kind) -> list:
+    """The (test, words) pairs a value of field ``name``, annotated ``kind``, must pass, in order."""
+    if get_origin(kind) is Literal:
+        choices = get_args(kind)
+        return [(lambda v: v in choices, f"one of {choices}")]
+    return [_TYPE_RULES[kind]] + ([_BOUNDS[name]] if name in _BOUNDS else [])
+
+
+# each field's rules, in field order: the one table that __post_init__ and from_dict read
+_FIELD_RULES = {name: _rules(name, kind) for name, kind in get_type_hints(TrainConfig).items()
+                if get_origin(kind) is not ClassVar}
 
 
 def desk_preset(**overrides) -> TrainConfig:
@@ -403,8 +462,10 @@ _CKPT_MAGIC = b"PSNC"
 # versions 1-3 held a per-tensor table, and 1-2 also keys and parameters
 # that no longer exist; all three are rejected
 _CKPT_VERSION = 4
-_CKPT_HEADER_KEYS = ("adam_step", "best", "config", "epoch", "layout", "rng_state", "vocab")
-_CKPT_BEST_KEYS = ("epoch", "c_index", "mse", "saved")
+# the keys of the header and of its "best", with the JSON types of their values
+_CKPT_HEADER_TYPES = {"adam_step": (int,), "best": (dict,), "config": (dict,), "epoch": (int,),
+                      "layout": (str,), "rng_state": (dict,), "vocab": (dict,)}
+_CKPT_BEST_TYPES = {"epoch": (int,), "c_index": (int, float), "mse": (int, float), "saved": (bool,)}
 
 
 def _layout_hash(store: ParameterStore) -> str:
@@ -458,40 +519,29 @@ def load_checkpoint(path) -> TrainerState:
     if len(blob) < header_end:
         raise FormatError(f"checkpoint {path}: header truncated", offset=len(blob))
     try:
-        header = json.loads(blob[14:header_end].decode("utf-8"))
+        header = json.loads(blob[14:header_end].decode("utf-8"), object_pairs_hook=_unique_keys)
     except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
         raise FormatError(f"checkpoint {path}: header is not UTF-8 JSON: {exc}", offset=14) from None
-    missing = [k for k in _CKPT_HEADER_KEYS if not isinstance(header, dict) or k not in header]
-    if not missing:
-        best = header["best"]
-        missing = [f"best.{k}" for k in _CKPT_BEST_KEYS if not isinstance(best, dict) or k not in best]
-    if missing:
-        raise FormatError(f"checkpoint {path}: header lacks {missing}", offset=14)
-    valid = {
-        "epoch": type(header["epoch"]) is int and header["epoch"] >= 0,
-        "adam_step": type(header["adam_step"]) is int and header["adam_step"] >= 0,
-        "best.epoch": type(best["epoch"]) is int and best["epoch"] >= -1,
-        "best.c_index": type(best["c_index"]) in (int, float),
-        "best.mse": type(best["mse"]) in (int, float),
-        "best.saved": type(best["saved"]) is bool,
+    try:
+        if isinstance(header, tuple):
+            raise ValueError(f"repeated key {header[-1]!r}" + "".join(f" in {k!r}" for k in header[-2::-1]))
+        _check_object("the header", header, _CKPT_HEADER_TYPES)
+        best, vocab = header["best"], header["vocab"]
+        _check_object("best", best, _CKPT_BEST_TYPES)
+        if header["epoch"] < 0 or header["adam_step"] < 0 or best["epoch"] < -1:
+            raise ValueError(f"epoch {header['epoch']}, adam_step {header['adam_step']} "
+                             f"or best epoch {best['epoch']} out of range")
         # the embedding row of each item: a dense index 0..n-1
-        "vocab": isinstance(header["vocab"], dict)
-        and all(type(v) is int for v in header["vocab"].values())
-        and sorted(header["vocab"].values()) == list(range(len(header["vocab"]))),
-    }
-    try:
-        np.random.PCG64().state = header["rng_state"]
-    except (KeyError, OverflowError, TypeError, ValueError):
-        valid["rng_state"] = False
-    malformed = [key for key, ok in valid.items() if not ok]
-    if malformed:
-        raise FormatError(f"checkpoint {path}: malformed {malformed}", offset=14)
-
-    try:
+        if not all(type(v) is int for v in vocab.values()) or sorted(vocab.values()) != list(range(len(vocab))):
+            raise ValueError("vocab rows are not the indices 0..n-1")
+        try:
+            np.random.PCG64().state = header["rng_state"]
+        except (KeyError, OverflowError, TypeError, ValueError):
+            raise ValueError("malformed rng_state") from None
         config = TrainConfig.from_dict(header["config"])
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"checkpoint {path}: malformed config: {exc!r}", offset=14) from None
-    store = init_model_params(config.model_config(), cl.ClinicalVocabulary(items=header["vocab"]), config.seed)
+    except ValueError as exc:   # a ConfigError too
+        raise FormatError(f"checkpoint {path}: {exc}", offset=14) from None
+    store = init_model_params(config.model_config(), cl.ClinicalVocabulary(items=vocab), config.seed)
     layout = _layout_hash(store)
     if header["layout"] != layout:
         raise FormatError(
@@ -522,7 +572,7 @@ def load_checkpoint(path) -> TrainerState:
         best_c_index=best["c_index"],
         best_mse=best["mse"],
         best_params=flat[3].astype(adam.m.dtype) if best["saved"] else None,
-        vocab_items=dict(header["vocab"]),
+        vocab_items=dict(vocab),
     )
 
 

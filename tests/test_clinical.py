@@ -9,6 +9,7 @@ from survtower import autodiff as ad
 from survtower import clinical as cl
 from survtower.errors import ConfigError, VocabularyError
 from survtower.params import ParameterStore, uniform_fan_in
+from survtower.train import TrainConfig
 
 
 ITEMS = ["hist=adeno", "hist=squamous", "stage=II", "stage=IV"]
@@ -19,9 +20,9 @@ def make_vocab():
 
 
 def small_config(**kw):
-    defaults = dict(embed_dim=12, heads=3, layers=2, mlp_hidden=24)
+    defaults = dict(towers="textual", embed_dim=12, heads=3, layers=2, mlp_hidden=24)
     defaults.update(kw)
-    return cl.ClinicalEncoderConfig(**defaults)
+    return TrainConfig(**defaults).model_config().clinical
 
 
 def build_store(config, vocab, rng=None, dtype=np.float64):
@@ -112,7 +113,7 @@ def attention_store(rng, d, heads, **weights):
         store.add(f"L.attn.{name}", rng.standard_normal((d, d)) if w is None else w)
     store.add("L.attn_out.weight", np.eye(d))
     store.add("L.attn_out.bias", np.zeros(d))
-    return store, cl.ClinicalEncoderConfig(embed_dim=d, heads=heads)
+    return store, small_config(embed_dim=d, heads=heads)
 
 
 class TestSelfAttention:
@@ -225,16 +226,16 @@ class TestEncoder:
 
     def test_mlp_substitute_encoder(self):
         vocab = make_vocab()
-        config = small_config(encoder="mlp")
+        config = small_config(textual_encoder="mlp")
         store = build_store(config, vocab)
         tokens = cl.embed_tokens(store, np.array([[0, 1], [1, 3]]), np.array([0.1, 0.5]))
         assert cl.encode_clinical(store, config, tokens).shape == (2, config.embed_dim)
 
     def test_head_split_validation(self):
-        with pytest.raises(ConfigError):
-            cl.ClinicalEncoderConfig(embed_dim=10, heads=3)
-        with pytest.raises(ConfigError):
-            cl.ClinicalEncoderConfig(layers=0)
+        with pytest.raises(ConfigError, match="split evenly"):
+            TrainConfig(embed_dim=10, heads=3)
+        with pytest.raises(ConfigError, match="layers must be positive"):
+            TrainConfig(layers=0)
 
     def test_projections_keep_per_head_draw_order(self):
         # head j's columns of wq/wk/wv hold its q, k, v draws, taken head by

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from survtower import autodiff as ad
 from survtower import fusion as fu
 from survtower.errors import ConfigError, DimensionError, UsageError
-from survtower.model import ModelConfig
 from survtower.params import ParameterStore
+from survtower.train import TrainConfig
 
 
 def make_head(in_dim=6, hidden=8, dtype=np.float64, seed=0):
@@ -123,7 +123,7 @@ class TestEnsemble:
     def test_omega_out_of_range(self):
         for omega in (-0.1, 1.5):
             with pytest.raises(ConfigError, match="omega"):
-                ModelConfig(omega=omega)
+                TrainConfig(omega=omega)
 
 
 class TestLoss:

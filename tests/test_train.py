@@ -83,26 +83,51 @@ def test_forward_batch_is_weighted_sum_of_views(dataset, frame_diff):
     dict(frames=0, se_mode="off"), dict(in_plane=0), dict(frames=1, se_mode="off"),
     dict(towers="visual", frames=1, se_mode="off", frame_diff="forward-only"),
     dict(lr=0.0), dict(lam=-1e-3), dict(fold=-1), dict(fold=9), dict(seed=-1),
+    # each field holds a value of its type: no bool for a number, no float for an int,
+    # no truncated width, and a float is finite
+    dict(epochs=1.5), dict(batch_size=2.5), dict(fold=1.0), dict(heads=True), dict(seed=True),
+    dict(omega=True), dict(lr=float("nan")), dict(lam=float("inf")), dict(lr=10**400), dict(in_plane=24.0),
+    dict(augmented_train="no"), dict(widths=(4.5, 8)), dict(widths=()), dict(widths=16),
+    dict(mlp_hidden=0), dict(head_hidden=0),
+    # a field's own check applies whatever the towers
+    dict(towers="textual", se_mode="sideways"), dict(towers="visual", textual_encoder="rnn"),
 ])
 def test_config_rejects_model_that_cannot_run(bad):
     with pytest.raises(ConfigError):
         train.TrainConfig(**bad)
 
 
+def test_config_hash_is_pinned():
+    # a float field keeps an int as given, so the last two hash as they always did
+    configs = [train.TrainConfig(), train.desk_preset(), train.TrainConfig(towers="textual", lam=0),
+               train.TrainConfig(towers="visual", omega=1)]
+    assert [train.config_hash(c) for c in configs] == ["a213f4e7063e", "08551cedf8f8", "978b4c2a5fb2", "270411702292"]
+
+
+# settings that fail the check of one field, whatever the towers
+FIELD_ERRORS = [dict(se_mode="sideways"), dict(embed_dim=0), dict(layers=0), dict(textual_encoder="rnn")]
+
+
+def assert_rejected_for(setting, rejecting):
+    """TrainConfig rejects ``setting`` for the towers in ``rejecting`` and accepts it for the others."""
+    for towers in model.TOWER_MODES:
+        if towers in rejecting:
+            with pytest.raises(ConfigError):
+                train.TrainConfig(towers=towers, **setting)
+        else:
+            assert train.TrainConfig(towers=towers, **setting).model_config().towers == towers
+
+
 @pytest.mark.parametrize("visual", [dict(frames=1), dict(frames=3), dict(widths=(5,)), dict(se_mode="sideways")])
 def test_clinical_only_config_ignores_visual_settings(visual):
-    assert train.TrainConfig(towers="textual", **visual).model_config().towers == "textual"
-    for towers in ("both", "visual"):
-        with pytest.raises(ConfigError):
-            train.TrainConfig(towers=towers, **visual)
+    # a check that relates two visual fields runs only when the visual tower does
+    assert_rejected_for(visual, model.TOWER_MODES if visual in FIELD_ERRORS else ("both", "visual"))
 
 
 @pytest.mark.parametrize("clinical", [dict(heads=5), dict(embed_dim=0), dict(layers=0), dict(textual_encoder="rnn")])
 def test_visual_only_config_ignores_clinical_settings(clinical):
-    assert train.TrainConfig(towers="visual", **clinical).model_config().towers == "visual"
-    for towers in ("both", "textual"):
-        with pytest.raises(ConfigError):
-            train.TrainConfig(towers=towers, **clinical)
+    # a check that relates two clinical fields runs only when the clinical tower does
+    assert_rejected_for(clinical, model.TOWER_MODES if clinical in FIELD_ERRORS else ("both", "textual"))
 
 
 @pytest.mark.parametrize("kw", [dict(towers="textual"), dict(towers="both", frame_diff="off"),
@@ -423,13 +448,32 @@ HEADER_EDITS = {
     "vocab index 0.5": lambda h: h["vocab"].update({min(h["vocab"], key=h["vocab"].get): 0.5}),
     "vocab all 0": lambda h: h.update(vocab=dict.fromkeys(h["vocab"], 0)),
     "vocab shifted": lambda h: h.update(vocab={k: v + 100 for k, v in h["vocab"].items()}),
+    # a header holds each of its keys once, and no other
+    "epoch repeated": lambda h: setattr(h, "repeats", [("epoch", 0)]),
+    "unknown key": lambda h: h.update(extra=1),
+    "best with unknown key": lambda h: h["best"].update(extra=1),
+    # a config holds every field, each checked as a built one is
+    "config without omega": lambda h: h["config"].pop("omega"),
+    "config epochs 1.5": lambda h: h["config"].update(epochs=1.5),
+    "config heads true": lambda h: h["config"].update(heads=True),
+    "config widths 4.5": lambda h: h["config"].update(widths=[4.5, 8]),
 }
+
+
+class _Header(dict):
+    """A JSON object that ``json.dumps`` writes with the pairs of ``repeats``
+    after its own, so an edit can repeat a key."""
+
+    repeats = ()
+
+    def items(self):
+        return [*super().items(), *self.repeats]
 
 
 def _edit_header(blob: bytes, edit) -> bytes:
     """``blob`` with ``edit`` applied to its JSON header."""
     (length,) = struct.unpack_from("<Q", blob, 6)
-    header = json.loads(blob[14:14 + length])
+    header = json.loads(blob[14:14 + length], object_pairs_hook=_Header)
     edit(header)
     text = json.dumps(header).encode()
     return blob[:6] + struct.pack("<Q", len(text)) + text + blob[14 + length:]

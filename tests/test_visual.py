@@ -9,6 +9,7 @@ from survtower import autodiff as ad
 from survtower import visual as vz
 from survtower.errors import ConfigError, DimensionError
 from survtower.params import ParameterStore
+from survtower.train import TrainConfig
 from test_autodiff import closure_values
 
 
@@ -250,10 +251,10 @@ class TestSqueezeExcite:
 
 
 def tiny_backbone(se_mode="joint", blocks="channel-temporal", dtype=np.float64, seed=0):
-    config = vz.VisualBackboneConfig(
-        frames=4, in_plane=8, widths=(4, 8), blocks_per_stage=1,
-        se=vz.SqueezeExciteConfig(mode=se_mode, blocks=blocks),
-    )
+    config = TrainConfig(
+        towers="visual", frames=4, in_plane=8, widths=(4, 8), blocks_per_stage=1,
+        se_mode=se_mode, se_blocks=blocks,
+    ).model_config().visual
     store = ParameterStore()
     vz.init_visual_params(store, config, np.random.default_rng(seed), dtype=dtype)
     return config, store
@@ -304,14 +305,14 @@ class TestResBlock:
                 t.data = np.zeros_like(t.data)
         rng = np.random.default_rng(13)
         x = rand_feature(rng, c=4, f=4, h=8, w=8)
-        out = vz.se_resblock_forward(store, "visual.stage0.block0", x, config.se)
+        out = vz.se_resblock_forward(store, "visual.stage0.block0", x, config)
         np.testing.assert_allclose(out.data, x.data, atol=1e-12)
 
     def test_se_off_equals_plain_residual_oracle(self):
         config, store = tiny_backbone(se_mode="off")
         rng = np.random.default_rng(14)
         x = rng.standard_normal((1, 4, 4, 6, 6))
-        out = vz.se_resblock_forward(store, "visual.stage0.block0", ad.Tensor(x, dtype=np.float64), config.se)
+        out = vz.se_resblock_forward(store, "visual.stage0.block0", ad.Tensor(x, dtype=np.float64), config)
         expected = plain_resblock_oracle(store, "visual.stage0.block0", x)
         np.testing.assert_allclose(out.data, expected, atol=1e-6)
 
@@ -322,7 +323,7 @@ class TestResBlock:
         store[f"{prefix}.se_t.w1"].data = np.zeros_like(store[f"{prefix}.se_t.w1"].data)
         rng = np.random.default_rng(15)
         x = rng.standard_normal((1, 4, 4, 6, 6))
-        out = vz.se_resblock_forward(store, prefix, ad.Tensor(x, dtype=np.float64), config.se)
+        out = vz.se_resblock_forward(store, prefix, ad.Tensor(x, dtype=np.float64), config)
         plain = plain_resblock_oracle(store, prefix, x)
         branch = plain - x
         # each SE block contributes a 0.25 factor, stacked: 0.0625
@@ -332,9 +333,9 @@ class TestResBlock:
         rng = np.random.default_rng(16)
         x = rng.standard_normal((1, 4, 4, 6, 6))
         cf, store = tiny_backbone(blocks="channel-temporal", seed=3)
-        out1 = vz.se_resblock_forward(store, "visual.stage0.block0", ad.Tensor(x, dtype=np.float64), cf.se)
+        out1 = vz.se_resblock_forward(store, "visual.stage0.block0", ad.Tensor(x, dtype=np.float64), cf)
         tf, store2 = tiny_backbone(blocks="temporal-channel", seed=3)
-        out2 = vz.se_resblock_forward(store2, "visual.stage0.block0", ad.Tensor(x, dtype=np.float64), tf.se)
+        out2 = vz.se_resblock_forward(store2, "visual.stage0.block0", ad.Tensor(x, dtype=np.float64), tf)
         assert not np.allclose(out1.data, out2.data)
 
     def test_gates_strictly_in_unit_interval(self):
@@ -354,7 +355,7 @@ class TestResBlock:
         weights = rng.standard_normal((1, 4, 4, 6, 6))
 
         def forward():
-            out = vz.se_resblock_forward(store, "visual.stage0.block0", ad.Tensor(x_arr, dtype=np.float64), config.se)
+            out = vz.se_resblock_forward(store, "visual.stage0.block0", ad.Tensor(x_arr, dtype=np.float64), config)
             return ad.sum_over(ad.mul(out, weights))
 
         loss = forward()
@@ -405,7 +406,7 @@ class TestResBlock:
         for gate in stack if mode != "off" else ():
             name, axis = {"channel": ("se_c", 1), "temporal": ("se_t", 2)}[gate]
             branch = gated(branch, store[f"{prefix}.{name}.w1"], store[f"{prefix}.{name}.w2"], axis, mode)
-        out = vz.se_resblock_forward(store, prefix, x, config.se)
+        out = vz.se_resblock_forward(store, prefix, x, config)
         np.testing.assert_allclose(out.data, x.data + branch.data, rtol=1e-12, atol=0)
 
     def test_tape_holds_each_activation_once(self):
@@ -414,10 +415,10 @@ class TestResBlock:
         # the pre-gate branch (the gate's gradient) and the block output; the
         # conv outputs, the bias sums and the gated branch are not kept
         store = ParameterStore()
-        se = vz.SqueezeExciteConfig()
-        vz.init_block_params(store, "b", 8, 8, 4, se, np.random.default_rng(24), np.float64, strided=False)
+        config = TrainConfig(towers="visual", frames=4).model_config().visual
+        vz.init_block_params(store, "b", 8, 8, config, np.random.default_rng(24), np.float64, strided=False)
         x = ad.Tensor(np.random.default_rng(25).standard_normal((2, 8, 4, 6, 6)), dtype=np.float64)
-        out = vz.se_resblock_forward(store, "b", x, se)
+        out = vz.se_resblock_forward(store, "b", x, config)
         held, seen, stack = {id(out.data): out.data}, set(), [out._node]
         while stack:
             node = stack.pop()
@@ -470,17 +471,17 @@ class TestBackbone:
             vz.backbone_forward(store, config, ad.Tensor(np.ones((1, 1, 4, 9, 9))))
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            vz.VisualBackboneConfig(frames=3)
-        with pytest.raises(ConfigError):
-            vz.VisualBackboneConfig(widths=(5,))
-        with pytest.raises(ConfigError):
-            vz.VisualBackboneConfig(blocks_per_stage=0)
-        with pytest.raises(ConfigError):
-            vz.SqueezeExciteConfig(mode="sideways")
+        with pytest.raises(ConfigError, match="frame count 3"):
+            TrainConfig(frames=3)
+        with pytest.raises(ConfigError, match="stage width 5"):
+            TrainConfig(widths=(5,))
+        with pytest.raises(ConfigError, match="blocks_per_stage must be positive"):
+            TrainConfig(blocks_per_stage=0)
+        with pytest.raises(ConfigError, match="se_mode must be one of"):
+            TrainConfig(se_mode="sideways")
         # two gates run in the order the setting names; there is no unordered "both"
         with pytest.raises(ConfigError, match="'channel-temporal', 'temporal-channel'"):
-            vz.SqueezeExciteConfig(blocks="both")
+            TrainConfig(se_blocks="both")
 
     def test_each_se_setting_names_one_model(self):
         # "off" runs no gate, so it alone leaves se_blocks unread
@@ -496,8 +497,8 @@ class TestBackbone:
 
     def test_smallest_input_keeps_every_stage(self):
         # a stride-2, padding-1 conv maps in-plane 1 to 1, and no stride touches the frames
-        config = vz.VisualBackboneConfig(frames=1, in_plane=1, widths=(2, 2, 2), blocks_per_stage=1,
-                                         se=vz.SqueezeExciteConfig(mode="off"))
+        config = TrainConfig(towers="visual", frames=1, in_plane=1, widths=(2, 2, 2), blocks_per_stage=1,
+                             se_mode="off", frame_diff="off").model_config().visual
         store = ParameterStore()
         vz.init_visual_params(store, config, np.random.default_rng(0), dtype=np.float64)
         out = vz.backbone_forward(store, config, ad.Tensor(np.ones((2, 1, 1, 1, 1))))
