@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, VocabularyError
+from .errors import ConfigError
 from .params import ParameterStore, uniform_fan_in
 
 # the self-attention encoder and its ablation substitute
@@ -27,21 +27,15 @@ ENCODERS = ("attention", "mlp")
 
 @dataclass
 class ClinicalVocabulary:
-    """Dense item -> embedding-row index map."""
+    """Dense item -> embedding-row index map: a cohort's ``field=value``
+    items, sorted, at rows 0..size-1. An item's token is ``items[item]``,
+    so an item from outside the cohort raises KeyError."""
 
     items: dict[str, int]
 
     @property
     def size(self) -> int:
         return len(self.items)
-
-    def encode_items(self, items) -> np.ndarray:
-        indices = []
-        for item in items:
-            if item not in self.items:
-                raise VocabularyError(f"unknown clinical item {item!r}")
-            indices.append(self.items[item])
-        return np.asarray(indices, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -82,11 +76,11 @@ def init_clinical_params(
         layer = f"clinical.layer{i}"
         store.add(f"{layer}.ln1.gain", np.ones(d, dtype=dtype), decay=False)
         store.add(f"{layer}.ln1.bias", np.zeros(d, dtype=dtype), decay=False)
-        # head j owns columns j*h:(j+1)*h of each projection; drawing q, k, v
-        # head by head keeps the initial values of a given seed fixed
-        draws = [uniform_fan_in(rng, (d, h), d, dtype) for _ in range(3 * config.heads)]
+        # head j owns columns j*h:(j+1)*h of each projection; one draw in
+        # (head, q/k/v) order keeps the initial values of a given seed fixed
+        qkv = uniform_fan_in(rng, (config.heads, 3, d, h), d, dtype)
         for offset, name in enumerate(("wq", "wk", "wv")):
-            store.add(f"{layer}.attn.{name}", np.concatenate(draws[offset::3], axis=1))
+            store.add(f"{layer}.attn.{name}", qkv[:, offset].transpose(1, 0, 2).reshape(d, d))
         # residual-branch output projections start at zero for a stable start
         store.add(f"{layer}.attn_out.weight", np.zeros((d, d), dtype=dtype))
         store.add(f"{layer}.attn_out.bias", np.zeros(d, dtype=dtype))

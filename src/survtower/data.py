@@ -22,10 +22,12 @@ exactly the keys ``age`` (a float, or ``null`` when missing), ``days``
 each categorical field to its string value). A patient id is a non-empty
 string with no ``/``, ``\\`` or NUL, since it names the patient's volume
 file. Nothing derived from the patients is stored: ``load_dataset``
-rebuilds the split assignment, vocabulary and samples, scaled by
-training-split statistics, with the same ``_assemble`` that
-``build_dataset`` and ``apply_split`` use. Round-trips are byte-exact:
-the manifest is written with sorted keys, and JSON floats round-trip.
+rebuilds the split assignment, vocabulary and samples with the same
+``_assemble`` that ``build_dataset`` and ``apply_split`` use, one column
+at a time: one call imputes the ages, one z-scores them and one min-maxes
+the survival days, each fitted on the training rows, and one pass looks
+every item up into the token matrix. Round-trips are byte-exact: the
+manifest is written with sorted keys, and JSON floats round-trip.
 A repeated key anywhere in the manifest is an error.
 """
 
@@ -75,43 +77,36 @@ AUGMENTATIONS = (
 # ---------------------------------------------------------------------------
 # feature scaling
 
-def minmax_fit(values) -> tuple[float, float]:
+def minmax(values, is_train) -> np.ndarray:
+    """``values`` min-max scaled so that its ``is_train`` entries span [0, 1]."""
     arr = np.asarray(values, dtype=np.float64)
-    lo, hi = float(arr.min()), float(arr.max())
+    fit = arr[is_train]
+    lo, hi = float(fit.min()), float(fit.max())
     if hi == lo:
         raise DegenerateFeatureError(f"constant feature (value {lo}): min-max scaling undefined")
-    return lo, hi
-
-
-def minmax_apply(values, lo: float, hi: float):
-    arr = np.asarray(values, dtype=np.float64)
     return (arr - lo) / (hi - lo)
 
 
-def zscore_fit(values) -> tuple[float, float]:
+def zscore(values, is_train) -> np.ndarray:
+    """``values`` centred and scaled by the mean and population std of its ``is_train`` entries."""
     arr = np.asarray(values, dtype=np.float64)
-    mean = float(arr.mean())
-    std = float(arr.std())  # population std
+    fit = arr[is_train]
+    mean, std = float(fit.mean()), float(fit.std())
     if std == 0.0:
         raise DegenerateFeatureError(f"constant feature (value {mean}): z-scoring undefined")
-    return mean, std
+    return (arr - mean) / std
 
 
-def zscore_apply(values, mean: float, std: float):
-    return (np.asarray(values, dtype=np.float64) - mean) / std
-
-
-def impute_ages(ages: list[float | None], is_train: list[bool]) -> list[float]:
-    """Replace missing ages with the mean of observed *training* ages.
-
-    The mean is computed over observed values only; imputation happens
-    before any scaling.
-    """
-    observed = [a for a, t in zip(ages, is_train) if t and a is not None]
-    if not observed:
+def impute_ages(ages: list[float | None], is_train) -> np.ndarray:
+    """``ages`` with each missing one replaced by the mean of the observed
+    ``is_train`` ages; imputation happens before any scaling."""
+    arr = np.array(ages, dtype=np.float64)   # a missing age, None, reads as NaN
+    missing = np.isnan(arr)
+    observed = arr[np.asarray(is_train) & ~missing]
+    if not observed.size:
         raise PipelineError("cannot impute: every training-split age is missing")
-    mean = float(np.mean(observed))
-    return [mean if a is None else float(a) for a in ages]
+    arr[missing] = observed.mean()
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +274,6 @@ class RawPatient:
     event: int
     volume: np.ndarray | None = None
 
-    @property
-    def items(self) -> list[str]:
-        return [f"{k}={self.categorical[k]}" for k in sorted(self.categorical)]
-
 
 # ---------------------------------------------------------------------------
 # dataset assembly
@@ -367,14 +358,26 @@ def _assemble(
     seed: int,
     fold: int,
 ) -> SurvivalDataset:
+    """The dataset of ``patients`` under split (``seed``, ``fold``), built
+    column by column.
+
+    One pass over the patients, in id order, checks each record and
+    gathers its training flag, age, survival days and ``field=value``
+    items. Then each column is transformed by one call: ages are imputed
+    and z-scored, survival days min-maxed, every statistic fitted on the
+    training rows only; and the items are looked up in one pass into a
+    (patients, fields) int64 token matrix, whose rows are the samples'
+    tokens.
+    """
     ids = sorted(patients)
     split = assign_splits(ids, seed, fold)
     fields = sorted(patients[ids[0]].categorical)
     if not fields:
         # the clinical tower attends over the item tokens, so a record needs one
         raise PipelineError("the cohort has no categorical fields; a clinical record needs at least one")
-    for pid in ids:
-        p = patients[pid]
+    records = [patients[pid] for pid in ids]
+    items = []
+    for pid, p in zip(ids, records):
         _check_patient_id(pid)
         if sorted(p.categorical) != fields:
             raise PipelineError(f"patient {pid} has inconsistent categorical fields")
@@ -384,34 +387,23 @@ def _assemble(
             _check_outcome(p.event, p.survival_days, p.age)
         except ValueError as exc:
             raise PipelineError(f"patient {pid}: {exc}") from None
+        items.append([f"{k}={p.categorical[k]}" for k in fields])
 
-    is_train = [split[p] == "train" for p in ids]
-    ages = impute_ages([patients[p].age for p in ids], is_train)
-    age_by_pid = dict(zip(ids, ages))
-
-    age_mu, age_sd = zscore_fit([age_by_pid[p] for p in ids if split[p] == "train"])
-    days_lo, days_hi = minmax_fit([patients[p].survival_days for p in ids if split[p] == "train"])
-
-    vocab = ClinicalVocabulary(
-        items={v: i for i, v in enumerate(sorted({it for p in patients.values() for it in p.items}))}
-    )
-
-    samples = []
-    for pid in ids:
-        p = patients[pid]
-        tokens = vocab.encode_items(p.items)
-        age = float(zscore_apply(age_by_pid[pid], age_mu, age_sd))
-        time_norm = float(minmax_apply(p.survival_days, days_lo, days_hi))
-        samples.append(Sample(pid, 0, tokens, age, time_norm, p.event))
+    is_train = np.array([split[pid] == "train" for pid in ids])
+    ages = zscore(impute_ages([p.age for p in records], is_train), is_train)
+    times = minmax([p.survival_days for p in records], is_train)
+    vocab = ClinicalVocabulary(items={v: i for i, v in enumerate(sorted({it for row in items for it in row}))})
+    tokens = np.array([[vocab.items[it] for it in row] for row in items], dtype=np.int64)
 
     return SurvivalDataset(
         vocab=vocab,
-        patients={pid: patients[pid] for pid in ids},
+        patients=dict(zip(ids, records)),
         volumes=volumes,
         split=split,
         split_seed=int(seed),
         split_fold=int(fold),
-        samples=samples,
+        samples=[Sample(pid, 0, row, age, time_norm, p.event)
+                 for pid, p, row, age, time_norm in zip(ids, records, tokens, ages.tolist(), times.tolist())],
     )
 
 
@@ -499,8 +491,8 @@ def _check_object(what: str, obj, types: dict):
 
 
 def load_dataset(path) -> SurvivalDataset:
-    """Read a bundle: parse and check the manifest, check that every patient
-    has a volume file, and rebuild everything else with ``_assemble``. No
+    """Read a bundle: parse and check the manifest, rebuild everything else
+    with ``_assemble``, and check that every patient has a volume file. No
     volume is read here: a malformed one raises ``FormatError`` at first use."""
     root = Path(path)
     manifest = root / "manifest.json"
@@ -522,17 +514,19 @@ def load_dataset(path) -> SurvivalDataset:
     try:
         _check_object("the header", doc, _HEADER_TYPES)
         for pid, entry in doc["patients"].items():
-            _check_patient_id(pid)   # before its volume file is looked for
             _check_object(f"patient {pid!r}", entry, _PATIENT_TYPES)
             patients[pid] = RawPatient(pid, entry["items"], entry["age"], entry["days"], entry["event"])
     except ValueError as exc:
         raise FormatError(f"{manifest}: {exc}") from None
     folder = root / "volumes"
+    # _assemble checks each patient id before its volume file is looked for;
+    # _VolumeFiles opens nothing until a volume is first used
+    try:
+        ds = _assemble(patients, _VolumeFiles(folder, patients.keys()), doc["split_seed"], doc["split_fold"])
+    except (PipelineError, ConfigError, DegenerateFeatureError) as exc:
+        raise FormatError(f"{manifest}: {exc}") from None
     files = set(os.listdir(folder)) if folder.is_dir() else set()
     missing = [pid for pid in patients if f"{pid}.psnv" not in files]
     if missing:
         raise FormatError(f"{root}: patient {missing[0]!r} has no volume file {folder / missing[0]}.psnv")
-    try:
-        return _assemble(patients, _VolumeFiles(folder, patients.keys()), doc["split_seed"], doc["split_fold"])
-    except (PipelineError, ConfigError, DegenerateFeatureError) as exc:
-        raise FormatError(f"{manifest}: {exc}") from None
+    return ds

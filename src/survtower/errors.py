@@ -17,10 +17,6 @@ class UsageError(SurvTowerError, RuntimeError):
     """An API was called in an unsupported way (e.g. double backward)."""
 
 
-class VocabularyError(SurvTowerError, KeyError):
-    """A clinical item is missing from the vocabulary."""
-
-
 class DegenerateFeatureError(SurvTowerError, ValueError):
     """A feature has zero spread, so normalization is undefined."""
 

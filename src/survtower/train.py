@@ -41,11 +41,11 @@ class TrainConfig:
     Building a config checks each field once, by the rules ``_FIELD_RULES``
     derives from its annotation (and ``_BOUNDS`` for a number), whatever
     the towers; a check that relates two fields runs only for a tower
-    that runs. ``model_config`` derives the frozen views the model reads.
-    The clinical tower reads heads, layers, embed_dim, mlp_hidden and
-    textual_encoder; the visual tower reads se_mode, se_blocks, frames,
-    in_plane, widths, blocks_per_stage, frame_diff and omega; every run
-    reads the rest.
+    (and a clinical encoder) that runs. ``model_config`` derives the frozen
+    views the model reads. The clinical tower reads heads (its attention
+    encoder only), layers, embed_dim, mlp_hidden and textual_encoder; the
+    visual tower reads se_mode, se_blocks, frames, in_plane, widths,
+    blocks_per_stage, frame_diff and omega; every run reads the rest.
     """
 
     # optimization protocol
@@ -86,8 +86,8 @@ class TrainConfig:
                 if not test(value):
                     raise ConfigError(f"{name} must be {words}, got {value!r}")
         self.widths = tuple(self.widths)
-        # the checks that relate two fields, for the towers that run
-        if self.towers != "visual" and self.embed_dim % self.heads:
+        # the checks that relate two fields, for the towers and encoder that run
+        if self.towers != "visual" and self.textual_encoder == "attention" and self.embed_dim % self.heads:
             raise ConfigError(f"embed_dim {self.embed_dim} must split evenly over {self.heads} heads")
         if self.towers != "textual":
             for _, axis in self.model_config().visual.gates:
@@ -325,24 +325,22 @@ def train(
     config: TrainConfig,
     dataset: SurvivalDataset,
     state: TrainerState | None = None,
-    epochs: int | None = None,
     progress=None,
 ) -> tuple[TrainerState, list[dict]]:
-    """Minimize the ensembled regression loss; returns state and history.
+    """Minimize the ensembled regression loss until ``config.epochs`` epochs
+    have run; returns state and history.
 
     ``state`` resumes from a loaded checkpoint; ``config`` must then be
     ``state.config`` up to ``epochs``, and the dataset's vocabulary the
-    state's. ``epochs`` overrides how many *additional* epochs to run
-    (default: up to config.epochs total).
+    state's. The resumed state takes ``config`` as its own.
     """
-    if epochs is not None and epochs < 0:
-        raise UsageError(f"epochs must be non-negative, got {epochs}")
     if state is not None:
         changed = [f.name for f in fields(TrainConfig)
                    if f.name != "epochs" and getattr(config, f.name) != getattr(state.config, f.name)]
         if changed:
             raise UsageError(f"config differs from the state's in {', '.join(changed)}; resume with state.config")
         _check_vocabulary(state, dataset)
+        state.config = config
     ds, train_samples, val_samples, _ = split_dataset(dataset, config)
     if state is None:
         state = _init_state(config, ds)
@@ -351,8 +349,7 @@ def train(
     rng.bit_generator.state = state.rng_state
     history: list[dict] = []
 
-    target_epoch = state.epoch + epochs if epochs is not None else config.epochs
-    while state.epoch < target_epoch:
+    while state.epoch < config.epochs:
         epoch_start = time.perf_counter()
         lr = learning_rate(config, state.epoch)
         order = rng.permutation(len(train_samples))

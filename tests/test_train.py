@@ -3,6 +3,7 @@ round trip, and the bit-exact resume contract."""
 
 import dataclasses
 import errno
+import hashlib
 import json
 import re
 import struct
@@ -91,6 +92,8 @@ def test_forward_batch_is_weighted_sum_of_views(dataset, frame_diff):
     dict(mlp_hidden=0), dict(head_hidden=0),
     # a field's own check applies whatever the towers
     dict(towers="textual", se_mode="sideways"), dict(towers="visual", textual_encoder="rnn"),
+    # epochs is the total a run reaches, so train takes no epoch count of its own
+    dict(epochs=-3),
 ])
 def test_config_rejects_model_that_cannot_run(bad):
     with pytest.raises(ConfigError):
@@ -128,6 +131,14 @@ def test_clinical_only_config_ignores_visual_settings(visual):
 def test_visual_only_config_ignores_clinical_settings(clinical):
     # a check that relates two clinical fields runs only when the clinical tower does
     assert_rejected_for(clinical, model.TOWER_MODES if clinical in FIELD_ERRORS else ("both", "textual"))
+
+
+def test_mlp_encoder_ignores_heads(dataset):
+    # the mlp encoder has no heads, so embed_dim need not split over them
+    _, history = train.train(tiny_config(textual_encoder="mlp", heads=5, epochs=1), dataset)
+    assert np.isfinite(history[-1]["train_mse"])
+    with pytest.raises(ConfigError, match="split evenly over 5 heads"):
+        tiny_config(heads=5)
 
 
 @pytest.mark.parametrize("kw", [dict(towers="textual"), dict(towers="both", frame_diff="off"),
@@ -191,6 +202,26 @@ def test_seeded_desk_run_is_pinned():
     assert state.best_epoch == 1
     assert train.evaluate(state, dataset)["c_index"] == 0.6
     assert train.evaluate(state, dataset, which="last")["c_index"] == 0.6181818181818182
+
+
+def test_assembly_and_initial_parameters_are_bit_pinned():
+    # sha256 of every fold's assembled columns and of the seeded initial
+    # parameters: a change that keeps the computation keeps every bit
+    dataset = generate_synthetic(0, 60)
+    columns = hashlib.sha256()
+    for fold in range(data.N_FOLDS):
+        ds = data.apply_split(dataset, 0, fold)
+        columns.update(np.stack([s.tokens for s in ds.samples]).astype("<i8").tobytes())
+        for name, dtype in (("age", "<f8"), ("time_norm", "<f8"), ("event", "<i8")):
+            columns.update(np.array([getattr(s, name) for s in ds.samples], dtype=dtype).tobytes())
+        columns.update(json.dumps(ds.split, sort_keys=True).encode())
+    config = train.desk_preset(seed=0)
+    store = model.init_model_params(config.model_config(), dataset.vocab, config.seed)
+    params = hashlib.sha256(train._flat(store).astype("<f4").tobytes())
+    assert [columns.hexdigest(), params.hexdigest()] == [
+        "b54fb4329023c159bca48ead5919e337413ee27bd4c9e0f9563b54c32e6c9bc6",
+        "03b82b56de1cbcee8e53ec9c83911d89b6db4e86678f3e83422bb1194ed6558f",
+    ]
 
 
 @pytest.fixture
@@ -281,11 +312,6 @@ def test_resume_rejects_another_config(dataset):
     assert state.epoch == 2
 
 
-def test_negative_epoch_count_rejected(dataset):
-    with pytest.raises(UsageError, match="got -3"):
-        train.train(tiny_config(epochs=1), dataset, epochs=-3)
-
-
 def test_state_rejects_dataset_with_another_vocabulary(dataset):
     # the same items at other embedding rows would score without error
     state, _ = train.train(tiny_config(epochs=1), dataset)
@@ -294,7 +320,7 @@ def test_state_rejects_dataset_with_another_vocabulary(dataset):
     with pytest.raises(UsageError, match="vocabulary"):
         train.evaluate(state, other, which="last")
     with pytest.raises(UsageError, match="vocabulary"):
-        train.train(state.config, other, state=state, epochs=1)
+        train.train(tiny_config(epochs=2), other, state=state)
     assert state.epoch == 1
 
 
@@ -490,11 +516,9 @@ class TestCheckpoint:
     def test_resume_equals_continuous_run(self, dataset, tmp_path):
         config = tiny_config()
         full, full_history = train.train(config, dataset)
-        half, first = train.train(config, dataset, epochs=1)
+        half, first = train.train(dataclasses.replace(config, epochs=1), dataset)
         train.save_checkpoint(half, tmp_path / "half")
-        resumed, second = train.train(
-            config, dataset, state=train.load_checkpoint(tmp_path / "half"), epochs=1
-        )
+        resumed, second = train.train(config, dataset, state=train.load_checkpoint(tmp_path / "half"))
 
         def timeless(rows):
             return [{k: v for k, v in row.items() if k != "seconds"} for row in rows]
