@@ -119,6 +119,8 @@ class Tensor:
         elif value is not None:
             raise UsageError("a tensor that does not require gradients has no grad")
 
+    # perfbench/tracing.py reads and replaces every traced op's closure
+    # through this property, so it stays although the package never uses it
     @property
     def _backward_fn(self):
         return None if self._node is None else self._node.backward_fn
@@ -305,6 +307,34 @@ def softmax(t, axis: int = -1) -> Tensor:
     return _record(Tensor(y), (tn,), backward_fn)
 
 
+def attention(qkv, heads: int) -> tuple[Tensor, Tensor]:
+    """Multi-head self-attention softmax(QK^T/sqrt(h))V (Vaswani et al.
+    2017) as one tape op. ``qkv`` is (n, m, 3d): queries, keys and values,
+    each d columns of ``heads`` blocks of h. Returns the (n, m, d) output,
+    heads merged, and the (n, heads, m, m) weights that the backward reads,
+    as a constant."""
+    qkv = as_tensor(qkv)
+    if qkv.data.ndim != 3 or qkv.shape[-1] % (3 * heads):
+        raise DimensionError(f"attention of {heads} heads cannot split shape {tuple(qkv.shape)}")
+    (n, m, width), tn, dtype = qkv.shape, qkv._node, qkv.dtype
+    d, h = width // 3, width // (3 * heads)
+    scale = dtype.type(1.0 / np.sqrt(h))
+    q, k, v = qkv.data.reshape(n, m, 3, heads, h).transpose(2, 0, 3, 1, 4)   # each (n, heads, m, h)
+    logits = (q @ k.swapaxes(-1, -2)) * scale
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    out = (w @ v).transpose(0, 2, 1, 3).reshape(n, m, d)
+
+    def backward_fn(g):
+        g = g.reshape(n, m, heads, h).transpose(0, 2, 1, 3)
+        dw = g @ v.swapaxes(-1, -2)
+        dlogits = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * scale
+        grads = (dlogits @ k, dlogits.swapaxes(-1, -2) @ q, w.swapaxes(-1, -2) @ g)
+        tn.accumulate(np.stack(grads).transpose(1, 3, 0, 2, 4).reshape(n, m, width))
+
+    return _record(Tensor(out), (tn,), backward_fn), Tensor(w)
+
+
 def layer_norm(t, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     t, gain, bias = as_tensor(t), as_tensor(gain), as_tensor(bias)
@@ -350,11 +380,10 @@ def mean_over(t, axes) -> Tensor:
     count = 1
     for ax in axes:
         count *= t.shape[ax]
-    tn, shape, dtype = t._node, t.shape, t.dtype
+    tn, shape = t._node, t.shape
 
     def backward_fn(g):
-        g_full = np.expand_dims(g, axes)
-        tn.accumulate(np.broadcast_to(g_full / count, shape).astype(dtype))
+        tn.accumulate(np.broadcast_to(np.expand_dims(g, axes) / count, shape))
 
     return _record(Tensor(t.data.mean(axis=axes)), (tn,), backward_fn)
 
@@ -364,11 +393,10 @@ def sum_over(t, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(range(t.data.ndim))
     axes = _normalize_axes(axes, t.data.ndim)
-    tn, shape, dtype = t._node, t.shape, t.dtype
+    tn, shape = t._node, t.shape
 
     def backward_fn(g):
-        g_full = np.expand_dims(g, axes)
-        tn.accumulate(np.broadcast_to(g_full, shape).astype(dtype))
+        tn.accumulate(np.broadcast_to(np.expand_dims(g, axes), shape))
 
     return _record(Tensor(t.data.sum(axis=axes)), (tn,), backward_fn)
 

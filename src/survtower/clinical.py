@@ -6,7 +6,8 @@ categorical fields, the same for every record) plus an (n,) array of
 z-scored ages. Item indices become embedding-table rows; the age becomes
 one extra token through a learned 1->d projection, so the encoder sees
 an (n, m+1, d) token tensor and runs every record and every head in one
-batched pass.
+batched pass: per layer, one QKV product and one fused attention op
+(``autodiff.attention``).
 Tokens are an unordered set: there is no positional encoding, and mean
 pooling keeps the output permutation invariant.
 """
@@ -76,11 +77,10 @@ def init_clinical_params(
         layer = f"clinical.layer{i}"
         store.add(f"{layer}.ln1.gain", np.ones(d, dtype=dtype), decay=False)
         store.add(f"{layer}.ln1.bias", np.zeros(d, dtype=dtype), decay=False)
-        # head j owns columns j*h:(j+1)*h of each projection; one draw in
-        # (head, q/k/v) order keeps the initial values of a given seed fixed
+        # column s*d + j*h + t is entry t of head j's query (s=0), key (1) or
+        # value (2); one draw in (head, q/k/v) order keeps a seed's values
         qkv = uniform_fan_in(rng, (config.heads, 3, d, h), d, dtype)
-        for offset, name in enumerate(("wq", "wk", "wv")):
-            store.add(f"{layer}.attn.{name}", qkv[:, offset].transpose(1, 0, 2).reshape(d, d))
+        store.add(f"{layer}.attn.wqkv", qkv.transpose(2, 1, 0, 3).reshape(d, 3 * d))
         # residual-branch output projections start at zero for a stable start
         store.add(f"{layer}.attn_out.weight", np.zeros((d, d), dtype=dtype))
         store.add(f"{layer}.attn_out.bias", np.zeros(d, dtype=dtype))
@@ -109,23 +109,12 @@ def embed_tokens(
 def multi_head_attention(store, config, x, layer_prefix):
     """Scaled dot-product self-attention of (n, m, d) tokens, all heads at once.
 
-    The (d, d) projections are split into heads by reshaping their output
-    to (n, m, heads, head_dim). Returns the (n, m, d) output and the
-    (n, heads, m, m) attention weights.
+    One (d, 3d) ``attn.wqkv`` product projects the tokens to queries, keys
+    and values, ``ad.attention`` splits them into heads and attends as one
+    tape op, and ``attn_out`` projects the merged heads. Returns the
+    (n, m, d) output and the (n, heads, m, m) attention weights.
     """
-    n, m, d = x.shape
-    heads, h = config.heads, config.head_dim
-
-    def project(name, axes):
-        out = ad.matmul(x, store[f"{layer_prefix}.attn.{name}"])
-        return ad.transpose(ad.reshape(out, (n, m, heads, h)), axes)
-
-    q = project("wq", (0, 2, 1, 3))    # (n, heads, m, h)
-    k_t = project("wk", (0, 2, 3, 1))  # (n, heads, h, m)
-    v = project("wv", (0, 2, 1, 3))
-    logits = ad.mul(ad.matmul(q, k_t), 1.0 / np.sqrt(h))
-    weights = ad.softmax(logits, axis=-1)
-    merged = ad.reshape(ad.transpose(ad.matmul(weights, v), (0, 2, 1, 3)), (n, m, d))
+    merged, weights = ad.attention(ad.matmul(x, store[f"{layer_prefix}.attn.wqkv"]), config.heads)
     out = ad.add(
         ad.matmul(merged, store[f"{layer_prefix}.attn_out.weight"]),
         store[f"{layer_prefix}.attn_out.bias"],

@@ -178,6 +178,8 @@ def op_checks(seed: int = 0, instances: int = 20) -> list[CheckResult]:
         lambda: [rng.standard_normal((2, 2, 3, 5, 5)), rng.standard_normal((3, 2, 1, 1, 1))])
     run("softmax", lambda t: ad.softmax(t, axis=-1),
         lambda: [rng.standard_normal((3, 5))])
+    # two heads of width 2 over three tokens: every head attends across tokens
+    run("attention", lambda t: ad.attention(t, 2)[0], lambda: [rng.standard_normal((2, 3, 12))])
     run("layer_norm", ad.layer_norm,
         lambda: [rng.standard_normal((3, 6)), rng.standard_normal(6), rng.standard_normal(6)])
     run("sigmoid", ad.sigmoid, lambda: [rng.standard_normal((4, 3))])

@@ -457,8 +457,9 @@ def evaluate(
 
 _CKPT_MAGIC = b"PSNC"
 # versions 1-3 held a per-tensor table, and 1-2 also keys and parameters
-# that no longer exist; all three are rejected
-_CKPT_VERSION = 4
+# that no longer exist; version 4 held separate attn.wq/wk/wv parameters
+# where version 5 holds one attn.wqkv; all four are rejected
+_CKPT_VERSION = 5
 # the keys of the header and of its "best", with the JSON types of their values
 _CKPT_HEADER_TYPES = {"adam_step": (int,), "best": (dict,), "config": (dict,), "epoch": (int,),
                       "layout": (str,), "rng_state": (dict,), "vocab": (dict,)}
@@ -470,7 +471,7 @@ def _layout_hash(store: ParameterStore) -> str:
 
 
 def save_checkpoint(state: TrainerState, path):
-    """Write ``state`` as PSNC version 4.
+    """Write ``state`` as PSNC version 5.
 
     The file is the magic, a u16 version and a u64 header length (all
     little-endian), a UTF-8 JSON header, then a payload of three or four

@@ -273,6 +273,27 @@ class TestSoftmax:
             _check_op(lambda t: ad.softmax(t, axis=-1), [rng.standard_normal((rows, cols))], rng)
 
 
+class TestAttention:
+    def test_matches_composed_ops(self):
+        # the fused op against softmax(q k^T / sqrt(h)) v built from the
+        # separate tape ops, head by head, with its weights
+        rng = np.random.default_rng(31)
+        n, m, heads, h = 2, 4, 3, 2
+        qkv = rng.standard_normal((n, m, 3 * heads * h))
+        out, weights = ad.attention(ad.Tensor(qkv, dtype=np.float64), heads)
+        q, k, v = qkv.reshape(n, m, 3, heads, h).transpose(2, 0, 3, 1, 4)
+        expected_w = ad.softmax(ad.mul(ad.matmul(q, k.swapaxes(-1, -2)), 1 / np.sqrt(h)), axis=-1)
+        expected = ad.matmul(expected_w, v).data.transpose(0, 2, 1, 3).reshape(n, m, heads * h)
+        np.testing.assert_allclose(weights.data, expected_w.data, rtol=1e-12)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+        assert not weights.requires_grad
+
+    @pytest.mark.parametrize("shape", [(2, 3, 10), (3, 12)])
+    def test_rejects_unsplittable_shapes(self, shape):
+        with pytest.raises(DimensionError, match="2 heads"):
+            ad.attention(ad.Tensor(np.zeros(shape)), 2)
+
+
 class TestLayerNorm:
     def test_constant_row_is_zero(self):
         out = ad.layer_norm(ad.Tensor([[5.0, 5.0, 5.0]]), ad.Tensor(np.ones(3)), ad.Tensor(np.zeros(3)))

@@ -102,14 +102,19 @@ def attention_oracle(c, wq, wk, wv):
 
 def attention_store(rng, d, heads, **weights):
     """One attention layer "L" with an identity output projection, so its
-    output is the concatenation of the per-head attended values."""
+    output is the concatenation of the per-head attended values. ``wq``,
+    ``wk`` or ``wv`` fixes that (d, d) block of ``attn.wqkv``."""
     store = ParameterStore()
-    for name in ("wq", "wk", "wv"):
-        w = weights.get(name)
-        store.add(f"L.attn.{name}", rng.standard_normal((d, d)) if w is None else w)
+    blocks = [weights[name] if name in weights else rng.standard_normal((d, d)) for name in ("wq", "wk", "wv")]
+    store.add("L.attn.wqkv", np.concatenate(blocks, axis=1))
     store.add("L.attn_out.weight", np.eye(d))
     store.add("L.attn_out.bias", np.zeros(d))
     return store, small_config(embed_dim=d, heads=heads)
+
+
+def qkv_blocks(store, prefix):
+    """The query, key and value (d, d) column blocks of ``prefix.attn.wqkv``."""
+    return np.split(store[f"{prefix}.attn.wqkv"].data, 3, axis=1)
 
 
 class TestSelfAttention:
@@ -118,27 +123,27 @@ class TestSelfAttention:
         store, config = attention_store(rng, 6, 3)
         x = ad.Tensor(rng.standard_normal((2, 1, 6)))
         out, _ = cl.multi_head_attention(store, config, x, "L")
-        np.testing.assert_allclose(out.data, x.data @ store["L.attn.wv"].data, rtol=1e-12)
+        np.testing.assert_allclose(out.data, x.data @ qkv_blocks(store, "L")[2], rtol=1e-12)
 
     def test_zero_query_gives_uniform_attention(self):
         rng = np.random.default_rng(2)
         store, config = attention_store(rng, 6, 2, wq=np.zeros((6, 6)))
         x = ad.Tensor(rng.standard_normal((2, 5, 6)))
         out, _ = cl.multi_head_attention(store, config, x, "L")
-        values = x.data @ store["L.attn.wv"].data
+        values = x.data @ qkv_blocks(store, "L")[2]
         expected = np.broadcast_to(values.mean(axis=1, keepdims=True), values.shape)
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
     def test_matches_scalar_loop_oracle(self):
         # every record and every head of the batched pass against the scalar
-        # loop on that record and that head's column block of wq/wk/wv
+        # loop on that record and that head's columns of wqkv's q, k, v blocks
         rng = np.random.default_rng(3)
         n, m, d, heads = 2, 3, 4, 2
         store, config = attention_store(rng, d, heads)
         x = rng.standard_normal((n, m, d))
         out, _ = cl.multi_head_attention(store, config, ad.Tensor(x, dtype=np.float64), "L")
         h = d // heads
-        wq, wk, wv = (store[f"L.attn.{name}"].data for name in ("wq", "wk", "wv"))
+        wq, wk, wv = qkv_blocks(store, "L")
         for i in range(n):
             for j in range(heads):
                 cols = slice(j * h, (j + 1) * h)
@@ -220,6 +225,27 @@ class TestEncoder:
             assert w.shape == (2, config.heads, 4, 4)
             np.testing.assert_allclose(w.data.sum(axis=-1), 1.0, atol=1e-6)
 
+    def test_tape_holds_one_attention_op_per_layer(self):
+        # The age token takes gather_rows, mul, add and concat. Each layer
+        # takes 13 ops: ln1, the wqkv matmul, attention, the attn_out matmul
+        # and add, the residual add, ln2, the two MLP matmuls and adds, relu
+        # and the residual add. The final layer_norm and mean_over close it.
+        # Attention built from separate projections, reshapes, transposes
+        # and softmax took 17 ops per layer for what is 4 here.
+        vocab = make_vocab()
+        config = small_config()
+        store = build_store(config, vocab)
+        tokens = cl.embed_tokens(store, np.array([[0, 1, 2], [2, 2, 3]]), np.array([0.3, 1.2]))
+        out = cl.encode_clinical(store, config, tokens)
+        nodes, stack = {}, [out._node]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node.parents)
+        ops = sum(node.backward_fn is not None for node in nodes.values())
+        assert (config.layers, ops, len(nodes) - ops) == (2, 4 + 13 * 2 + 2, len(store.names()))
+
     def test_mlp_substitute_encoder(self):
         vocab = make_vocab()
         config = small_config(textual_encoder="mlp")
@@ -234,8 +260,9 @@ class TestEncoder:
             TrainConfig(layers=0)
 
     def test_projections_keep_per_head_draw_order(self):
-        # head j's columns of wq/wk/wv hold its q, k, v draws, taken head by
-        # head, so a seed gives the same initial model as per-head triplets
+        # head j's columns of wqkv's q, k, v blocks hold its q, k, v draws,
+        # taken head by head, so a seed gives the same initial model as
+        # per-head triplets
         config = small_config()
         store = build_store(config, make_vocab(), rng=np.random.default_rng(11))
         rng = np.random.default_rng(11)
@@ -244,9 +271,9 @@ class TestEncoder:
         uniform_fan_in(rng, (1, d), 1, np.float64)
         for j in range(config.heads):
             cols = slice(j * h, (j + 1) * h)
-            for name in ("wq", "wk", "wv"):
+            for block in qkv_blocks(store, "clinical.layer0"):
                 expected = uniform_fan_in(rng, (d, h), d, np.float64)
-                np.testing.assert_array_equal(store[f"clinical.layer0.attn.{name}"].data[:, cols], expected)
+                np.testing.assert_array_equal(block[:, cols], expected)
 
 
 def _randomize_branches(store, rng):

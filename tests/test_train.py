@@ -220,7 +220,7 @@ def test_assembly_and_initial_parameters_are_bit_pinned():
     params = hashlib.sha256(train._flat(store).astype("<f4").tobytes())
     assert [columns.hexdigest(), params.hexdigest()] == [
         "b54fb4329023c159bca48ead5919e337413ee27bd4c9e0f9563b54c32e6c9bc6",
-        "03b82b56de1cbcee8e53ec9c83911d89b6db4e86678f3e83422bb1194ed6558f",
+        "1609095b89aec4844b5e919afa0e6b60501b8ea7b6fddf32e1e3bb89faf3a934",
     ]
 
 
@@ -538,12 +538,13 @@ class TestCheckpoint:
 
     def test_version_1_rejected(self, dataset, tmp_path):
         # so are version 2, whose header and config hold keys that version 3
-        # dropped, and version 3, whose header holds a per-tensor table
+        # dropped, version 3, whose header holds a per-tensor table, and
+        # version 4, whose attn.wq/wk/wv would otherwise fail only the layout
         state, _ = train.train(tiny_config(epochs=1), dataset)
         path = tmp_path / "ckpt"
         train.save_checkpoint(state, path)
         blob = bytearray(path.read_bytes())
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             struct.pack_into("<H", blob, 4, version)
             path.write_bytes(bytes(blob))
             with pytest.raises(FormatError, match=f"version {version}") as info:
