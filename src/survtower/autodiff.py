@@ -35,6 +35,8 @@ DEFAULT_DTYPE = np.float32
 # conv3d sums all kernel offsets into one output tile of about this size
 # before it moves to the next (loop tiling, Goto & van de Geijn 2008)
 BLOCK_BYTES = 1 << 18
+# layer_norm adds this to the variance before its square root
+LN_EPS = 1e-5
 
 _state = threading.local()
 
@@ -136,10 +138,8 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
 
-def as_tensor(x, dtype=None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(x, dtype=dtype)
+def as_tensor(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _record(out: Tensor, parents, backward_fn):
@@ -293,8 +293,7 @@ def sigmoid(t) -> Tensor:
 
 def softmax(t, axis: int = -1) -> Tensor:
     t = as_tensor(t)
-    if not -t.data.ndim <= axis < t.data.ndim:
-        raise DimensionError(f"softmax axis {axis} invalid for shape {tuple(t.shape)}")
+    _normalize_axes(axis, t.shape)
     tn = t._node
     shifted = t.data - t.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -335,7 +334,7 @@ def attention(qkv, heads: int) -> tuple[Tensor, Tensor]:
     return _record(Tensor(out), (tn,), backward_fn), Tensor(w)
 
 
-def layer_norm(t, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(t, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     t, gain, bias = as_tensor(t), as_tensor(gain), as_tensor(bias)
     n = t.shape[-1]
@@ -347,7 +346,7 @@ def layer_norm(t, gain, bias, eps: float = 1e-5) -> Tensor:
     mu = t.data.mean(axis=-1, keepdims=True)
     xc = t.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = Tensor(xhat * gain.data + bias.data)
     gain_data = gain.data if tn is not None else None
@@ -366,8 +365,13 @@ def layer_norm(t, gain, bias, eps: float = 1e-5) -> Tensor:
     return _record(out, (tn, gn, bn), backward_fn)
 
 
-def _normalize_axes(axes, ndim):
+def _normalize_axes(axes, shape) -> tuple:
+    """``axes``, an int or a sequence, as sorted axes of ``shape`` in [0, ndim); each once."""
     axes = (axes,) if isinstance(axes, int) else tuple(axes)
+    ndim = len(shape)
+    for ax in axes:
+        if not -ndim <= ax < ndim:
+            raise DimensionError(f"axis {ax} is out of range for shape {tuple(shape)}")
     norm = tuple(sorted(ax % ndim for ax in axes))
     if len(set(norm)) != len(norm):
         raise DimensionError(f"duplicate axes {axes}")
@@ -376,7 +380,7 @@ def _normalize_axes(axes, ndim):
 
 def mean_over(t, axes) -> Tensor:
     t = as_tensor(t)
-    axes = _normalize_axes(axes, t.data.ndim)
+    axes = _normalize_axes(axes, t.shape)
     count = 1
     for ax in axes:
         count *= t.shape[ax]
@@ -392,7 +396,7 @@ def sum_over(t, axes=None) -> Tensor:
     t = as_tensor(t)
     if axes is None:
         axes = tuple(range(t.data.ndim))
-    axes = _normalize_axes(axes, t.data.ndim)
+    axes = _normalize_axes(axes, t.shape)
     tn, shape = t._node, t.shape
 
     def backward_fn(g):

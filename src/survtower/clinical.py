@@ -26,19 +26,6 @@ from .params import ParameterStore, uniform_fan_in
 ENCODERS = ("attention", "mlp")
 
 
-@dataclass
-class ClinicalVocabulary:
-    """Dense item -> embedding-row index map: a cohort's ``field=value``
-    items, sorted, at rows 0..size-1. An item's token is ``items[item]``,
-    so an item from outside the cohort raises KeyError."""
-
-    items: dict[str, int]
-
-    @property
-    def size(self) -> int:
-        return len(self.items)
-
-
 @dataclass(frozen=True)
 class ClinicalEncoderConfig:
     """The clinical tower's view of a ``TrainConfig``, built by its ``model_config``."""
@@ -57,12 +44,14 @@ class ClinicalEncoderConfig:
 def init_clinical_params(
     store: ParameterStore,
     config: ClinicalEncoderConfig,
-    vocab: ClinicalVocabulary,
+    vocab_size: int,
     rng: np.random.Generator,
     dtype=np.float32,
 ):
+    """Add the clinical tower's parameters, drawn from ``rng`` in order:
+    a ``vocab_size``-row item embedding table, the age token, the encoder."""
     d, h = config.embed_dim, config.head_dim
-    store.add("clinical.embed.weight", uniform_fan_in(rng, (vocab.size, d), d, dtype))
+    store.add("clinical.embed.weight", uniform_fan_in(rng, (vocab_size, d), d, dtype))
     store.add("clinical.cont.age.weight", uniform_fan_in(rng, (1, d), 1, dtype))
     store.add("clinical.cont.age.bias", np.zeros(d, dtype=dtype))
 

@@ -44,7 +44,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .clinical import ClinicalVocabulary
 from .errors import (
     ConfigError,
     DegenerateFeatureError,
@@ -290,7 +289,9 @@ class Sample:
 
 @dataclass
 class SurvivalDataset:
-    vocab: ClinicalVocabulary
+    # the embedding row of each of the cohort's ``field=value`` items: the
+    # sorted items at rows 0..n-1; an item outside the cohort raises KeyError
+    vocab: dict[str, int]
     patients: dict[str, RawPatient]          # raw clinical meta, no volume attached
     volumes: Mapping[str, np.ndarray]        # preprocessed 8x96x96 in [0,1]; read at first use when loaded
     split: dict[str, str]
@@ -392,8 +393,8 @@ def _assemble(
     is_train = np.array([split[pid] == "train" for pid in ids])
     ages = zscore(impute_ages([p.age for p in records], is_train), is_train)
     times = minmax([p.survival_days for p in records], is_train)
-    vocab = ClinicalVocabulary(items={v: i for i, v in enumerate(sorted({it for row in items for it in row}))})
-    tokens = np.array([[vocab.items[it] for it in row] for row in items], dtype=np.int64)
+    vocab = {v: i for i, v in enumerate(sorted({it for row in items for it in row}))}
+    tokens = np.array([[vocab[it] for it in row] for row in items], dtype=np.int64)
 
     return SurvivalDataset(
         vocab=vocab,
@@ -479,7 +480,24 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict | tuple:
     return out
 
 
-def _check_object(what: str, obj, types: dict):
+def read_json(blob: bytes, where: str, offset: int = 0):
+    """The UTF-8 JSON document ``blob``, which starts at byte ``offset`` of
+    the file ``where`` names. FormatError otherwise: at the byte that fails
+    to decode or parse, or at ``offset`` for an object that repeats a key."""
+    try:
+        doc = json.loads(blob.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{where}: can't decode byte 0x{blob[exc.start]:02x} as UTF-8: {exc.reason}",
+                          offset=offset + exc.start) from None
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{where}: {exc.msg}", offset=offset + len(exc.doc[:exc.pos].encode("utf-8"))) from None
+    if isinstance(doc, tuple):
+        raise FormatError(f"{where}: repeated key {doc[-1]!r}" + "".join(f" in {k!r}" for k in doc[-2::-1]),
+                          offset=offset)
+    return doc
+
+
+def check_object(what: str, obj, types: dict):
     """``obj`` must be a JSON object with exactly the keys of ``types``, each
     holding a value of one of its types. ValueError otherwise."""
     if type(obj) is not dict or obj.keys() != types.keys():
@@ -498,23 +516,16 @@ def load_dataset(path) -> SurvivalDataset:
     manifest = root / "manifest.json"
     if not manifest.exists():
         raise FormatError(f"{root}: no manifest.json found")
-    try:
-        doc = json.loads(manifest.read_bytes().decode("utf-8"), object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{manifest}: {exc.msg}", offset=len(exc.doc[:exc.pos].encode("utf-8"))) from None
-    except ValueError as exc:   # bytes that are not UTF-8
-        raise FormatError(f"{manifest}: {exc}") from None
-    if isinstance(doc, tuple):
-        raise FormatError(f"{manifest}: repeated key {doc[-1]!r}" + "".join(f" in {k!r}" for k in doc[-2::-1]))
+    doc = read_json(manifest.read_bytes(), str(manifest))
     if type(doc) is not dict or doc.get("format") != _MANIFEST_MAGIC:
         raise FormatError(f"{manifest}: not a {_MANIFEST_MAGIC} manifest")
     if doc.get("version") != _MANIFEST_VERSION:
         raise FormatError(f"{manifest}: unsupported version {doc.get('version')!r}")
     patients = {}
     try:
-        _check_object("the header", doc, _HEADER_TYPES)
+        check_object("the header", doc, _HEADER_TYPES)
         for pid, entry in doc["patients"].items():
-            _check_object(f"patient {pid!r}", entry, _PATIENT_TYPES)
+            check_object(f"patient {pid!r}", entry, _PATIENT_TYPES)
             patients[pid] = RawPatient(pid, entry["items"], entry["age"], entry["days"], entry["event"])
     except ValueError as exc:
         raise FormatError(f"{manifest}: {exc}") from None

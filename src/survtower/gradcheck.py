@@ -227,7 +227,6 @@ def model_check(seed: int = 0, samples_per_tensor: int = 5, retries: int = 4) ->
 def _model_check_at(seed: int, samples_per_tensor: int, only: set | None = None) -> list[CheckResult]:
     from . import autodiff as ad
     from . import fusion as fu
-    from .clinical import ClinicalVocabulary
     from .model import BatchInputs, forward_batch, init_model_params
     from .train import TrainConfig
 
@@ -237,8 +236,7 @@ def _model_check_at(seed: int, samples_per_tensor: int, only: set | None = None)
         frames=4, in_plane=16, widths=(4, 8, 16), blocks_per_stage=1,
         head_hidden=16, omega=0.4, frame_diff="on",
     ).model_config()
-    vocab = ClinicalVocabulary(items={f"item={i}": i for i in range(6)})
-    store = init_model_params(config, vocab, seed, dtype=np.float64)
+    store = init_model_params(config, 6, seed, dtype=np.float64)
     # the zero-initialized residual projections would hide their upstream
     # parameters from the check; randomize them
     for name, t in store.items():

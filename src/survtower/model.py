@@ -47,14 +47,15 @@ class ModelConfig:
 
 def init_model_params(
     config: ModelConfig,
-    vocab: cl.ClinicalVocabulary,
+    vocab_size: int,
     seed: int,
     dtype=np.float32,
 ) -> ParameterStore:
+    """``config``'s parameters from one seeded generator; ``vocab_size`` embedding rows."""
     rng = np.random.default_rng(seed)
     store = ParameterStore()
     if config.towers in ("both", "textual"):
-        cl.init_clinical_params(store, config.clinical, vocab, rng, dtype=dtype)
+        cl.init_clinical_params(store, config.clinical, vocab_size, rng, dtype=dtype)
     if config.towers in ("both", "visual"):
         vz.init_visual_params(store, config.visual, rng, dtype=dtype)
     fu.init_head_params(store, config.head_in_dim, config.head_hidden, rng, dtype=dtype)

@@ -26,8 +26,7 @@ from . import autodiff as ad
 from . import clinical as cl
 from . import fusion as fu
 from . import visual as vz
-from .data import (AUGMENTATIONS, N_FOLDS, SPLITS, SurvivalDataset, _check_object, _unique_keys, apply_split,
-                   write_atomic)
+from .data import AUGMENTATIONS, N_FOLDS, SPLITS, SurvivalDataset, apply_split, check_object, read_json, write_atomic
 from .errors import ConfigError, FormatError, MetricUndefinedError, TrainingDivergedError, UsageError
 from .metrics import concordance_index, mae
 from .model import TOWER_MODES, ModelConfig, forward_batch, init_model_params, make_batch, predict_times
@@ -265,6 +264,9 @@ class Adam:
 
 @dataclass
 class TrainerState:
+    """What a checkpoint holds; ``vocab`` is the ``SurvivalDataset.vocab``
+    whose items the embedding rows index, as the PSNC header's ``vocab``."""
+
     config: TrainConfig
     store: ParameterStore
     adam: Adam
@@ -274,7 +276,7 @@ class TrainerState:
     best_c_index: float = float("-inf")
     best_mse: float = float("inf")
     best_params: np.ndarray | None = None     # the flat parameters of the best epoch
-    vocab_items: dict = field(default_factory=dict)
+    vocab: dict[str, int] = field(default_factory=dict)
 
 
 def _split_samples(ds: SurvivalDataset, split: str):
@@ -303,21 +305,19 @@ def split_dataset(dataset: SurvivalDataset, config: TrainConfig):
 def _check_vocabulary(state: TrainerState, dataset: SurvivalDataset):
     """A state's embedding rows index its own vocabulary, so it scores only
     a dataset whose items map to the same rows."""
-    if dataset.vocab.items != state.vocab_items:
+    if dataset.vocab != state.vocab:
         raise UsageError("the dataset's clinical vocabulary is not the one the state was trained on")
 
 
 def _init_state(config: TrainConfig, dataset: SurvivalDataset) -> TrainerState:
-    vocab = dataset.vocab
-    model_cfg = config.model_config()
-    store = init_model_params(model_cfg, vocab, config.seed)
+    store = init_model_params(config.model_config(), len(dataset.vocab), config.seed)
     shuffle_rng = np.random.default_rng([config.seed, 0xA5])
     return TrainerState(
         config=config,
         store=store,
         adam=Adam(store),
         rng_state=shuffle_rng.bit_generator.state,
-        vocab_items=dict(vocab.items),
+        vocab=dict(dataset.vocab),
     )
 
 
@@ -496,7 +496,7 @@ def save_checkpoint(state: TrainerState, path):
             "mse": state.best_mse,
             "saved": state.best_params is not None,
         },
-        "vocab": state.vocab_items,
+        "vocab": state.vocab,
         "layout": _layout_hash(state.store),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -516,16 +516,11 @@ def load_checkpoint(path) -> TrainerState:
     header_end = 14 + header_len
     if len(blob) < header_end:
         raise FormatError(f"checkpoint {path}: header truncated", offset=len(blob))
+    header = read_json(blob[14:header_end], f"checkpoint {path}", offset=14)
     try:
-        header = json.loads(blob[14:header_end].decode("utf-8"), object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
-        raise FormatError(f"checkpoint {path}: header is not UTF-8 JSON: {exc}", offset=14) from None
-    try:
-        if isinstance(header, tuple):
-            raise ValueError(f"repeated key {header[-1]!r}" + "".join(f" in {k!r}" for k in header[-2::-1]))
-        _check_object("the header", header, _CKPT_HEADER_TYPES)
+        check_object("the header", header, _CKPT_HEADER_TYPES)
         best, vocab = header["best"], header["vocab"]
-        _check_object("best", best, _CKPT_BEST_TYPES)
+        check_object("best", best, _CKPT_BEST_TYPES)
         if header["epoch"] < 0 or header["adam_step"] < 0 or best["epoch"] < -1:
             raise ValueError(f"epoch {header['epoch']}, adam_step {header['adam_step']} "
                              f"or best epoch {best['epoch']} out of range")
@@ -539,7 +534,7 @@ def load_checkpoint(path) -> TrainerState:
         config = TrainConfig.from_dict(header["config"])
     except ValueError as exc:   # a ConfigError too
         raise FormatError(f"checkpoint {path}: {exc}", offset=14) from None
-    store = init_model_params(config.model_config(), cl.ClinicalVocabulary(items=vocab), config.seed)
+    store = init_model_params(config.model_config(), len(vocab), config.seed)
     layout = _layout_hash(store)
     if header["layout"] != layout:
         raise FormatError(
@@ -570,7 +565,7 @@ def load_checkpoint(path) -> TrainerState:
         best_c_index=best["c_index"],
         best_mse=best["mse"],
         best_params=flat[3].astype(adam.m.dtype) if best["saved"] else None,
-        vocab_items=dict(vocab),
+        vocab=vocab,
     )
 
 

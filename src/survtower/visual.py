@@ -108,8 +108,8 @@ def squeeze_excite(pooled: ad.Tensor, w1: ad.Tensor, w2: ad.Tensor, axis: int, m
     return gate
 
 
-def _conv(store, prefix, x, stride=1, padding=1):
-    out = ad.conv3d(x, store[f"{prefix}.weight"], stride=stride, padding=padding)
+def _conv(store, prefix, x, stride=1):
+    out = ad.conv3d(x, store[f"{prefix}.weight"], stride=stride, padding=1)
     bias = store[f"{prefix}.bias"]
     return ad.add(out, ad.reshape(bias, (-1, 1, 1, 1)))
 

@@ -346,6 +346,15 @@ class TestElementwise:
         t = ad.Tensor(np.full((2, 3, 4), 3.0))
         assert ad.mean_over(t, (0, 2)).data == pytest.approx(np.full(3, 3.0))
 
+    @pytest.mark.parametrize("reduce, axes, bad", [
+        (ad.mean_over, 3, 3), (ad.sum_over, (5,), 5), (ad.sum_over, (0, -4), -4), (ad.softmax, 3, 3),
+    ], ids=["mean_over 3", "sum_over 5", "sum_over -4", "softmax 3"])
+    def test_out_of_range_axis_rejected(self, reduce, axes, bad):
+        # wrapped modulo ndim, axis 3 would reduce axis 0 and axis 5 axis 2
+        with pytest.raises(DimensionError, match=rf"axis {bad} is out of range for shape \(2, 3, 4\)"):
+            reduce(ad.Tensor(np.ones((2, 3, 4))), axes)
+        assert ad.mean_over(ad.Tensor(np.ones((2, 3, 4))), -3).shape == (3, 4)
+
     def test_concat_shapes(self):
         out = ad.concat([ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((2, 5)))], axis=1)
         assert out.shape == (2, 8)

@@ -16,7 +16,7 @@ ITEMS = ["hist=adeno", "hist=squamous", "stage=II", "stage=IV"]
 
 
 def make_vocab():
-    return cl.ClinicalVocabulary(items={v: i for i, v in enumerate(ITEMS)})
+    return {v: i for i, v in enumerate(ITEMS)}
 
 
 def small_config(**kw):
@@ -28,7 +28,7 @@ def small_config(**kw):
 def build_store(config, vocab, rng=None, dtype=np.float64):
     store = ParameterStore()
     rng = rng or np.random.default_rng(0)
-    cl.init_clinical_params(store, config, vocab, rng, dtype=dtype)
+    cl.init_clinical_params(store, config, len(vocab), rng, dtype=dtype)
     return store
 
 
@@ -37,8 +37,8 @@ class TestVocabulary:
         from survtower.synthetic import generate_synthetic
 
         vocab = generate_synthetic(3, 10).vocab
-        assert sorted(vocab.items.values()) == list(range(vocab.size))
-        assert list(vocab.items) == sorted(vocab.items)
+        assert sorted(vocab.values()) == list(range(len(vocab)))
+        assert list(vocab) == sorted(vocab)
 
 
 class TestEmbedding:
@@ -64,12 +64,12 @@ class TestEmbedding:
     def test_gradient_hits_only_looked_up_rows(self):
         vocab = make_vocab()
         store = build_store(small_config(), vocab)
-        idx = np.array([vocab.items["hist=adeno"], vocab.items["stage=II"]])
+        idx = np.array([vocab["hist=adeno"], vocab["stage=II"]])
         out = cl.embed_tokens(store, np.stack([idx, idx[::-1]]), np.array([0.5, -0.5]))
         ad.backward(ad.sum_over(out))
         grad = store["clinical.embed.weight"].grad
-        touched = {vocab.items["hist=adeno"], vocab.items["stage=II"]}
-        for row in range(vocab.size):
+        touched = {vocab["hist=adeno"], vocab["stage=II"]}
+        for row in range(len(vocab)):
             if row in touched:
                 np.testing.assert_array_equal(grad[row], 2.0)
             else:
@@ -161,7 +161,7 @@ class TestSelfAttention:
 
 class TestEncoder:
     def _tokens(self, store, vocab, rng):
-        idx = rng.integers(0, vocab.size, size=(2, 3))
+        idx = rng.integers(0, len(vocab), size=(2, 3))
         return cl.embed_tokens(store, idx, np.array([0.7, -0.2]))
 
     def test_zeroed_branches_reduce_to_pooled_layernorm(self):
@@ -185,7 +185,7 @@ class TestEncoder:
         config = small_config()
         store = build_store(config, vocab)
         for m in (1, 2, 4):
-            tokens = cl.embed_tokens(store, np.arange(2 * m).reshape(2, m) % vocab.size, np.zeros(2))
+            tokens = cl.embed_tokens(store, np.arange(2 * m).reshape(2, m) % len(vocab), np.zeros(2))
             assert cl.encode_clinical(store, config, tokens).shape == (2, config.embed_dim)
 
     def test_permutation_invariance(self):
@@ -267,7 +267,7 @@ class TestEncoder:
         store = build_store(config, make_vocab(), rng=np.random.default_rng(11))
         rng = np.random.default_rng(11)
         d, h = config.embed_dim, config.head_dim
-        uniform_fan_in(rng, (make_vocab().size, d), d, np.float64)
+        uniform_fan_in(rng, (len(make_vocab()), d), d, np.float64)
         uniform_fan_in(rng, (1, d), 1, np.float64)
         for j in range(config.heads):
             cols = slice(j * h, (j + 1) * h)

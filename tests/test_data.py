@@ -438,7 +438,7 @@ class TestBundleRoundtrip:
         # volumes read at first use, in the checks below, and read before them
         for loaded in (dp.load_dataset(tmp_path / "ds"), read_all(dp.load_dataset(tmp_path / "ds"))):
             assert loaded.split == ds.split
-            assert loaded.vocab.items == ds.vocab.items
+            assert loaded.vocab == ds.vocab
             assert loaded.patients == ds.patients
             assert any(p.age is None for p in loaded.patients.values())
             assert (loaded.split_seed, loaded.split_fold) == (ds.split_seed, ds.split_fold)
@@ -463,8 +463,8 @@ class TestBundleRoundtrip:
         dp.save_dataset(ds, tmp_path / "ds")
         loaded = dp.load_dataset(tmp_path / "ds")
         assert loaded.patients == ds.patients
-        assert loaded.vocab.items == ds.vocab.items
-        assert all(", nos; grade 2" in item for item in loaded.vocab.items if item.startswith("histology="))
+        assert loaded.vocab == ds.vocab
+        assert all(", nos; grade 2" in item for item in loaded.vocab if item.startswith("histology="))
         for pid in ds.volumes:
             np.testing.assert_array_equal(loaded.volumes[pid], ds.volumes[pid])
 
@@ -526,12 +526,14 @@ class TestBundleRoundtrip:
     def test_not_utf8_rejected(self, tmp_path):
         manifest = saved_bundle(tmp_path, 11) / "manifest.json"
         manifest.write_bytes(manifest.read_bytes().replace(b"SP0000", b"SP\xff000", 1))
-        with pytest.raises(FormatError, match="manifest.json: .*can't decode byte 0xff"):
+        with pytest.raises(FormatError, match="manifest.json: .*can't decode byte 0xff") as info:
             dp.load_dataset(manifest.parent)
+        assert info.value.offset == manifest.read_bytes().index(b"\xff")
 
     @pytest.mark.parametrize("names, old, new", [
         ("'SP0000' in 'patients'", '"SP0001": {', '"SP0000": {}, "SP0001": {'),
-        ("'split_seed'$", '"version": 4', '"version": 4, "split_seed": 0'),
+        # a repeated key is located at the document's first byte
+        (r"'split_seed' \(at byte offset 0\)$", '"version": 4', '"version": 4, "split_seed": 0'),
         # the first "smoker" is in the items of SP0000
         ("'smoker' in 'items' in 'SP0000' in 'patients'", '"smoker": "former"',
          '"smoker": "former", "smoker": "never"'),

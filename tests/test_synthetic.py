@@ -59,7 +59,7 @@ class TestCohortShape:
 
     def test_vocabulary_size(self):
         ds = syn.generate_synthetic(1, 30)
-        assert ds.vocab.size <= 20
+        assert len(ds.vocab) <= 20
         assert all(p.categorical.keys() == syn.RISK_TABLES.keys() for p in ds.patients.values())
 
 

@@ -35,7 +35,7 @@ def dataset():
 @pytest.mark.parametrize("towers", ["both", "visual", "textual"])
 def test_forward_batch_keeps_float32(dataset, towers):
     config = tiny_config(towers=towers).model_config()
-    store = model.init_model_params(config, dataset.vocab, seed=0)
+    store = model.init_model_params(config, len(dataset.vocab), seed=0)
     batch = model.make_batch(dataset, dataset.samples[:3], config)
     pred = model.forward_batch(store, config, batch)
     assert pred.shape == (3, 1)
@@ -59,7 +59,7 @@ def test_make_batch_volumes_are_resized_variants(dataset, dtype):
 def test_forward_batch_is_weighted_sum_of_views(dataset, frame_diff):
     omega = 0.4
     config = tiny_config(towers="both", frame_diff=frame_diff, omega=omega).model_config()
-    store = model.init_model_params(config, dataset.vocab, seed=0, dtype=np.float64)
+    store = model.init_model_params(config, len(dataset.vocab), seed=0, dtype=np.float64)
     batch = model.make_batch(dataset, dataset.samples[:5], config, dtype=np.float64)
 
     single = dataclasses.replace(config, frame_diff="off")
@@ -154,7 +154,7 @@ def test_omega_one_bit_equals_frame_diff_off(dataset):
     preds = []
     for kw in (dict(omega=1.0), dict(frame_diff="off")):
         config = tiny_config(towers="both", **kw).model_config()
-        store = model.init_model_params(config, dataset.vocab, seed=0)
+        store = model.init_model_params(config, len(dataset.vocab), seed=0)
         preds.append(model.predict_times(store, config, dataset, dataset.samples[:48]))
     np.testing.assert_array_equal(preds[0], preds[1])
 
@@ -216,7 +216,7 @@ def test_assembly_and_initial_parameters_are_bit_pinned():
             columns.update(np.array([getattr(s, name) for s in ds.samples], dtype=dtype).tobytes())
         columns.update(json.dumps(ds.split, sort_keys=True).encode())
     config = train.desk_preset(seed=0)
-    store = model.init_model_params(config.model_config(), dataset.vocab, config.seed)
+    store = model.init_model_params(config.model_config(), len(dataset.vocab), config.seed)
     params = hashlib.sha256(train._flat(store).astype("<f4").tobytes())
     assert [columns.hexdigest(), params.hexdigest()] == [
         "b54fb4329023c159bca48ead5919e337413ee27bd4c9e0f9563b54c32e6c9bc6",
@@ -316,7 +316,7 @@ def test_state_rejects_dataset_with_another_vocabulary(dataset):
     # the same items at other embedding rows would score without error
     state, _ = train.train(tiny_config(epochs=1), dataset)
     other = generate_synthetic(8, 9)
-    assert other.vocab.items != dataset.vocab.items
+    assert other.vocab != dataset.vocab
     with pytest.raises(UsageError, match="vocabulary"):
         train.evaluate(state, other, which="last")
     with pytest.raises(UsageError, match="vocabulary"):
@@ -330,7 +330,7 @@ def test_ablation_grid_builds_unique_variants(dataset, axis):
     labels = [label for label, _ in rows]
     assert len(labels) == len(set(labels)) > 1
     for _, config in rows:
-        model.init_model_params(config.model_config(), dataset.vocab, seed=0)
+        model.init_model_params(config.model_config(), len(dataset.vocab), seed=0)
     if axis == "direction":
         assert {config.frame_diff for _, config in rows} == set(fusion.FRAME_DIFF_MODES)
 
@@ -389,7 +389,7 @@ def _every_config():
 @pytest.mark.parametrize("kw", [pytest.param(kw, id=i) for i, kw in _every_config()])
 def test_train_step_reaches_every_parameter(dataset, kw):
     config = tiny_config(**kw).model_config()
-    store = model.init_model_params(config, dataset.vocab, seed=0)
+    store = model.init_model_params(config, len(dataset.vocab), seed=0)
     batch = model.make_batch(dataset, dataset.samples[:3], config)
     loss, _ = fusion.training_loss(model.forward_batch(store, config, batch), batch.targets, store, 1e-3)
     ad.backward(loss)
@@ -415,7 +415,7 @@ class TestAdam:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_flat_update_bit_equals_per_tensor_loop(self, dataset, dtype):
         config = tiny_config(towers="both").model_config()
-        store = model.init_model_params(config, dataset.vocab, seed=0, dtype=dtype)
+        store = model.init_model_params(config, len(dataset.vocab), seed=0, dtype=dtype)
         adam = train.Adam(store)
         params = {name: t.data.copy() for name, t in store.items()}
         m = {name: np.zeros_like(a) for name, a in params.items()}
@@ -436,7 +436,7 @@ class TestAdam:
         assert adam.step_count == 5
 
     def test_missing_gradient_names_the_parameter(self, dataset):
-        store = model.init_model_params(tiny_config().model_config(), dataset.vocab, seed=0)
+        store = model.init_model_params(tiny_config().model_config(), len(dataset.vocab), seed=0)
         names = store.names()
         for t in (store[name] for name in names[1:]):
             t.grad = np.zeros_like(t.data)
@@ -446,7 +446,7 @@ class TestAdam:
         assert store[names[1]].data is before
 
     def test_mixed_dtypes_rejected(self, dataset):
-        store = model.init_model_params(tiny_config().model_config(), dataset.vocab, seed=0)
+        store = model.init_model_params(tiny_config().model_config(), len(dataset.vocab), seed=0)
         store.add("extra", np.zeros(3))     # float64 among float32
         with pytest.raises(UsageError, match="one dtype"):
             train.Adam(store)
@@ -589,7 +589,19 @@ class TestCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="vocab" if corrupt.startswith("vocab") else None) as info:
             train.load_checkpoint(path)
-        assert info.value.offset == 14
+        # a byte that is not UTF-8 is reported where it is, any other fault at the header's start
+        assert info.value.offset == (20 if corrupt == "byte 20" else 14)
+
+    def test_header_syntax_error_reports_its_byte(self, dataset, tmp_path):
+        state, _ = train.train(tiny_config(epochs=1), dataset)
+        path = tmp_path / "ckpt"
+        train.save_checkpoint(state, path)
+        blob = path.read_bytes()
+        at = blob.index(b'"layout":') + len(b'"layout"')
+        path.write_bytes(blob[:at] + b";" + blob[at + 1:])
+        with pytest.raises(FormatError, match="Expecting ':' delimiter") as info:
+            train.load_checkpoint(path)
+        assert 14 < at == info.value.offset
 
     def test_failed_write_keeps_earlier_checkpoint(self, dataset, tmp_path, monkeypatch):
         state, _ = train.train(tiny_config(epochs=1), dataset)
