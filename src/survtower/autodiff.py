@@ -20,12 +20,27 @@ Conventions:
   stays float32 (numpy would promote a float64 0-d array).
 - Broadcasting follows trailing-dimension alignment (numpy rules).
 - Gradients accumulate by summation over all paths.
+
+Threads: the package owns one worker thread, started on first use, and
+``overlap`` is the only way in. ``overlap(side, main)`` runs ``side()``
+on the worker while ``main()`` runs on the calling thread, and returns
+when both are done, so two independent numpy-heavy computations use two
+cores (numpy releases the GIL inside GEMMs and large copies). Two call
+sites use it: ``model.forward_batch`` runs one ensemble view's backbone
+on the worker, and ``conv3d``'s backward computes the input gradient
+there. Ops on the worker record their nodes as on any thread: the tape
+is a graph, so the order in which nodes are made does not matter.
+Gradients are added to nodes only on the calling thread, and
+``backward`` walks the tape there, so every result is bit-identical to
+a run on one thread.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import threading
+from concurrent import futures
 
 import numpy as np
 
@@ -41,6 +56,18 @@ LN_EPS = 1e-5
 _state = threading.local()
 
 
+def _new_worker():
+    """The one worker thread of ``overlap``: a pool that starts it on first use."""
+    global _WORKER
+    _WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="survtower-worker")
+
+
+_new_worker()
+# a forked child inherits the pool but not its thread, so it would wait on
+# its first task forever; it gets a pool of its own instead
+os.register_at_fork(after_in_child=_new_worker)
+
+
 def _grad_enabled() -> bool:
     return getattr(_state, "grad_enabled", True)
 
@@ -54,6 +81,33 @@ def no_grad():
         yield
     finally:
         _state.grad_enabled = prev
+
+
+def _on_worker(fn, grad_enabled: bool):
+    _state.on_worker = True
+    _state.grad_enabled = grad_enabled
+    return fn()
+
+
+def overlap(side, main):
+    """``(side(), main())``, with ``side`` on the worker thread while
+    ``main`` runs on this one.
+
+    ``side`` runs in the caller's grad mode (``no_grad`` is per thread).
+    On the worker itself both run inline, ``main`` first, so a nested
+    call cannot wait on its own thread. The worker's task never outlives
+    this call: it is waited for even when ``main`` raises, and an error
+    it raises is raised here.
+    """
+    if getattr(_state, "on_worker", False):
+        main_result = main()
+        return side(), main_result
+    task = _WORKER.submit(_on_worker, side, _grad_enabled())
+    try:
+        main_result = main()
+    finally:
+        futures.wait((task,))
+    return task.result(), main_result
 
 
 class _Node:
@@ -343,9 +397,10 @@ def layer_norm(t, gain, bias) -> Tensor:
             f"layer_norm gain/bias must have shape ({n},), got {tuple(gain.shape)} and {tuple(bias.shape)}"
         )
     tn, gn, bn = t._node, gain._node, bias._node
-    mu = t.data.mean(axis=-1, keepdims=True)
+    # sum / n is what ndarray.mean computes, bit for bit, without its Python-level wrapper
+    mu = t.data.sum(axis=-1, keepdims=True) / n
     xc = t.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     out = Tensor(xhat * gain.data + bias.data)
@@ -358,8 +413,8 @@ def layer_norm(t, gain, bias) -> Tensor:
             gn.accumulate((g * xhat).reshape(-1, n).sum(axis=0))
         if tn is not None:
             gy = g * gain_data
-            mean_gy = gy.mean(axis=-1, keepdims=True)
-            mean_gyx = (gy * xhat).mean(axis=-1, keepdims=True)
+            mean_gy = gy.sum(axis=-1, keepdims=True) / n
+            mean_gyx = (gy * xhat).sum(axis=-1, keepdims=True) / n
             tn.accumulate(inv * (gy - mean_gy - xhat * mean_gyx))
 
     return _record(out, (tn, gn, bn), backward_fn)
@@ -434,10 +489,9 @@ def concat(tensors, axis: int = 0) -> Tensor:
     if not tensors:
         raise DimensionError("concat needs at least one tensor")
     ref = tensors[0].shape
+    axis = _normalize_axes(axis, ref)[0]
     for t in tensors[1:]:
-        if len(t.shape) != len(ref) or any(
-            i != axis % len(ref) and t.shape[i] != ref[i] for i in range(len(ref))
-        ):
+        if len(t.shape) != len(ref) or any(i != axis and t.shape[i] != ref[i] for i in range(len(ref))):
             raise DimensionError(
                 f"concat shapes disagree off axis {axis}: {[tuple(t.shape) for t in tensors]}"
             )
@@ -465,7 +519,11 @@ def reshape(t, shape) -> Tensor:
 
 def transpose(t, axes=None) -> Tensor:
     t = as_tensor(t)
-    axes = tuple(axes) if axes is not None else tuple(reversed(range(t.data.ndim)))
+    ndim = t.data.ndim
+    axes = tuple(axes) if axes is not None else tuple(reversed(range(ndim)))
+    if len(_normalize_axes(axes, t.shape)) != ndim:
+        raise DimensionError(f"transpose axes {axes} do not permute the {ndim} axes of {tuple(t.shape)}")
+    axes = tuple(ax % ndim for ax in axes)
     inverse = np.argsort(axes)
     tn = t._node
 
@@ -634,27 +692,36 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
 
     def backward_fn(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))                   # (n,of,oh,ow,ko)
-        if kn is not None:
+
+        def kernel_grad():
             xl = _padded(x_data.transpose(0, 2, 3, 4, 1), pads)   # local: the tape holds x, not xl
             dkl = np.zeros_like(kl)
             for samples, frame, tile, tmp in _tiles(g2, c):
                 for offset in offsets:
                     tmp[...] = _window(xl, offset, strides, tile.shape[1:4], samples, frame)
                     dkl[offset] += tmp.reshape(-1, c).T @ tile.reshape(-1, ko)
-            kn.accumulate(dkl.transpose(4, 3, 0, 1, 2))
-        if xn is None:
-            return
-        if correlate_dx:
-            flipped = np.ascontiguousarray(kl[::-1, ::-1, ::-1].swapaxes(3, 4))         # (kf,kh,kw,ko,c)
-            dxl = _correlate(_padded(g2, flip_pads), flipped, (1, 1, 1), in_dims)
-            xn.accumulate(dxl.transpose(0, 4, 1, 2, 3))
-            return
-        dxl = np.zeros((n, *(d + 2 * p for d, p in zip(in_dims, pads)), c), dtype=x_dtype)
-        for samples, frame, tile, tmp in _tiles(g2, c):
-            for offset in offsets:
-                np.matmul(tile.reshape(-1, ko), kl[offset].T, out=tmp.reshape(-1, c))
-                _window(dxl, offset, strides, tile.shape[1:4], samples, frame).__iadd__(tmp)
-        xn.accumulate(dxl[_interior(pads, in_dims)].transpose(0, 4, 1, 2, 3))
+            return dkl.transpose(4, 3, 0, 1, 2)
+
+        def input_grad():
+            if correlate_dx:
+                flipped = np.ascontiguousarray(kl[::-1, ::-1, ::-1].swapaxes(3, 4))     # (kf,kh,kw,ko,c)
+                dxl = _correlate(_padded(g2, flip_pads), flipped, (1, 1, 1), in_dims)
+                return dxl.transpose(0, 4, 1, 2, 3)
+            dxl = np.zeros((n, *(d + 2 * p for d, p in zip(in_dims, pads)), c), dtype=x_dtype)
+            for samples, frame, tile, tmp in _tiles(g2, c):
+                for offset in offsets:
+                    np.matmul(tile.reshape(-1, ko), kl[offset].T, out=tmp.reshape(-1, c))
+                    _window(dxl, offset, strides, tile.shape[1:4], samples, frame).__iadd__(tmp)
+            return dxl[_interior(pads, in_dims)].transpose(0, 4, 1, 2, 3)
+
+        if kn is None:
+            xn.accumulate(input_grad())
+        elif xn is None:
+            kn.accumulate(kernel_grad())
+        else:
+            dx, dk = overlap(input_grad, kernel_grad)
+            kn.accumulate(dk)
+            xn.accumulate(dx)
 
     return _record(out, (xn, kn), backward_fn)
 

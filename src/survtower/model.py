@@ -109,21 +109,37 @@ def forward_batch(store: ParameterStore, config: ModelConfig, batch: BatchInputs
     direction and adds its weighted prediction. A single view (omega=1,
     frame_diff="off" or no visual tower) returns its pass unweighted, so
     omega=1 is bit-equal to frame differencing switched off.
-    """
-    clinical_feats = None
-    if config.towers in ("both", "textual"):
-        tokens = cl.embed_tokens(store, batch.tokens, batch.ages)
-        clinical_feats = cl.encode_clinical(store, config.clinical, tokens)
 
+    The views' backbones are independent until the head, so the last
+    view's backbone runs on the autodiff worker thread (``ad.overlap``)
+    while this thread encodes the clinical tokens and runs the other
+    views. The head and the weighted sum then run here in view order, as
+    on one thread, so the predictions and their tape do not change.
+    """
     views = fu.ensemble_views(config.frame_diff, config.omega)
+    directions = [d for d, _ in views]
+
+    def clinical():
+        if config.towers in ("both", "textual"):
+            return cl.encode_clinical(store, config.clinical, cl.embed_tokens(store, batch.tokens, batch.ages))
+        return None
+
+    def backbone(direction):
+        volumes = batch.volumes if direction is None else fu.frame_difference(batch.volumes, direction)
+        return vz.backbone_forward(store, config.visual, ad.as_tensor(volumes))
+
+    if batch.volumes is None:
+        clinical_feats, visual_feats = clinical(), [None] * len(views)
+    else:
+        last, (clinical_feats, visual_feats) = ad.overlap(
+            lambda: backbone(directions[-1]),
+            lambda: (clinical(), [backbone(d) for d in directions[:-1]]),
+        )
+        visual_feats.append(last)
+
     ensembled = None
-    for direction, weight in views:
-        parts = [] if clinical_feats is None else [clinical_feats]
-        if batch.volumes is not None:
-            volumes = batch.volumes
-            if direction is not None:
-                volumes = fu.frame_difference(volumes, direction)
-            parts.append(vz.backbone_forward(store, config.visual, ad.as_tensor(volumes)))
+    for (_, weight), visual in zip(views, visual_feats):
+        parts = [p for p in (clinical_feats, visual) if p is not None]
         features = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
         pred = fu.fuse_predict(store, features)
         if len(views) == 1:

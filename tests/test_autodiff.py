@@ -1,5 +1,10 @@
 """Tensor engine semantics and gradient checks against finite differences."""
 
+import contextlib
+import multiprocessing
+import sys
+import threading
+import time
 import types
 
 import numpy as np
@@ -324,6 +329,22 @@ class TestLayerNorm:
             arrays = [rng.standard_normal((rows, cols)), rng.standard_normal(cols), rng.standard_normal(cols)]
             _check_op(ad.layer_norm, arrays, rng)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_mean_formula_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(15)
+        x, gain, bias, g = (rng.standard_normal(s).astype(dtype) for s in [(32, 6, 48), (48,), (48,), (32, 6, 48)])
+        t = ad.Tensor(x, requires_grad=True)
+        out = ad.layer_norm(t, ad.Tensor(gain), ad.Tensor(bias))
+        ad.backward(ad.sum_over(ad.mul(out, g)))
+
+        xc = x - x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + ad.LN_EPS)
+        xhat = xc * inv
+        gy = g * gain
+        dx = inv * (gy - gy.mean(axis=-1, keepdims=True) - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
+        assert np.array_equal(out.data, xhat * gain + bias)
+        assert np.array_equal(t.grad, dx)
+
 
 class TestElementwise:
     @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
@@ -362,6 +383,24 @@ class TestElementwise:
     def test_concat_disagreeing_shapes(self):
         with pytest.raises(DimensionError):
             ad.concat([ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 3)))], axis=1)
+
+    @pytest.mark.parametrize("op, match", [
+        (lambda t: ad.concat([t, t], axis=5), r"axis 5 is out of range"),
+        (lambda t: ad.transpose(t, (0, 1, 5)), r"axis 5 is out of range"),
+        (lambda t: ad.transpose(t, (0, 1, 1)), r"duplicate axes"),
+        (lambda t: ad.transpose(t, (0, 1)), r"do not permute"),
+    ], ids=["concat axis 5", "transpose (0, 1, 5)", "transpose (0, 1, 1)", "transpose (0, 1)"])
+    def test_bad_concat_axis_or_transpose_permutation_rejected(self, op, match):
+        with pytest.raises(DimensionError, match=match):
+            op(ad.Tensor(np.ones((2, 3, 4))))
+
+    def test_negative_axes(self):
+        t = ad.Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True, dtype=np.float64)
+        assert ad.concat([t, t], axis=-1).shape == (2, 3, 8)
+        out = ad.transpose(t, (0, -1, 1))
+        assert out.shape == (2, 4, 3)
+        ad.backward(ad.sum_over(ad.mul(out, out.data)))
+        np.testing.assert_array_equal(t.grad, t.data)
 
     def test_incompatible_broadcast(self):
         with pytest.raises(DimensionError):
@@ -520,3 +559,78 @@ class TestBackward:
         out = ad.conv3d(x, k, padding=1)
         out = ad.sigmoid(out)
         assert np.all(np.isfinite(out.data))
+
+
+class TestOverlap:
+    def test_side_runs_on_the_worker_and_main_here(self):
+        side, main = ad.overlap(threading.current_thread, threading.current_thread)
+        assert main is threading.current_thread() and side is not main
+
+    def test_runs_inline_on_the_worker(self):
+        # a nested call that queued behind its own task would never return
+        nested = lambda: ad.overlap(threading.current_thread, threading.current_thread)  # noqa: E731
+        got = []
+        caller = threading.Thread(target=lambda: got.append(ad.overlap(nested, lambda: None)), daemon=True)
+        caller.start()
+        caller.join(timeout=10)
+        assert not caller.is_alive(), "a nested overlap call did not return"
+        (side, main), _ = got[0]
+        assert side is main and main is not caller
+
+    def test_concurrent_callers_get_their_own_results(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        got = {}
+
+        def caller(i):
+            got[i] = [ad.overlap(lambda: np.full(1000, i).sum(), lambda: np.full(10, i).sum()) for _ in range(50)]
+
+        try:
+            threads = [threading.Thread(target=caller, args=(i,), daemon=True) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == {i: [(1000 * i, 10 * i)] * 50 for i in range(4)}
+
+    @pytest.mark.parametrize("grad_enabled", [True, False])
+    def test_side_runs_in_the_callers_grad_mode(self, grad_enabled):
+        leaf = ad.Tensor(np.ones(3), requires_grad=True)
+        with contextlib.nullcontext() if grad_enabled else ad.no_grad():
+            out, _ = ad.overlap(lambda: ad.mul(leaf, 2.0), lambda: None)
+        assert out.requires_grad is grad_enabled
+
+    def test_side_error_is_raised_here(self):
+        def fail():
+            raise ConfigError("side failed")
+
+        with pytest.raises(ConfigError, match="side failed"):
+            ad.overlap(fail, lambda: None)
+
+    def test_main_error_waits_for_the_side(self):
+        done = threading.Event()
+
+        def slow():
+            time.sleep(0.2)
+            done.set()
+
+        def fail():
+            raise ConfigError("main failed")
+
+        with pytest.raises(ConfigError, match="main failed"):
+            ad.overlap(slow, fail)
+        assert done.is_set()
+
+    def test_forked_child_gets_its_own_worker(self):
+        ad.overlap(lambda: None, lambda: None)      # the parent's worker is running
+        ctx = multiprocessing.get_context("fork")
+        results = ctx.SimpleQueue()
+        child = ctx.Process(target=lambda: results.put(ad.overlap(lambda: 1, lambda: 2)), daemon=True)
+        child.start()
+        child.join(timeout=30)
+        if child.is_alive():
+            child.kill()
+        assert child.exitcode == 0 and results.get() == (1, 2)

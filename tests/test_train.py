@@ -7,13 +7,15 @@ import hashlib
 import json
 import re
 import struct
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from survtower import autodiff as ad
-from survtower import data, fusion, model, train
+from survtower import data, fusion, model, train, visual
 from survtower.errors import ConfigError, FormatError, UsageError
 from survtower.synthetic import generate_synthetic
 
@@ -76,6 +78,81 @@ def test_forward_batch_is_weighted_sum_of_views(dataset, frame_diff):
     pred = model.forward_batch(store, config, batch)
     assert pred.dtype == np.float64
     np.testing.assert_allclose(pred.data, expected, rtol=1e-12, atol=0)
+
+
+def _inline_overlap(side, main):
+    main_result = main()
+    return side(), main_result
+
+
+def test_worker_changes_no_bit(dataset, monkeypatch):
+    config = tiny_config(towers="both", frame_diff="on").model_config()
+    samples = dataset.samples[:8]
+
+    def run():
+        store = model.init_model_params(config, len(dataset.vocab), seed=0)
+        batch = model.make_batch(dataset, samples, config)
+        loss, _ = fusion.training_loss(model.forward_batch(store, config, batch), batch.targets, store, 1e-3)
+        ad.backward(loss)
+        grads = {name: t.grad for name, t in store.items()}
+        return loss.data, grads, model.predict_times(store, config, dataset, samples)
+
+    loss, grads, preds = run()
+    monkeypatch.setattr(ad, "overlap", _inline_overlap)
+    inline_loss, inline_grads, inline_preds = run()
+    assert np.array_equal(loss, inline_loss)
+    assert grads.keys() == inline_grads.keys()
+    for name, grad in grads.items():
+        assert np.array_equal(grad, inline_grads[name]), name
+    assert np.array_equal(preds, inline_preds)
+
+
+def test_predict_times_records_no_tape_on_the_worker(dataset, monkeypatch):
+    seen = []
+    backbone = visual.backbone_forward
+
+    def spy(*args):
+        out = backbone(*args)
+        seen.append((threading.current_thread(), out.requires_grad))
+        return out
+
+    monkeypatch.setattr(visual, "backbone_forward", spy)
+    config = tiny_config(towers="both", frame_diff="on").model_config()
+    store = model.init_model_params(config, len(dataset.vocab), seed=0)
+    model.predict_times(store, config, dataset, dataset.samples[:8])
+    assert any(thread is not threading.current_thread() for thread, _ in seen)
+    assert not any(requires_grad for _, requires_grad in seen)
+
+
+@pytest.mark.parametrize("failing", ["worker", "caller"])
+def test_view_error_surfaces_after_every_view_ends(dataset, monkeypatch, failing):
+    caller, ended = threading.current_thread(), []
+    backbone = visual.backbone_forward
+
+    def view(*args):
+        on_worker = threading.current_thread() is not caller
+        if on_worker == (failing == "worker"):
+            raise ConfigError(f"{failing} view failed")
+        time.sleep(0.2)
+        out = backbone(*args)
+        ended.append(on_worker)
+        return out
+
+    monkeypatch.setattr(visual, "backbone_forward", view)
+    config = tiny_config(towers="both", frame_diff="on").model_config()
+    store = model.init_model_params(config, len(dataset.vocab), seed=0)
+    batch = model.make_batch(dataset, dataset.samples[:3], config)
+    with pytest.raises(ConfigError, match=f"{failing} view failed"):
+        model.forward_batch(store, config, batch)
+    # a failing caller stops at its first view, but the worker's one view has
+    # ended; a failing worker leaves the caller to end its two views first
+    assert ended == ([False, False] if failing == "worker" else [True])
+
+
+def test_training_starts_at_most_one_thread(dataset):
+    before = threading.active_count()
+    train.train(tiny_config(towers="both", frame_diff="on", epochs=1), dataset)
+    assert threading.active_count() <= before + 1
 
 
 @pytest.mark.parametrize("bad", [
