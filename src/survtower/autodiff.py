@@ -25,14 +25,18 @@ Threads: the package owns one worker thread, started on first use, and
 ``overlap`` is the only way in. ``overlap(side, main)`` runs ``side()``
 on the worker while ``main()`` runs on the calling thread, and returns
 when both are done, so two independent numpy-heavy computations use two
-cores (numpy releases the GIL inside GEMMs and large copies). Two call
-sites use it: ``model.forward_batch`` runs one ensemble view's backbone
-on the worker, and ``conv3d``'s backward computes the input gradient
-there. Ops on the worker record their nodes as on any thread: the tape
-is a graph, so the order in which nodes are made does not matter.
-Gradients are added to nodes only on the calling thread, and
-``backward`` walks the tape there, so every result is bit-identical to
-a run on one thread.
+cores (numpy releases the GIL inside GEMMs and large copies). Work is
+split by lane, the way data-parallel training splits a batch over
+replicas. Every node belongs to the caller's lane unless it was made
+inside ``worker_lane()``: ``model.forward_batch`` runs every ensemble
+view's backbone over one half of a batch on the caller and over the
+other half on the worker, inside ``worker_lane()``, and joins the two
+halves with ``concat``. ``backward`` then walks the worker's lane on the
+worker and the caller's lane here (see there), and adds every gradient
+that the worker's walk sends out of its lane after both are done, in
+walk order. A node's lane is the tag it was recorded with, not the
+thread that made it, so every result is the same bits whichever thread
+ran what, and with ``overlap`` run inline.
 """
 
 from __future__ import annotations
@@ -53,7 +57,19 @@ BLOCK_BYTES = 1 << 18
 # layer_norm adds this to the variance before its square root
 LN_EPS = 1e-5
 
-_state = threading.local()
+
+class _State(threading.local):
+    """Per-thread settings: grad mode, the lane new nodes are recorded in,
+    whether this is the worker thread, and the list a worker-lane walk
+    sets aside out-of-lane gradients in (None outside one)."""
+
+    grad_enabled = True
+    lane = 0
+    on_worker = False
+    aside = None
+
+
+_state = _State()
 
 
 def _new_worker():
@@ -68,19 +84,29 @@ _new_worker()
 os.register_at_fork(after_in_child=_new_worker)
 
 
-def _grad_enabled() -> bool:
-    return getattr(_state, "grad_enabled", True)
-
-
 @contextlib.contextmanager
 def no_grad():
     """Disable tape recording inside the block (used for evaluation)."""
-    prev = _grad_enabled()
+    prev = _state.grad_enabled
     _state.grad_enabled = False
     try:
         yield
     finally:
         _state.grad_enabled = prev
+
+
+@contextlib.contextmanager
+def worker_lane():
+    """Record the nodes made inside the block, on this thread, in the
+    worker's lane, so that ``backward`` runs their closures on the worker
+    thread. A parameter leaf stays in the caller's lane wherever it is
+    used."""
+    prev = _state.lane
+    _state.lane = 1
+    try:
+        yield
+    finally:
+        _state.lane = prev
 
 
 def _on_worker(fn, grad_enabled: bool):
@@ -99,10 +125,10 @@ def overlap(side, main):
     this call: it is waited for even when ``main`` raises, and an error
     it raises is raised here.
     """
-    if getattr(_state, "on_worker", False):
+    if _state.on_worker:
         main_result = main()
         return side(), main_result
-    task = _WORKER.submit(_on_worker, side, _grad_enabled())
+    task = _WORKER.submit(_on_worker, side, _state.grad_enabled)
     try:
         main_result = main()
     finally:
@@ -113,19 +139,26 @@ def overlap(side, main):
 class _Node:
     """One tape entry: a tensor's gradient, its parents' nodes and its
     backward closure, without its value. ``shape`` and ``dtype`` size the
-    zero-filled gradient that the first contribution is added into."""
+    zero-filled gradient that the first contribution is added into;
+    ``lane`` is 1 for a node recorded inside ``worker_lane`` and 0
+    otherwise."""
 
-    __slots__ = ("grad", "parents", "backward_fn", "released", "shape", "dtype")
+    __slots__ = ("grad", "parents", "backward_fn", "released", "shape", "dtype", "lane")
 
-    def __init__(self, shape, dtype, parents=(), backward_fn=None):
+    def __init__(self, shape, dtype, parents=(), backward_fn=None, lane=0):
         self.grad = None
         self.parents = parents
         self.backward_fn = backward_fn
         self.released = False
         self.shape = shape
         self.dtype = dtype
+        self.lane = lane
 
     def accumulate(self, grad: np.ndarray):
+        aside = _state.aside
+        if aside is not None and not self.lane:
+            aside.append((self, grad))      # added by the caller after the worker's walk
+            return
         if self.grad is None:
             self.grad = np.zeros(self.shape, self.dtype)
         self.grad += grad
@@ -200,10 +233,10 @@ def _record(out: Tensor, parents, backward_fn):
     """Give ``out`` a tape node when grad mode is on and any of the
     parents' nodes (None for a constant) exists. A closure runs only on
     a node, so a one-input op's closure can use its parent's node as is."""
-    if _grad_enabled():
+    if _state.grad_enabled:
         nodes = tuple(p for p in parents if p is not None)
         if nodes:
-            out._node = _Node(out.data.shape, out.data.dtype, nodes, backward_fn)
+            out._node = _Node(out.data.shape, out.data.dtype, nodes, backward_fn, _state.lane)
     return out
 
 
@@ -651,6 +684,12 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
     input gradients sum tile by tile, so they differ from an untiled sum
     only in summation order. The output and the input gradient keep x's
     dtype; the kernel is cast to it for the products.
+
+    Both passes run on the thread that runs the op or walks its node, the
+    kernel gradient first: a conv recorded inside ``worker_lane`` runs its
+    backward on the worker, and its kernel gradient is added to the
+    kernel after the caller's lane, in the worker's walk order
+    (``backward``).
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 5 or kernel.data.ndim != 5:
@@ -714,14 +753,10 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
                     _window(dxl, offset, strides, tile.shape[1:4], samples, frame).__iadd__(tmp)
             return dxl[_interior(pads, in_dims)].transpose(0, 4, 1, 2, 3)
 
-        if kn is None:
-            xn.accumulate(input_grad())
-        elif xn is None:
+        if kn is not None:
             kn.accumulate(kernel_grad())
-        else:
-            dx, dk = overlap(input_grad, kernel_grad)
-            kn.accumulate(dk)
-            xn.accumulate(dx)
+        if xn is not None:
+            xn.accumulate(input_grad())
 
     return _record(out, (xn, kn), backward_fn)
 
@@ -729,8 +764,21 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
 def backward(loss: Tensor):
     """Populate .grad on every requires_grad tensor reachable from loss.
 
-    The loss must be scalar (a single element). The tape is consumed:
-    calling backward again on the same graph raises UsageError.
+    The loss must be scalar (a single element). The tape is consumed,
+    even by a backward pass that raised: calling backward again on the
+    same graph raises UsageError.
+
+    A tape with nodes in the worker's lane (``worker_lane``) is walked in
+    two lanes. First this thread runs every caller-lane node that reads
+    a worker-lane node, directly or through others: the loss, the head
+    and the ``concat`` that joins the halves. Then the worker walks its
+    lane while this thread walks the rest of the caller's lane. A
+    gradient that the worker's walk would add to a caller-lane node, a
+    shared parameter leaf, is set aside and added here after both walks
+    end, in the worker's walk order, so the result does not depend on
+    thread timing. An error in either walk is raised after both end.
+    A tape whose worker lane reads a caller-lane node other than a leaf
+    is walked on this thread alone.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {tuple(loss.shape)}")
@@ -758,13 +806,59 @@ def backward(loss: Tensor):
             if id(p) not in seen and (p.backward_fn is not None or p.released):
                 stack.append((p, False))
 
-    root.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    seed = np.ones_like(loss.data)
+    root.grad = seed
+    order.reverse()
+    lanes = _lanes(order)
+    if lanes is None:
+        _walk(order)
+    else:
+        joined, worker, caller = lanes
+        _walk(joined)
+        aside, _ = overlap(lambda: _walk_aside(worker), lambda: _walk(caller))
+        for node, grad in aside:
+            node.accumulate(grad)
+    root.grad = seed
+
+
+def _lanes(order):
+    """``(joined, worker, caller)``: the nodes of a reverse-topological
+    ``order`` that ``backward`` walks first, on the worker and on the
+    caller, each in walk order; None when it walks them on one thread."""
+    if not any(node.lane for node in order):
+        return None
+    joined: set[int] = set()        # caller-lane nodes that read a worker-lane node
+    for node in reversed(order):    # parents first
+        if node.lane:
+            if any(not p.lane and p.backward_fn is not None for p in node.parents):
+                return None
+        elif any(p.lane or id(p) in joined for p in node.parents):
+            joined.add(id(node))
+    return ([node for node in order if id(node) in joined],
+            [node for node in order if node.lane],
+            [node for node in order if not node.lane and id(node) not in joined])
+
+
+def _walk(nodes):
+    """Run each node's closure on its gradient, in order, and release it.
+    A node is marked released before its closure runs, so a tape whose
+    walk raised cannot be walked again."""
+    for node in nodes:
         fn = node.backward_fn
+        node.released = True
         if fn is not None and node.grad is not None:
             fn(node.grad)
-        node.released = True
         node.backward_fn = None
         node.parents = ()
-        if node is not root:
-            node.grad = None
+        node.grad = None
+
+
+def _walk_aside(nodes) -> list:
+    """``_walk`` that returns, in order, the ``(node, grad)`` contributions
+    it would have added to caller-lane nodes."""
+    _state.aside = aside = []
+    try:
+        _walk(nodes)
+    finally:
+        _state.aside = None
+    return aside

@@ -238,9 +238,11 @@ def _model_check_at(seed: int, samples_per_tensor: int, only: set | None = None)
     ).model_config()
     store = init_model_params(config, 6, seed, dtype=np.float64)
     # the zero-initialized residual projections would hide their upstream
-    # parameters from the check; randomize them
+    # parameters from the check, and zero conv biases put every window of
+    # post-ReLU zeros exactly on the next ReLU's kink, at every retry;
+    # randomize them
     for name, t in store.items():
-        if name.endswith(("attn_out.weight", "mlp.w2")):
+        if name.endswith(("attn_out.weight", "mlp.w2", "stem.bias", "conv1.bias", "conv2.bias")):
             t.data = rng.standard_normal(t.data.shape) * 0.3
 
     batch = BatchInputs(

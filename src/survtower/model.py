@@ -110,32 +110,47 @@ def forward_batch(store: ParameterStore, config: ModelConfig, batch: BatchInputs
     frame_diff="off" or no visual tower) returns its pass unweighted, so
     omega=1 is bit-equal to frame differencing switched off.
 
-    The views' backbones are independent until the head, so the last
-    view's backbone runs on the autodiff worker thread (``ad.overlap``)
-    while this thread encodes the clinical tokens and runs the other
-    views. The head and the weighted sum then run here in view order, as
-    on one thread, so the predictions and their tape do not change.
+    A batch of n >= 2 samples with volumes is split in two halves, as
+    data-parallel training splits a batch over replicas: this thread
+    encodes the clinical tokens and runs every view's backbone over the
+    first n // 2 samples, while the autodiff worker thread
+    (``ad.overlap``) runs every view's backbone over the rest inside
+    ``ad.worker_lane``, so that ``ad.backward`` walks that half's nodes
+    on the worker too. Each view's two feature blocks are joined by one
+    ``concat`` on the batch axis, first half first, and the head and the
+    weighted sum then run here in view order. A batch of one runs on
+    this thread alone.
     """
     views = fu.ensemble_views(config.frame_diff, config.omega)
-    directions = [d for d, _ in views]
 
     def clinical():
         if config.towers in ("both", "textual"):
             return cl.encode_clinical(store, config.clinical, cl.embed_tokens(store, batch.tokens, batch.ages))
         return None
 
-    def backbone(direction):
-        volumes = batch.volumes if direction is None else fu.frame_difference(batch.volumes, direction)
-        return vz.backbone_forward(store, config.visual, ad.as_tensor(volumes))
+    def backbones(volumes):
+        return [
+            vz.backbone_forward(
+                store, config.visual, ad.as_tensor(volumes if d is None else fu.frame_difference(volumes, d))
+            )
+            for d, _ in views
+        ]
+
+    def worker_half(volumes):
+        with ad.worker_lane():
+            return backbones(volumes)
 
     if batch.volumes is None:
         clinical_feats, visual_feats = clinical(), [None] * len(views)
+    elif len(batch) == 1:
+        clinical_feats, visual_feats = clinical(), backbones(batch.volumes)
     else:
-        last, (clinical_feats, visual_feats) = ad.overlap(
-            lambda: backbone(directions[-1]),
-            lambda: (clinical(), [backbone(d) for d in directions[:-1]]),
+        half = len(batch) // 2
+        second, (clinical_feats, first) = ad.overlap(
+            lambda: worker_half(batch.volumes[half:]),
+            lambda: (clinical(), backbones(batch.volumes[:half])),
         )
-        visual_feats.append(last)
+        visual_feats = [ad.concat(pair, axis=0) for pair in zip(first, second)]
 
     ensembled = None
     for (_, weight), visual in zip(views, visual_feats):

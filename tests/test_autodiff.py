@@ -634,3 +634,88 @@ class TestOverlap:
         if child.is_alive():
             child.kill()
         assert child.exitcode == 0 and results.get() == (1, 2)
+
+
+class TestLanes:
+    """``backward`` over a tape whose second half was recorded in the worker's lane."""
+
+    @staticmethod
+    def halves(w, worker_lane=True, share=False):
+        """sum(relu(x @ w)**2) over 4 rows, rows 2-3 recorded by the worker, in
+        its lane when ``worker_lane``; with ``share`` the worker reads the
+        caller's w * 1 instead of the leaf w. Returns the loss and each
+        half's x @ w."""
+        x = np.random.default_rng(3).standard_normal((4, 3))
+        shared = ad.mul(w, 1.0) if share else w
+
+        def half(rows, weight):
+            h = ad.matmul(ad.Tensor(x[rows]), weight)
+            return h, ad.relu(h)
+
+        def worker():
+            with ad.worker_lane() if worker_lane else contextlib.nullcontext():
+                return half(slice(2, None), shared)
+
+        (h2, second), (h1, first) = ad.overlap(worker, lambda: half(slice(None, 2), w))
+        out = ad.concat([first, second], axis=0)
+        return ad.sum_over(ad.mul(out, out)), h1, h2
+
+    @staticmethod
+    def leaf():
+        return ad.Tensor(np.random.default_rng(4).standard_normal((3, 2)), requires_grad=True)
+
+    @staticmethod
+    def spy(t, log, name):
+        """Log ``name`` and the thread when ``t``'s closure runs."""
+        fn = t._backward_fn
+
+        def run(g):
+            log.append((name, threading.current_thread()))
+            fn(g)
+
+        t._backward_fn = run
+
+    def test_worker_lane_runs_on_the_worker_and_matches_one_lane(self):
+        w, log = self.leaf(), []
+        loss, h1, h2 = self.halves(w)
+        self.spy(h1, log, "caller")
+        self.spy(h2, log, "worker")
+        ad.backward(loss)
+        threads = dict(log)
+        assert threads["caller"] is threading.current_thread() and threads["worker"] is not threads["caller"]
+        one = self.leaf()
+        ad.backward(self.halves(one, worker_lane=False)[0])
+        np.testing.assert_allclose(w.grad, one.grad, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_error_in_a_lane_surfaces_after_the_other_lane_ends(self, failing):
+        w, log = self.leaf(), []
+        loss, h1, h2 = self.halves(w)
+        slow, broken = (h1, h2) if failing == "worker" else (h2, h1)
+        self.spy(slow, log, "slow")
+        inner = slow._backward_fn
+
+        def slow_fn(g):
+            time.sleep(0.2)
+            inner(g)
+            log.append(("ended", None))
+
+        def fail(g):
+            raise ConfigError(f"{failing} lane failed")
+
+        slow._backward_fn, broken._backward_fn = slow_fn, fail
+        with pytest.raises(ConfigError, match=f"{failing} lane failed"):
+            ad.backward(loss)
+        assert [name for name, _ in log] == ["slow", "ended"]
+        with pytest.raises(UsageError):
+            ad.backward(loss)
+
+    def test_worker_lane_that_reads_a_caller_node_walks_on_one_thread(self):
+        w, log = self.leaf(), []
+        loss, h1, h2 = self.halves(w, share=True)
+        self.spy(h2, log, "worker")
+        ad.backward(loss)
+        assert log == [("worker", threading.current_thread())]
+        one = self.leaf()
+        ad.backward(self.halves(one, worker_lane=False, share=True)[0])
+        assert np.array_equal(w.grad, one.grad)

@@ -38,3 +38,24 @@ def test_every_module_is_checked():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_module_uses_another_modules_private_names(path):
     assert private_uses(path) == []
+
+
+def thread_imports(path: Path) -> list[str]:
+    """Each ``threading`` or ``concurrent`` module that ``path`` imports."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module or ""]
+        else:
+            continue
+        found += [name for name in names if name.split(".")[0] in ("threading", "concurrent")]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_only_autodiff_imports_threads(path):
+    # autodiff.overlap is the one way into threads; autodiff's own two
+    # imports show that the check sees them
+    assert thread_imports(path) == ([] if path.name != "autodiff.py" else ["threading", "concurrent"])

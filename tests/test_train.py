@@ -7,6 +7,7 @@ import hashlib
 import json
 import re
 import struct
+import sys
 import threading
 import time
 from pathlib import Path
@@ -144,15 +145,91 @@ def test_view_error_surfaces_after_every_view_ends(dataset, monkeypatch, failing
     batch = model.make_batch(dataset, dataset.samples[:3], config)
     with pytest.raises(ConfigError, match=f"{failing} view failed"):
         model.forward_batch(store, config, batch)
-    # a failing caller stops at its first view, but the worker's one view has
-    # ended; a failing worker leaves the caller to end its two views first
-    assert ended == ([False, False] if failing == "worker" else [True])
+    # each lane runs all three views over its half: the failing lane stops at
+    # its first view, and the other lane has ended all three when it surfaces
+    assert ended == [failing == "caller"] * 3
 
 
 def test_training_starts_at_most_one_thread(dataset):
     before = threading.active_count()
     train.train(tiny_config(towers="both", frame_diff="on", epochs=1), dataset)
     assert threading.active_count() <= before + 1
+
+
+def _desk_step(dataset, n):
+    """Loss and every parameter gradient of one seeded desk-shaped step on n samples."""
+    config = train.desk_preset(seed=0).model_config()
+    store = model.init_model_params(config, len(dataset.vocab), seed=0)
+    batch = model.make_batch(dataset, dataset.samples[:n], config)
+    loss, _ = fusion.training_loss(model.forward_batch(store, config, batch), batch.targets, store, 1e-3)
+    ad.backward(loss)
+    return loss.data, {name: t.grad for name, t in store.items()}
+
+
+def test_two_lane_steps_repeat_bit_for_bit_under_fast_thread_switching(dataset):
+    # a thread switch every microsecond reorders everything that timing can reorder
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = [_desk_step(dataset, 4) for _ in range(5)]
+    finally:
+        sys.setswitchinterval(interval)
+    loss, grads = runs[0]
+    for other_loss, other_grads in runs[1:]:
+        assert np.array_equal(loss, other_loss)
+        for name, grad in grads.items():
+            assert np.array_equal(grad, other_grads[name]), name
+
+
+def test_each_closure_runs_on_the_thread_that_recorded_it(dataset, monkeypatch):
+    made, ran = {}, {}
+    record = ad._record
+
+    def spy(out, parents, backward_fn):
+        out = record(out, parents, backward_fn)
+        node = out._node
+        if node is not None:
+            made[node] = threading.current_thread()
+
+            def run(g, fn=node.backward_fn):
+                ran[node] = threading.current_thread()
+                fn(g)
+
+            node.backward_fn = run
+        return out
+
+    monkeypatch.setattr(ad, "_record", spy)
+    _desk_step(dataset, 4)
+    caller = threading.current_thread()
+    assert {thread is caller for thread in ran.values()} == {True, False}
+    assert all(thread is made[node] for node, thread in ran.items())
+
+
+@pytest.mark.parametrize("towers", ["both", "visual"])
+def test_each_samples_features_do_not_depend_on_its_batch(dataset, monkeypatch, towers):
+    # the head's input row of every view, per sample: split into halves,
+    # worked on two threads and joined, it equals the sample's row alone
+    seen = []
+    fuse_predict = fusion.fuse_predict
+
+    def spy(store, features):
+        seen.append(features.data)
+        return fuse_predict(store, features)
+
+    monkeypatch.setattr(fusion, "fuse_predict", spy)
+    config = tiny_config(towers=towers, frame_diff="on").model_config()
+    store = model.init_model_params(config, len(dataset.vocab), seed=0)
+    batch = model.make_batch(dataset, dataset.samples[:5], config)
+
+    def features(rows):
+        seen.clear()
+        part = model.BatchInputs(batch.tokens[rows], batch.ages[rows], batch.volumes[rows], batch.targets[rows])
+        model.forward_batch(store, config, part)
+        return np.stack(seen)                               # (views, rows, width)
+
+    alone = np.concatenate([features(slice(i, i + 1)) for i in range(5)], axis=1)
+    for n in (1, 2, 3, 5):
+        assert np.array_equal(features(slice(0, n)), alone[:, :n]), n
 
 
 @pytest.mark.parametrize("bad", [
