@@ -321,7 +321,8 @@ def matmul(a, b) -> Tensor:
     forward is one (-1, d) @ (d, k) GEMM, and the backward is one GEMM per
     operand, (g @ b.T) reshaped to a's shape and a(-1, d).T @ g(-1, k),
     rather than one small product per leading index each way. Other
-    shapes, such as attention's 4-D @ 4-D, keep the batched rule.
+    shapes keep the batched rule; the 4-D @ 4-D case serves the composed-op
+    reference in ``TestAttention`` and gradcheck's ``matmul[4d x 4d]``.
     """
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:

@@ -145,11 +145,11 @@ def normalize_volume(raw: np.ndarray, patient_id: str = "?") -> np.ndarray:
     (logged with ``patient_id``, since it indicates a degenerate scan).
     """
     if not np.all(np.isfinite(raw)):
-        raise PipelineError(f"patient {patient_id}: volume contains non-finite values")
+        raise PipelineError(f"patient {patient_id!r}: volume contains non-finite values")
     resized = resize_volume(raw, VOLUME_DIMS)
     lo, hi = float(resized.min()), float(resized.max())
     if hi == lo:
-        logger.warning("patient %s: constant volume (value %s); normalizing to all-0.5", patient_id, lo)
+        logger.warning("patient %r: constant volume (value %s); normalizing to all-0.5", patient_id, lo)
         return np.full(VOLUME_DIMS, 0.5, dtype=np.float32)
     return ((resized - lo) / (hi - lo)).astype(np.float32)
 
@@ -341,7 +341,7 @@ def assign_splits(patient_ids, seed: int, fold: int) -> dict[str, str]:
 def _check_patient_id(pid: str):
     """A patient id names its volume file."""
     if not pid or any(ch in pid for ch in "/\\\x00"):
-        raise PipelineError(f"patient id {pid!r} is empty or contains a path separator or NUL")
+        raise PipelineError(f"patient id {pid!r} is empty or contains a path separator or NUL", pid)
 
 
 def _check_outcome(event, days: float, age: float | None):
@@ -381,13 +381,13 @@ def _assemble(
     for pid, p in zip(ids, records):
         _check_patient_id(pid)
         if sorted(p.categorical) != fields:
-            raise PipelineError(f"patient {pid} has inconsistent categorical fields")
+            raise PipelineError(f"patient {pid!r} has inconsistent categorical fields", pid)
         if not all(isinstance(v, str) for v in p.categorical.values()):
-            raise PipelineError(f"patient {pid}: categorical values must be strings")
+            raise PipelineError(f"patient {pid!r}: categorical values must be strings", pid)
         try:
             _check_outcome(p.event, p.survival_days, p.age)
         except ValueError as exc:
-            raise PipelineError(f"patient {pid}: {exc}") from None
+            raise PipelineError(f"patient {pid!r}: {exc}", pid) from None
         items.append([f"{k}={p.categorical[k]}" for k in fields])
 
     is_train = np.array([split[pid] == "train" for pid in ids])
@@ -415,7 +415,7 @@ def build_dataset(raw_patients: list[RawPatient], seed: int, fold: int = 0) -> S
     volumes = {}
     for p in raw_patients:
         if p.volume is None:
-            raise PipelineError(f"patient {p.patient_id} has no volume")
+            raise PipelineError(f"patient {p.patient_id!r} has no volume", p.patient_id)
         volumes[p.patient_id] = normalize_volume(p.volume, p.patient_id)
     patients = {p.patient_id: RawPatient(p.patient_id, dict(p.categorical), p.age, p.survival_days, p.event)
                 for p in raw_patients}
@@ -511,31 +511,44 @@ def check_object(what: str, obj, types: dict):
 def load_dataset(path) -> SurvivalDataset:
     """Read a bundle: parse and check the manifest, rebuild everything else
     with ``_assemble``, and check that every patient has a volume file. No
-    volume is read here: a malformed one raises ``FormatError`` at first use."""
+    volume is read here: a malformed one raises ``FormatError`` at first use.
+
+    A fault in the manifest's content is located at the key of the patient
+    whose entry holds it, as ``save_dataset`` writes that key, and at the
+    document's first byte when it is in no one patient's entry."""
     root = Path(path)
     manifest = root / "manifest.json"
     if not manifest.exists():
         raise FormatError(f"{root}: no manifest.json found")
-    doc = read_json(manifest.read_bytes(), str(manifest))
+    blob = manifest.read_bytes()
+
+    def fault(exc, pid=None) -> FormatError:
+        at = 0 if pid is None else max(blob.find(json.dumps(pid).encode() + b":"), 0)
+        return FormatError(f"{manifest}: {exc}", offset=at)
+
+    doc = read_json(blob, str(manifest))
     if type(doc) is not dict or doc.get("format") != _MANIFEST_MAGIC:
-        raise FormatError(f"{manifest}: not a {_MANIFEST_MAGIC} manifest")
+        raise fault(f"not a {_MANIFEST_MAGIC} manifest")
     if doc.get("version") != _MANIFEST_VERSION:
-        raise FormatError(f"{manifest}: unsupported version {doc.get('version')!r}")
-    patients = {}
+        raise fault(f"unsupported version {doc.get('version')!r}")
+    patients, pid = {}, None
     try:
         check_object("the header", doc, _HEADER_TYPES)
         for pid, entry in doc["patients"].items():
             check_object(f"patient {pid!r}", entry, _PATIENT_TYPES)
             patients[pid] = RawPatient(pid, entry["items"], entry["age"], entry["days"], entry["event"])
     except ValueError as exc:
-        raise FormatError(f"{manifest}: {exc}") from None
+        # pid is None while the header is checked
+        raise fault(exc, pid) from None
     folder = root / "volumes"
     # _assemble checks each patient id before its volume file is looked for;
     # _VolumeFiles opens nothing until a volume is first used
     try:
         ds = _assemble(patients, _VolumeFiles(folder, patients.keys()), doc["split_seed"], doc["split_fold"])
-    except (PipelineError, ConfigError, DegenerateFeatureError) as exc:
-        raise FormatError(f"{manifest}: {exc}") from None
+    except PipelineError as exc:
+        raise fault(exc, exc.patient) from None
+    except (ConfigError, DegenerateFeatureError) as exc:
+        raise fault(exc) from None
     files = set(os.listdir(folder)) if folder.is_dir() else set()
     missing = [pid for pid in patients if f"{pid}.psnv" not in files]
     if missing:

@@ -22,7 +22,12 @@ class DegenerateFeatureError(SurvTowerError, ValueError):
 
 
 class PipelineError(SurvTowerError, ValueError):
-    """Preprocessing cannot proceed (e.g. every age is missing)."""
+    """Preprocessing cannot proceed (e.g. every age is missing). Carries the
+    id of the patient at fault when there is one."""
+
+    def __init__(self, message, patient=None):
+        super().__init__(message)
+        self.patient = patient
 
 
 class FormatError(SurvTowerError, ValueError):

@@ -113,7 +113,7 @@ class TestVolumeResize:
         with caplog.at_level("WARNING"):
             ds = dp.build_dataset(patients, seed=1)
         np.testing.assert_allclose(ds.volumes[patients[4].patient_id], 0.5)
-        assert f"patient {patients[4].patient_id}: constant volume (value 7.0)" in caplog.text
+        assert f"patient {patients[4].patient_id!r}: constant volume (value 7.0)" in caplog.text
 
     def test_non_finite_rejected(self):
         v = np.ones((4, 5, 5))
@@ -344,14 +344,14 @@ class TestDatasetAssembly:
         # load_dataset refuses these in a manifest, so build_dataset must not accept them
         patients = generate_patients(1, 10)
         setattr(patients[3], field, value)
-        with pytest.raises(PipelineError, match=f"patient {patients[3].patient_id}: .*{message}"):
+        with pytest.raises(PipelineError, match=f"patient {patients[3].patient_id!r}: .*{message}"):
             dp.build_dataset(patients, seed=1)
 
     def test_non_string_categorical_value_rejected(self):
         # a saved bundle stores item values as JSON strings
         patients = generate_patients(1, 10)
         patients[3].categorical["stage"] = 3
-        with pytest.raises(PipelineError, match=f"patient {patients[3].patient_id}: categorical values"):
+        with pytest.raises(PipelineError, match=f"patient {patients[3].patient_id!r}: categorical values"):
             dp.build_dataset(patients, seed=1)
 
     def test_cohort_without_categorical_fields_rejected(self):
@@ -382,6 +382,7 @@ def rename_patient(doc, old, new):
 # (edit of the manifest document, what the error names)
 MANIFEST_EDITS = {
     "no days": (lambda d: d["patients"]["SP0003"].pop("days"), "patient 'SP0003' holds"),
+    "no age": (lambda d: d["patients"]["SP0003"].pop("age"), "patient 'SP0003' holds"),
     "extra split": (lambda d: d["patients"]["SP0003"].update(split="test"), "patient 'SP0003' holds"),
     "entry not object": (lambda d: d["patients"].update(SP0003=[]), "patient 'SP0003' holds"),
     "event true": (lambda d: d["patients"]["SP0003"].update(event=True), "patient 'SP0003': event True has"),
@@ -390,17 +391,17 @@ MANIFEST_EDITS = {
     "days int": (lambda d: d["patients"]["SP0003"].update(days=12), "patient 'SP0003': days 12 has"),
     "age string": (lambda d: d["patients"]["SP0003"].update(age="missing"), "patient 'SP0003': age 'missing'"),
     "items list": (lambda d: d["patients"]["SP0003"].update(items=["stage=I"]), "patient 'SP0003': items"),
-    "item int": (lambda d: d["patients"]["SP0003"]["items"].update(stage=1), "patient SP0003: categorical"),
+    "item int": (lambda d: d["patients"]["SP0003"]["items"].update(stage=1), "patient 'SP0003': categorical"),
     "foreign field": (lambda d: d["patients"]["SP0003"]["items"].update(colour="red"),
-                      "patient SP0003 has inconsistent categorical fields"),
+                      "patient 'SP0003' has inconsistent categorical fields"),
     "missing field": (lambda d: d["patients"]["SP0003"]["items"].pop("stage"),
-                      "patient SP0003 has inconsistent categorical fields"),
+                      "patient 'SP0003' has inconsistent categorical fields"),
     "id with separator": (lambda d: rename_patient(d, "SP0003", "../SP0003"), "patient id '../SP0003' is empty"),
     "id with NUL": (lambda d: rename_patient(d, "SP0003", "SP\x00x"), r"patient id 'SP\\x00x' is empty"),
-    "event 2": (lambda d: d["patients"]["SP0003"].update(event=2), "patient SP0003: event 2"),
-    "days NaN": (lambda d: d["patients"]["SP0003"].update(days=float("nan")), "patient SP0003: .*must be finite"),
-    "days Infinity": (lambda d: d["patients"]["SP0003"].update(days=float("inf")), "patient SP0003: .*finite"),
-    "age NaN": (lambda d: d["patients"]["SP0003"].update(age=float("nan")), "patient SP0003: .*must be finite"),
+    "event 2": (lambda d: d["patients"]["SP0003"].update(event=2), "patient 'SP0003': event 2"),
+    "days NaN": (lambda d: d["patients"]["SP0003"].update(days=float("nan")), "patient 'SP0003': .*must be finite"),
+    "days Infinity": (lambda d: d["patients"]["SP0003"].update(days=float("inf")), "patient 'SP0003': .*finite"),
+    "age NaN": (lambda d: d["patients"]["SP0003"].update(age=float("nan")), "patient 'SP0003': .*must be finite"),
     "no split_seed": (lambda d: d.pop("split_seed"), "the header holds"),
     "no split_fold": (lambda d: d.pop("split_fold"), "the header holds"),
     "no patients": (lambda d: d.pop("patients"), "the header holds"),
@@ -488,8 +489,9 @@ class TestBundleRoundtrip:
 
     def test_corrupted_magic(self, tmp_path):
         bundle = saved_bundle(tmp_path, 10, lambda d: d.update(format="ZZZZ"))
-        with pytest.raises(FormatError, match="manifest.json: not a PSND manifest"):
+        with pytest.raises(FormatError, match="manifest.json: not a PSND manifest") as info:
             dp.load_dataset(bundle)
+        assert info.value.offset == 0
 
     def test_missing_volume_file_names_bundle_and_patient(self, tmp_path):
         bundle = saved_bundle(tmp_path, 10)
@@ -512,6 +514,18 @@ class TestBundleRoundtrip:
         bundle = saved_bundle(tmp_path, 11, edit)
         with pytest.raises(FormatError, match=f"manifest.json: .*{names}"):
             dp.load_dataset(bundle)
+
+    @pytest.mark.parametrize("case, pid", [
+        ("no age", "SP0003"), ("days string", "SP0003"), ("event 2", "SP0003"), ("foreign field", "SP0003"),
+        ("id with NUL", "SP\x00x"), ("split_seed string", None), ("no patients", None),
+    ])
+    def test_malformed_entry_is_located(self, tmp_path, case, pid):
+        # at the patient's key as save_dataset writes it, else at the document
+        bundle = saved_bundle(tmp_path, 11, MANIFEST_EDITS[case][0])
+        blob = (bundle / "manifest.json").read_bytes()
+        with pytest.raises(FormatError) as info:
+            dp.load_dataset(bundle)
+        assert info.value.offset == (0 if pid is None else blob.index(json.dumps(pid).encode() + b":"))
 
     def test_syntax_error_reports_byte_offset(self, tmp_path):
         # the offset counts bytes: the id before the error is two bytes longer in UTF-8
@@ -548,8 +562,10 @@ class TestBundleRoundtrip:
         # so are versions 2 and 3
         for version in (1, 2, 3, "4"):
             bundle = saved_bundle(tmp_path, 13, lambda d: d.update(version=version))
-            with pytest.raises(FormatError, match=f"manifest.json: unsupported version {re.escape(repr(version))}"):
+            match = f"manifest.json: unsupported version {re.escape(repr(version))}"
+            with pytest.raises(FormatError, match=match) as info:
                 dp.load_dataset(bundle)
+            assert info.value.offset == 0
 
     @pytest.mark.parametrize("edit, message", [
         pytest.param(lambda d: [e.update(age=None) for e in d["patients"].values()],
@@ -560,6 +576,8 @@ class TestBundleRoundtrip:
         pytest.param(lambda d: d.update(split_seed=-1), "seed must be non-negative", id="negative_seed"),
     ])
     def test_inconsistent_bundle_names_manifest(self, tmp_path, edit, message):
-        # every entry is well-formed, but the header and patients do not make a dataset
-        with pytest.raises(FormatError, match=f"manifest.json: .*{message}"):
+        # every entry is well-formed, but the header and patients do not make a
+        # dataset: a fault of the whole document, located at its first byte
+        with pytest.raises(FormatError, match=f"manifest.json: .*{message}") as info:
             dp.load_dataset(saved_bundle(tmp_path, 14, edit))
+        assert info.value.offset == 0

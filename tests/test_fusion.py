@@ -47,15 +47,8 @@ class TestFusePredict:
         def forward():
             return ad.sum_over(ad.mul(fu.fuse_predict(store, ad.Tensor(feats, dtype=np.float64)), w))
 
-        ad.backward(forward())
-
-        def f():
-            with ad.no_grad():
-                return float(forward().data)
-
-        for name, tensor in store.items():
-            res = gc.check_tensor_grad(name, f, tensor.data, tensor.grad, rng, n_samples=4)
-            assert res.passed, f"{name}: {res.max_rel_error:.2e}"
+        for res in gc.check_gradients(forward, store.items(), rng, n_samples=4):
+            assert res.passed, f"{res.name}: {res.max_rel_error:.2e}"
 
 
 class TestFrameDifference:

@@ -59,3 +59,15 @@ def test_only_autodiff_imports_threads(path):
     # autodiff.overlap is the one way into threads; autodiff's own two
     # imports show that the check sees them
     assert thread_imports(path) == ([] if path.name != "autodiff.py" else ["threading", "concurrent"])
+
+
+def asserts(path: Path) -> list[int]:
+    """The line of each ``assert`` statement in ``path``."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_asserts(path):
+    # python -O strips every assert, so a package check raises a package error
+    assert asserts(path) == []
