@@ -21,28 +21,27 @@ Conventions:
 - Broadcasting follows trailing-dimension alignment (numpy rules).
 - Gradients accumulate by summation over all paths.
 
-Threads: the package owns one worker thread, started on first use, and
-``overlap`` is the only way in. ``overlap(side, main)`` runs ``side()``
-on the worker while ``main()`` runs on the calling thread, and returns
-when both are done, so two independent numpy-heavy computations use two
-cores (numpy releases the GIL inside GEMMs and large copies). Work is
-split by lane, the way data-parallel training splits a batch over
-replicas. Every node belongs to the caller's lane unless it was made
-inside ``worker_lane()``: ``model.forward_batch`` runs every ensemble
-view's backbone over one half of a batch on the caller and over the
-other half on the worker, inside ``worker_lane()``, and joins the two
-halves with ``concat``. ``backward`` then walks the worker's lane on the
-worker and the caller's lane here (see there), and adds every gradient
-that the worker's walk sends out of its lane after both are done, in
-walk order. A node's lane is the tag it was recorded with, not the
-thread that made it, so every result is the same bits whichever thread
-ran what, and with ``overlap`` run inline.
+Threads: ``overlap(side, main)`` runs ``side()`` on a worker thread
+that lives only for the call while ``main()`` runs on the calling
+thread, and returns when both are done, so two independent numpy-heavy
+computations use two cores (numpy releases the GIL inside GEMMs and
+large copies). It is the package's only way into threads. Work is split
+by lane, the way data-parallel training splits a batch over replicas.
+Every node belongs to the caller's lane unless it was made inside
+``worker_lane()``: ``model.forward_batch`` runs every ensemble view's
+backbone over one half of a batch on the caller and over the other half
+on a worker, inside ``worker_lane()``, and joins the two halves with
+``concat``. ``backward`` then walks the worker's lane on a worker and
+the caller's lane here (see there), and adds every gradient that the
+worker's walk sends out of its lane after both are done, in walk order.
+A node's lane is the tag it was recorded with, not the thread that made
+it, so every result is the same bits whichever thread ran what, and with
+``overlap`` run inline.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
 import threading
 from concurrent import futures
 
@@ -60,79 +59,57 @@ LN_EPS = 1e-5
 
 class _State(threading.local):
     """Per-thread settings: grad mode, the lane new nodes are recorded in,
-    whether this is the worker thread, and the list a worker-lane walk
-    sets aside out-of-lane gradients in (None outside one)."""
+    and the list a worker-lane walk sets aside out-of-lane gradients in
+    (None outside one)."""
 
     grad_enabled = True
     lane = 0
-    on_worker = False
     aside = None
 
 
 _state = _State()
 
 
-def _new_worker():
-    """The one worker thread of ``overlap``: a pool that starts it on first use."""
-    global _WORKER
-    _WORKER = futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="survtower-worker")
-
-
-_new_worker()
-# a forked child inherits the pool but not its thread, so it would wait on
-# its first task forever; it gets a pool of its own instead
-os.register_at_fork(after_in_child=_new_worker)
-
-
 @contextlib.contextmanager
+def _setting(name: str, value):
+    """Set this thread's ``name`` setting to ``value`` inside the block and
+    restore the previous value on the way out, also when the block raises."""
+    prev = getattr(_state, name)
+    setattr(_state, name, value)
+    try:
+        yield
+    finally:
+        setattr(_state, name, prev)
+
+
 def no_grad():
     """Disable tape recording inside the block (used for evaluation)."""
-    prev = _state.grad_enabled
-    _state.grad_enabled = False
-    try:
-        yield
-    finally:
-        _state.grad_enabled = prev
+    return _setting("grad_enabled", False)
 
 
-@contextlib.contextmanager
 def worker_lane():
     """Record the nodes made inside the block, on this thread, in the
-    worker's lane, so that ``backward`` runs their closures on the worker
+    worker's lane, so that ``backward`` runs their closures on a worker
     thread. A parameter leaf stays in the caller's lane wherever it is
     used."""
-    prev = _state.lane
-    _state.lane = 1
-    try:
-        yield
-    finally:
-        _state.lane = prev
-
-
-def _on_worker(fn, grad_enabled: bool):
-    _state.on_worker = True
-    _state.grad_enabled = grad_enabled
-    return fn()
+    return _setting("lane", 1)
 
 
 def overlap(side, main):
-    """``(side(), main())``, with ``side`` on the worker thread while
+    """``(side(), main())``, with ``side`` on a worker thread while
     ``main`` runs on this one.
 
-    ``side`` runs in the caller's grad mode (``no_grad`` is per thread).
-    On the worker itself both run inline, ``main`` first, so a nested
-    call cannot wait on its own thread. The worker's task never outlives
-    this call: it is waited for even when ``main`` raises, and an error
-    it raises is raised here.
+    The worker thread is started for this call and joined before it
+    returns, also when ``main`` raises; an error ``side`` raises is raised
+    here. ``side`` runs in the caller's grad mode (``no_grad`` is per
+    thread): the pool's initializer sets it on the new thread.
     """
-    if _state.on_worker:
+    with futures.ThreadPoolExecutor(
+        max_workers=1, thread_name_prefix="survtower-worker",
+        initializer=setattr, initargs=(_state, "grad_enabled", _state.grad_enabled),
+    ) as pool:
+        task = pool.submit(side)
         main_result = main()
-        return side(), main_result
-    task = _WORKER.submit(_on_worker, side, _state.grad_enabled)
-    try:
-        main_result = main()
-    finally:
-        futures.wait((task,))
     return task.result(), main_result
 
 
@@ -688,9 +665,9 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
 
     Both passes run on the thread that runs the op or walks its node, the
     kernel gradient first: a conv recorded inside ``worker_lane`` runs its
-    backward on the worker, and its kernel gradient is added to the
-    kernel after the caller's lane, in the worker's walk order
-    (``backward``).
+    backward on the worker thread of ``backward``'s ``overlap`` call, and
+    its kernel gradient is added to the kernel after the caller's lane, in
+    the worker's walk order (``backward``).
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 5 or kernel.data.ndim != 5:
@@ -772,14 +749,14 @@ def backward(loss: Tensor):
     A tape with nodes in the worker's lane (``worker_lane``) is walked in
     two lanes. First this thread runs every caller-lane node that reads
     a worker-lane node, directly or through others: the loss, the head
-    and the ``concat`` that joins the halves. Then the worker walks its
-    lane while this thread walks the rest of the caller's lane. A
-    gradient that the worker's walk would add to a caller-lane node, a
-    shared parameter leaf, is set aside and added here after both walks
-    end, in the worker's walk order, so the result does not depend on
-    thread timing. An error in either walk is raised after both end.
-    A tape whose worker lane reads a caller-lane node other than a leaf
-    is walked on this thread alone.
+    and the ``concat`` that joins the halves. Then a worker thread
+    (``overlap``) walks the worker's lane while this thread walks the rest
+    of the caller's lane. A gradient that the worker's walk would add to a
+    caller-lane node, a shared parameter leaf, is set aside and added here
+    after both walks end, in the worker's walk order, so the result does
+    not depend on thread timing. An error in either walk is raised after
+    both end. A tape whose worker lane reads a caller-lane node other than
+    a leaf is walked on this thread alone.
     """
     if loss.data.size != 1:
         raise UsageError(f"backward needs a scalar loss, got shape {tuple(loss.shape)}")
@@ -857,9 +834,7 @@ def _walk(nodes):
 def _walk_aside(nodes) -> list:
     """``_walk`` that returns, in order, the ``(node, grad)`` contributions
     it would have added to caller-lane nodes."""
-    _state.aside = aside = []
-    try:
+    aside = []
+    with _setting("aside", aside):
         _walk(nodes)
-    finally:
-        _state.aside = None
     return aside

@@ -36,11 +36,19 @@ class ModelConfig:
     frame_diff: str
 
     @property
+    def runs_clinical(self) -> bool:
+        return self.towers != "visual"
+
+    @property
+    def runs_visual(self) -> bool:
+        return self.towers != "textual"
+
+    @property
     def head_in_dim(self) -> int:
         dim = 0
-        if self.towers in ("both", "textual"):
+        if self.runs_clinical:
             dim += self.clinical.embed_dim
-        if self.towers in ("both", "visual"):
+        if self.runs_visual:
             dim += self.visual.feature_dim
         return dim
 
@@ -54,9 +62,9 @@ def init_model_params(
     """``config``'s parameters from one seeded generator; ``vocab_size`` embedding rows."""
     rng = np.random.default_rng(seed)
     store = ParameterStore()
-    if config.towers in ("both", "textual"):
+    if config.runs_clinical:
         cl.init_clinical_params(store, config.clinical, vocab_size, rng, dtype=dtype)
-    if config.towers in ("both", "visual"):
+    if config.runs_visual:
         vz.init_visual_params(store, config.visual, rng, dtype=dtype)
     fu.init_head_params(store, config.head_in_dim, config.head_hidden, rng, dtype=dtype)
     return store
@@ -91,7 +99,7 @@ def make_batch(
     ages = np.array([s.age for s in samples])
     targets = np.array([s.time_norm for s in samples], dtype=dtype)
     volumes = None
-    if config.towers != "textual":
+    if config.runs_visual:
         fhw = (config.visual.frames, config.visual.in_plane, config.visual.in_plane)
         volumes = np.empty((len(samples), 1, *fhw), dtype=dtype)
         for i, s in enumerate(samples):
@@ -113,18 +121,18 @@ def forward_batch(store: ParameterStore, config: ModelConfig, batch: BatchInputs
     A batch of n >= 2 samples with volumes is split in two halves, as
     data-parallel training splits a batch over replicas: this thread
     encodes the clinical tokens and runs every view's backbone over the
-    first n // 2 samples, while the autodiff worker thread
-    (``ad.overlap``) runs every view's backbone over the rest inside
+    first n // 2 samples, while a worker thread of ``ad.overlap``, alive
+    for this call only, runs every view's backbone over the rest inside
     ``ad.worker_lane``, so that ``ad.backward`` walks that half's nodes
-    on the worker too. Each view's two feature blocks are joined by one
-    ``concat`` on the batch axis, first half first, and the head and the
-    weighted sum then run here in view order. A batch of one runs on
+    on a worker thread too. Each view's two feature blocks are joined by
+    one ``concat`` on the batch axis, first half first, and the head and
+    the weighted sum then run here in view order. A batch of one runs on
     this thread alone.
     """
     views = fu.ensemble_views(config.frame_diff, config.omega)
 
     def clinical():
-        if config.towers in ("both", "textual"):
+        if config.runs_clinical:
             return cl.encode_clinical(store, config.clinical, cl.embed_tokens(store, batch.tokens, batch.ages))
         return None
 

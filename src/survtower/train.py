@@ -86,10 +86,11 @@ class TrainConfig:
                     raise ConfigError(f"{name} must be {words}, got {value!r}")
         self.widths = tuple(self.widths)
         # the checks that relate two fields, for the towers and encoder that run
-        if self.towers != "visual" and self.textual_encoder == "attention" and self.embed_dim % self.heads:
+        model_cfg = self.model_config()
+        if model_cfg.runs_clinical and self.textual_encoder == "attention" and self.embed_dim % self.heads:
             raise ConfigError(f"embed_dim {self.embed_dim} must split evenly over {self.heads} heads")
-        if self.towers != "textual":
-            for _, axis in self.model_config().visual.gates:
+        if model_cfg.runs_visual:
+            for _, axis in model_cfg.visual.gates:
                 what, sizes = ("stage width", self.widths) if axis == 1 else ("frame count", (self.frames,))
                 for size in sizes:
                     if size % vz.SE_RATIO:
@@ -99,7 +100,7 @@ class TrainConfig:
 
     def model_config(self) -> ModelConfig:
         """The frozen views of this config that the model code reads."""
-        return ModelConfig(
+        config = ModelConfig(
             towers=self.towers,
             clinical=cl.ClinicalEncoderConfig(
                 embed_dim=self.embed_dim, heads=self.heads, layers=self.layers,
@@ -111,9 +112,10 @@ class TrainConfig:
             ),
             head_hidden=self.head_hidden,
             omega=self.omega,
-            # no volumes flow, so differencing has nothing to act on
-            frame_diff="off" if self.towers == "textual" else self.frame_diff,
+            frame_diff=self.frame_diff,
         )
+        # without the visual tower no volumes flow, so differencing has nothing to act on
+        return config if config.runs_visual else replace(config, frame_diff="off")
 
     def to_dict(self) -> dict:
         d = asdict(self)

@@ -566,16 +566,20 @@ class TestOverlap:
         side, main = ad.overlap(threading.current_thread, threading.current_thread)
         assert main is threading.current_thread() and side is not main
 
-    def test_runs_inline_on_the_worker(self):
+    def test_nested_call_returns(self, no_thread_outlives):
         # a nested call that queued behind its own task would never return
         nested = lambda: ad.overlap(threading.current_thread, threading.current_thread)  # noqa: E731
         got = []
-        caller = threading.Thread(target=lambda: got.append(ad.overlap(nested, lambda: None)), daemon=True)
+        caller = threading.Thread(
+            target=lambda: got.append(ad.overlap(nested, threading.current_thread)), daemon=True
+        )
         caller.start()
         caller.join(timeout=10)
         assert not caller.is_alive(), "a nested overlap call did not return"
-        (side, main), _ = got[0]
-        assert side is main and main is not caller
+        (side, main), outer_main = got[0]
+        # the outer side's thread is the nested call's main
+        assert outer_main is caller and main is not caller and side is not main
+        no_thread_outlives()
 
     def test_concurrent_callers_get_their_own_results(self):
         interval = sys.getswitchinterval()
@@ -603,14 +607,15 @@ class TestOverlap:
             out, _ = ad.overlap(lambda: ad.mul(leaf, 2.0), lambda: None)
         assert out.requires_grad is grad_enabled
 
-    def test_side_error_is_raised_here(self):
+    def test_side_error_is_raised_here(self, no_thread_outlives):
         def fail():
             raise ConfigError("side failed")
 
         with pytest.raises(ConfigError, match="side failed"):
             ad.overlap(fail, lambda: None)
+        no_thread_outlives()
 
-    def test_main_error_waits_for_the_side(self):
+    def test_main_error_waits_for_the_side(self, no_thread_outlives):
         done = threading.Event()
 
         def slow():
@@ -623,9 +628,10 @@ class TestOverlap:
         with pytest.raises(ConfigError, match="main failed"):
             ad.overlap(slow, fail)
         assert done.is_set()
+        no_thread_outlives()
 
     def test_forked_child_gets_its_own_worker(self):
-        ad.overlap(lambda: None, lambda: None)      # the parent's worker is running
+        ad.overlap(lambda: None, lambda: None)      # the parent has called overlap before the fork
         ctx = multiprocessing.get_context("fork")
         results = ctx.SimpleQueue()
         child = ctx.Process(target=lambda: results.put(ad.overlap(lambda: 1, lambda: 2)), daemon=True)
@@ -634,6 +640,36 @@ class TestOverlap:
         if child.is_alive():
             child.kill()
         assert child.exitcode == 0 and results.get() == (1, 2)
+
+
+class TestSettings:
+    """``no_grad`` and ``worker_lane`` set this thread's grad mode and lane
+    for their block only."""
+
+    @staticmethod
+    def settings():
+        return ad._state.grad_enabled, ad._state.lane
+
+    @pytest.mark.parametrize("block, inside", [(ad.no_grad, (False, 0)), (ad.worker_lane, (True, 1))])
+    def test_block_raising_restores_the_setting(self, block, inside):
+        with pytest.raises(ConfigError, match="block failed"):
+            with block():
+                assert self.settings() == inside
+                raise ConfigError("block failed")
+        assert self.settings() == (True, 0)
+
+    def test_nested_blocks_restore_in_order(self):
+        with ad.no_grad():
+            with ad.worker_lane():
+                with ad.no_grad(), ad.worker_lane():
+                    assert self.settings() == (False, 1)
+                assert self.settings() == (False, 1)
+            assert self.settings() == (False, 0)
+            with pytest.raises(ConfigError):
+                with ad.worker_lane(), ad.no_grad():
+                    raise ConfigError("inner block failed")
+            assert self.settings() == (False, 0)
+        assert self.settings() == (True, 0)
 
 
 class TestLanes:

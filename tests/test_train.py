@@ -150,10 +150,9 @@ def test_view_error_surfaces_after_every_view_ends(dataset, monkeypatch, failing
     assert ended == [failing == "caller"] * 3
 
 
-def test_training_starts_at_most_one_thread(dataset):
-    before = threading.active_count()
+def test_no_thread_outlives_training(dataset, no_thread_outlives):
     train.train(tiny_config(towers="both", frame_diff="on", epochs=1), dataset)
-    assert threading.active_count() <= before + 1
+    no_thread_outlives()
 
 
 def _desk_step(dataset, n):
@@ -181,7 +180,7 @@ def test_two_lane_steps_repeat_bit_for_bit_under_fast_thread_switching(dataset):
             assert np.array_equal(grad, other_grads[name]), name
 
 
-def test_each_closure_runs_on_the_thread_that_recorded_it(dataset, monkeypatch):
+def test_a_closure_runs_on_the_caller_exactly_when_recorded_there(dataset, monkeypatch):
     made, ran = {}, {}
     record = ad._record
 
@@ -202,7 +201,7 @@ def test_each_closure_runs_on_the_thread_that_recorded_it(dataset, monkeypatch):
     _desk_step(dataset, 4)
     caller = threading.current_thread()
     assert {thread is caller for thread in ran.values()} == {True, False}
-    assert all(thread is made[node] for node, thread in ran.items())
+    assert all((thread is caller) == (made[node] is caller) for node, thread in ran.items())
 
 
 @pytest.mark.parametrize("towers", ["both", "visual"])
