@@ -20,6 +20,11 @@ Conventions:
   stays float32 (numpy would promote a float64 0-d array).
 - Broadcasting follows trailing-dimension alignment (numpy rules).
 - Gradients accumulate by summation over all paths.
+- An op computes its forward itself and records its output through one
+  of three helpers: ``_unary(t, out, grad)`` for one input,
+  ``_binary(fn, a, b, grad_a, grad_b)`` for the broadcasting ``add``,
+  ``sub`` and ``mul``, and ``_record(out, parents, backward_fn)`` for
+  several inputs. A gradient function binds only the arrays it reads.
 
 Threads: ``overlap(side, main)`` runs ``side()`` on a worker thread
 that lives only for the call while ``main()`` runs on the calling
@@ -209,7 +214,7 @@ def as_tensor(x) -> Tensor:
 def _record(out: Tensor, parents, backward_fn):
     """Give ``out`` a tape node when grad mode is on and any of the
     parents' nodes (None for a constant) exists. A closure runs only on
-    a node, so a one-input op's closure can use its parent's node as is."""
+    a node, so ``_unary``'s closure can use its parent's node as is."""
     if _state.grad_enabled:
         nodes = tuple(p for p in parents if p is not None)
         if nodes:
@@ -245,130 +250,98 @@ def _operands(a, b) -> tuple[Tensor, Tensor]:
     return as_tensor(a), as_tensor(b)
 
 
-def add(a, b) -> Tensor:
+def _unary(t: Tensor, out, grad) -> Tensor:
+    """``out`` recorded with ``t``'s node as its one parent: its closure adds
+    ``grad(g)`` to that node."""
+    node = t._node
+    return _record(Tensor(out), (node,), lambda g: node.accumulate(grad(g)))
+
+
+def _binary(fn, a, b, grad_a, grad_b) -> Tensor:
+    """``fn(a, b)`` of two broadcast-compatible operands: its closure adds
+    ``grad_a(g)``, summed back to a's shape, to a's node and ``grad_b(g)``
+    likewise to b's, each only when that node exists."""
     a, b = _operands(a, b)
     _check_broadcast(a.shape, b.shape)
     an, bn, a_shape, b_shape = a._node, b._node, a.shape, b.shape
 
     def backward_fn(g):
         if an is not None:
-            an.accumulate(_unbroadcast(g, a_shape))
+            an.accumulate(_unbroadcast(grad_a(g), a_shape))
         if bn is not None:
-            bn.accumulate(_unbroadcast(g, b_shape))
+            bn.accumulate(_unbroadcast(grad_b(g), b_shape))
 
-    return _record(Tensor(a.data + b.data), (an, bn), backward_fn)
+    return _record(Tensor(fn(a.data, b.data)), (an, bn), backward_fn)
+
+
+def add(a, b) -> Tensor:
+    return _binary(np.add, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a, b) -> Tensor:
-    a, b = _operands(a, b)
-    _check_broadcast(a.shape, b.shape)
-    an, bn, a_shape, b_shape = a._node, b._node, a.shape, b.shape
-
-    def backward_fn(g):
-        if an is not None:
-            an.accumulate(_unbroadcast(g, a_shape))
-        if bn is not None:
-            bn.accumulate(_unbroadcast(-g, b_shape))
-
-    return _record(Tensor(a.data - b.data), (an, bn), backward_fn)
+    return _binary(np.subtract, a, b, lambda g: g, lambda g: -g)
 
 
 def mul(a, b) -> Tensor:
     a, b = _operands(a, b)
-    _check_broadcast(a.shape, b.shape)
-    an, bn, a_shape, b_shape = a._node, b._node, a.shape, b.shape
     # each operand is kept only for the other's gradient
-    a_data = a.data if bn is not None else None
-    b_data = b.data if an is not None else None
-
-    def backward_fn(g):
-        if an is not None:
-            an.accumulate(_unbroadcast(g * b_data, a_shape))
-        if bn is not None:
-            bn.accumulate(_unbroadcast(g * a_data, b_shape))
-
-    return _record(Tensor(a.data * b.data), (an, bn), backward_fn)
+    a_data = a.data if b._node is not None else None
+    b_data = b.data if a._node is not None else None
+    return _binary(np.multiply, a, b, lambda g: g * b_data, lambda g: g * a_data)
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product under numpy's batched rule: the last two axes multiply
-    as matrices and any leading axes broadcast, e.g. (n, m, d) @ (d, k).
-
-    When b is a (d, k) matrix, a's leading axes fold into rows: the
-    forward is one (-1, d) @ (d, k) GEMM, and the backward is one GEMM per
-    operand, (g @ b.T) reshaped to a's shape and a(-1, d).T @ g(-1, k),
-    rather than one small product per leading index each way. Other
-    shapes keep the batched rule; the 4-D @ 4-D case serves the composed-op
-    reference in ``TestAttention`` and gradcheck's ``matmul[4d x 4d]``.
-    """
+    """Product (..., d) @ (d, k) of an array and a matrix: a's leading axes
+    fold into rows, so the forward is one (-1, d) @ (d, k) GEMM, and the
+    backward is one GEMM per operand, (g @ b.T) reshaped to a's shape and
+    a(-1, d).T @ g(-1, k). A b of any other rank is a DimensionError."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise DimensionError(f"cannot matmul shapes {tuple(a.shape)} and {tuple(b.shape)}")
-    _check_broadcast(a.shape[:-2], b.shape[:-2])
-    an, bn, a_shape, b_shape = a._node, b._node, a.shape, b.shape
+    an, bn, a_shape, (d, k) = a._node, b._node, a.shape, b.shape
     a_data = a.data if bn is not None else None
     b_data = b.data if an is not None else None
 
-    if b.data.ndim == 2:
-        d, k = b_shape
-
-        def backward_fn(g):
-            g2 = g.reshape(-1, k)
-            if an is not None:
-                an.accumulate((g2 @ b_data.T).reshape(a_shape))
-            if bn is not None:
-                bn.accumulate(a_data.reshape(-1, d).T @ g2)
-
-        out = (a.data.reshape(-1, d) @ b.data).reshape(*a_shape[:-1], k)
-        return _record(Tensor(out), (an, bn), backward_fn)
-
     def backward_fn(g):
+        g2 = g.reshape(-1, k)
         if an is not None:
-            an.accumulate(_unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_shape))
+            an.accumulate((g2 @ b_data.T).reshape(a_shape))
         if bn is not None:
-            bn.accumulate(_unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_shape))
+            bn.accumulate(a_data.reshape(-1, d).T @ g2)
 
-    return _record(Tensor(a.data @ b.data), (an, bn), backward_fn)
+    out = (a.data.reshape(-1, d) @ b.data).reshape(*a_shape[:-1], k)
+    return _record(Tensor(out), (an, bn), backward_fn)
 
 
 def relu(t) -> Tensor:
     t = as_tensor(t)
-    tn = t._node
     y = np.maximum(t.data, 0)
-
     # y > 0 exactly where the input is > 0, so the input need not be kept
-    def backward_fn(g):
-        tn.accumulate(g * (y > 0))
-
-    return _record(Tensor(y), (tn,), backward_fn)
+    return _unary(t, y, lambda g: g * (y > 0))
 
 
 def sigmoid(t) -> Tensor:
     t = as_tensor(t)
-    tn = t._node
     # stable for large |x|: exp of a non-positive argument only
     e = np.exp(-np.abs(t.data))
     y = np.where(t.data >= 0, 1.0 / (1.0 + e), e / (1.0 + e)).astype(t.dtype, copy=False)
-
-    def backward_fn(g):
-        tn.accumulate(g * y * (1.0 - y))
-
-    return _record(Tensor(y), (tn,), backward_fn)
+    return _unary(t, y, lambda g: g * y * (1.0 - y))
 
 
 def softmax(t, axis: int = -1) -> Tensor:
+    # no caller in the package since ``attention`` fused it; kept for the
+    # tracer's op list and as TestAttention's reference
     t = as_tensor(t)
     _normalize_axes(axis, t.shape)
-    tn = t._node
     shifted = t.data - t.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
 
-    def backward_fn(g):
+    def grad(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        tn.accumulate(y * (g - dot))
+        return y * (g - dot)
 
-    return _record(Tensor(y), (tn,), backward_fn)
+    return _unary(t, y, grad)
 
 
 def attention(qkv, heads: int) -> tuple[Tensor, Tensor]:
@@ -380,7 +353,7 @@ def attention(qkv, heads: int) -> tuple[Tensor, Tensor]:
     qkv = as_tensor(qkv)
     if qkv.data.ndim != 3 or qkv.shape[-1] % (3 * heads):
         raise DimensionError(f"attention of {heads} heads cannot split shape {tuple(qkv.shape)}")
-    (n, m, width), tn, dtype = qkv.shape, qkv._node, qkv.dtype
+    (n, m, width), dtype = qkv.shape, qkv.dtype
     d, h = width // 3, width // (3 * heads)
     scale = dtype.type(1.0 / np.sqrt(h))
     q, k, v = qkv.data.reshape(n, m, 3, heads, h).transpose(2, 0, 3, 1, 4)   # each (n, heads, m, h)
@@ -389,14 +362,14 @@ def attention(qkv, heads: int) -> tuple[Tensor, Tensor]:
     w = e / e.sum(axis=-1, keepdims=True)
     out = (w @ v).transpose(0, 2, 1, 3).reshape(n, m, d)
 
-    def backward_fn(g):
+    def grad(g):
         g = g.reshape(n, m, heads, h).transpose(0, 2, 1, 3)
         dw = g @ v.swapaxes(-1, -2)
         dlogits = w * (dw - (dw * w).sum(axis=-1, keepdims=True)) * scale
         grads = (dlogits @ k, dlogits.swapaxes(-1, -2) @ q, w.swapaxes(-1, -2) @ g)
-        tn.accumulate(np.stack(grads).transpose(1, 3, 0, 2, 4).reshape(n, m, width))
+        return np.stack(grads).transpose(1, 3, 0, 2, 4).reshape(n, m, width)
 
-    return _record(Tensor(out), (tn,), backward_fn), Tensor(w)
+    return _unary(qkv, out, grad), Tensor(w)
 
 
 def layer_norm(t, gain, bias) -> Tensor:
@@ -450,12 +423,9 @@ def mean_over(t, axes) -> Tensor:
     count = 1
     for ax in axes:
         count *= t.shape[ax]
-    tn, shape = t._node, t.shape
-
-    def backward_fn(g):
-        tn.accumulate(np.broadcast_to(np.expand_dims(g, axes) / count, shape))
-
-    return _record(Tensor(t.data.mean(axis=axes)), (tn,), backward_fn)
+    shape = t.shape
+    return _unary(t, t.data.mean(axis=axes),
+                  lambda g: np.broadcast_to(np.expand_dims(g, axes) / count, shape))
 
 
 def sum_over(t, axes=None) -> Tensor:
@@ -463,12 +433,8 @@ def sum_over(t, axes=None) -> Tensor:
     if axes is None:
         axes = tuple(range(t.data.ndim))
     axes = _normalize_axes(axes, t.shape)
-    tn, shape = t._node, t.shape
-
-    def backward_fn(g):
-        tn.accumulate(np.broadcast_to(np.expand_dims(g, axes), shape))
-
-    return _record(Tensor(t.data.sum(axis=axes)), (tn,), backward_fn)
+    shape = t.shape
+    return _unary(t, t.data.sum(axis=axes), lambda g: np.broadcast_to(np.expand_dims(g, axes), shape))
 
 
 def sum_of_squares(tensors) -> Tensor:
@@ -520,12 +486,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
 
 def reshape(t, shape) -> Tensor:
     t = as_tensor(t)
-    tn, in_shape = t._node, t.shape
-
-    def backward_fn(g):
-        tn.accumulate(g.reshape(in_shape))
-
-    return _record(Tensor(t.data.reshape(shape)), (tn,), backward_fn)
+    in_shape = t.shape
+    return _unary(t, t.data.reshape(shape), lambda g: g.reshape(in_shape))
 
 
 def transpose(t, axes=None) -> Tensor:
@@ -536,12 +498,7 @@ def transpose(t, axes=None) -> Tensor:
         raise DimensionError(f"transpose axes {axes} do not permute the {ndim} axes of {tuple(t.shape)}")
     axes = tuple(ax % ndim for ax in axes)
     inverse = np.argsort(axes)
-    tn = t._node
-
-    def backward_fn(g):
-        tn.accumulate(g.transpose(inverse))
-
-    return _record(Tensor(t.data.transpose(axes)), (tn,), backward_fn)
+    return _unary(t, t.data.transpose(axes), lambda g: g.transpose(inverse))
 
 
 def gather_rows(t, indices) -> Tensor:
@@ -551,14 +508,14 @@ def gather_rows(t, indices) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if t.data.ndim != 2:
         raise DimensionError(f"gather_rows expects a matrix, got shape {tuple(t.shape)}")
-    tn, shape, dtype = t._node, t.shape, t.dtype
+    shape, dtype = t.shape, t.dtype
 
-    def backward_fn(g):
+    def grad(g):
         acc = np.zeros(shape, dtype)
         np.add.at(acc, idx, g)
-        tn.accumulate(acc)
+        return acc
 
-    return _record(Tensor(t.data[idx]), (tn,), backward_fn)
+    return _unary(t, t.data[idx], grad)
 
 
 def _triple(v, name: str, least: int) -> tuple[int, int, int]:

@@ -523,9 +523,12 @@ def load_checkpoint(path) -> TrainerState:
         check_object("the header", header, _CKPT_HEADER_TYPES)
         best, vocab = header["best"], header["vocab"]
         check_object("best", best, _CKPT_BEST_TYPES)
-        if header["epoch"] < 0 or header["adam_step"] < 0 or best["epoch"] < -1:
-            raise ValueError(f"epoch {header['epoch']}, adam_step {header['adam_step']} "
-                             f"or best epoch {best['epoch']} out of range")
+        if header["epoch"] < 0 or header["adam_step"] < 0:
+            raise ValueError(f"epoch {header['epoch']} or adam_step {header['adam_step']} out of range")
+        # as train leaves it: an earlier epoch with its parameters saved, or -1 with none
+        if not -1 <= best["epoch"] < header["epoch"] or best["saved"] != (best["epoch"] >= 0):
+            raise ValueError(f"best epoch {best['epoch']}, saved {best['saved']}, "
+                             f"contradicts epoch {header['epoch']}")
         # the embedding row of each item: a dense index 0..n-1
         if not all(type(v) is int for v in vocab.values()) or sorted(vocab.values()) != list(range(len(vocab))):
             raise ValueError("vocab rows are not the indices 0..n-1")

@@ -1,6 +1,7 @@
 """Tensor engine semantics and gradient checks against finite differences."""
 
 import contextlib
+import inspect
 import multiprocessing
 import sys
 import threading
@@ -16,23 +17,37 @@ from survtower import gradcheck as gc
 from survtower.errors import DimensionError, ConfigError, UsageError
 
 
+# every public function of autodiff but these is a differentiable op
+NOT_OPS = {"as_tensor", "backward", "no_grad", "worker_lane", "overlap"}
+OPS = sorted(name for name, fn in vars(ad).items()
+             if inspect.isfunction(fn) and fn.__module__ == ad.__name__
+             and not name.startswith("_") and name not in NOT_OPS)
+
+
 def _leaves(arrays):
     return [ad.Tensor(a, requires_grad=True, dtype=np.float64) for a in arrays]
 
 
 def closure_values(fn):
-    """What a backward closure holds: its cells, the cells of every function
-    it wraps, and the items of every list or tuple among them."""
+    """What a backward closure holds: its cells and default arguments, those
+    of every function it wraps, and the items of every list or tuple among
+    them."""
     values, stack = [], [fn]
     while stack:
         v = stack.pop()
         if isinstance(v, types.FunctionType):
             stack.extend(cell.cell_contents for cell in v.__closure__ or ())
+            stack.extend(v.__defaults__ or ())
         elif isinstance(v, (list, tuple)):
             stack.extend(v)
         else:
             values.append(v)
     return values
+
+
+def _kept(out) -> list:
+    """The ids of the arrays that ``out``'s backward closure holds, sorted."""
+    return sorted(id(v) for v in closure_values(out._backward_fn) if isinstance(v, np.ndarray))
 
 
 def _check_op(builder, arrays, rng, n_samples=5):
@@ -75,10 +90,8 @@ class TestMatmul:
         for _ in range(20):
             m, k, n = rng.integers(1, 5, size=3)
             _check_op(ad.matmul, [rng.standard_normal((m, k)), rng.standard_normal((k, n))], rng)
-            # batched: one weight for every batch entry, and broadcast leading axes
+            # batched: one weight for every batch entry
             _check_op(ad.matmul, [rng.standard_normal((2, m, k)), rng.standard_normal((k, n))], rng)
-            _check_op(ad.matmul, [rng.standard_normal((2, 1, m, k)),
-                                  rng.standard_normal((3, k, n))], rng)
 
     @pytest.mark.parametrize("a_shape", [(5, 3), (2, 5, 3), (2, 4, 5, 3)])
     @pytest.mark.parametrize("transposed", [False, True])
@@ -280,15 +293,15 @@ class TestSoftmax:
 
 class TestAttention:
     def test_matches_composed_ops(self):
-        # the fused op against softmax(q k^T / sqrt(h)) v built from the
-        # separate tape ops, head by head, with its weights
+        # the fused op's forward against softmax(q k^T / sqrt(h)) v, with
+        # numpy's products, head by head, and its weights
         rng = np.random.default_rng(31)
         n, m, heads, h = 2, 4, 3, 2
         qkv = rng.standard_normal((n, m, 3 * heads * h))
         out, weights = ad.attention(ad.Tensor(qkv, dtype=np.float64), heads)
         q, k, v = qkv.reshape(n, m, 3, heads, h).transpose(2, 0, 3, 1, 4)
-        expected_w = ad.softmax(ad.mul(ad.matmul(q, k.swapaxes(-1, -2)), 1 / np.sqrt(h)), axis=-1)
-        expected = ad.matmul(expected_w, v).data.transpose(0, 2, 1, 3).reshape(n, m, heads * h)
+        expected_w = ad.softmax(ad.mul(q @ k.swapaxes(-1, -2), 1 / np.sqrt(h)), axis=-1)
+        expected = (expected_w.data @ v).transpose(0, 2, 1, 3).reshape(n, m, heads * h)
         np.testing.assert_allclose(weights.data, expected_w.data, rtol=1e-12)
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
         assert not weights.requires_grad
@@ -518,24 +531,72 @@ class TestBackward:
         np.testing.assert_array_equal(b_grad, b_ref)
 
     def test_no_backward_closure_holds_a_tensor(self, monkeypatch):
-        # a closure that held a Tensor would keep its value alive on the tape
+        # a closure that held a Tensor would keep its value alive on the tape;
+        # each closure is named by the public op that recorded it
         recorded = []
-        record = ad._record
 
-        def spy(out, parents, backward_fn):
-            out = record(out, parents, backward_fn)
-            if out._backward_fn is not None:
-                recorded.append(out._backward_fn)
-            return out
+        def spy(name, op):
+            def wrapper(*args, **kwargs):
+                out = op(*args, **kwargs)
+                tensor = out[0] if isinstance(out, tuple) else out    # attention's output
+                if tensor._backward_fn is not None:
+                    recorded.append((name, tensor._backward_fn))
+                return out
+            return wrapper
 
-        monkeypatch.setattr(ad, "_record", spy)
+        for name in OPS:
+            monkeypatch.setattr(ad, name, spy(name, getattr(ad, name)))
         results = gc.op_checks(0, instances=1)
         assert all(r.passed for r in results)
-        ops = {fn.__qualname__.split(".")[0] for fn in recorded}
-        assert ops >= {r.name.split("[")[0] for r in results}
-        for fn in recorded:
+        assert {name for name, _ in recorded} >= {r.name.split("[")[0] for r in results}
+        for name, fn in recorded:
             held = [type(v).__name__ for v in closure_values(fn) if isinstance(v, ad.Tensor)]
-            assert not held, f"{fn.__qualname__} holds {held}"
+            assert not held, f"{name} holds {held}"
+
+    def test_every_op_has_a_gradcheck_case(self):
+        # finite differences are the oracle for every backward
+        checked = {r.name.split("[")[0] for r in gc.op_checks(0, instances=1)}
+        assert sorted(set(OPS) - checked) == []
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "matmul"])
+    @pytest.mark.parametrize("needs", [(True, True), (True, False), (False, True)], ids=["both", "a", "b"])
+    def test_two_input_closure_keeps_each_operand_only_for_the_other(self, op, needs):
+        rng = np.random.default_rng(16)
+        a, b = (ad.Tensor(rng.standard_normal((3, 3)), requires_grad=r, dtype=np.float64) for r in needs)
+        out = getattr(ad, op)(a, b)
+        # add and sub keep no operand
+        held = [] if op in ("add", "sub") else [a.data] * needs[1] + [b.data] * needs[0]
+        assert _kept(out) == sorted(map(id, held))
+
+    @pytest.mark.parametrize("op", ["relu", "sigmoid", "softmax", "mean_over", "sum_over", "reshape",
+                                    "transpose", "gather_rows", "attention"])
+    def test_one_input_closure_keeps_only_what_its_gradient_reads(self, op):
+        rng = np.random.default_rng(17)
+        x = ad.Tensor(rng.standard_normal((2, 3, 12)), requires_grad=True, dtype=np.float64)
+        rows = np.array([0, 2, 2])
+        out = {
+            "relu": lambda: ad.relu(x), "sigmoid": lambda: ad.sigmoid(x),
+            "softmax": lambda: ad.softmax(x), "mean_over": lambda: ad.mean_over(x, (0, 2)),
+            "sum_over": lambda: ad.sum_over(x), "reshape": lambda: ad.reshape(x, (6, 12)),
+            "transpose": lambda: ad.transpose(x, (1, 2, 0)),
+            "gather_rows": lambda: ad.gather_rows(ad.Tensor(x.data[0], requires_grad=True), rows),
+            "attention": lambda: ad.attention(x, 2),
+        }[op]()
+        if op == "attention":
+            out, weights = out
+            # q, k and v, each a view of the input, and the weights
+            views = [v for v in closure_values(out._backward_fn)
+                     if isinstance(v, np.ndarray) and v.base is x.data]
+            assert _kept(out) == sorted(map(id, [*views, weights.data])) and len(views) == 3
+        elif op in ("relu", "sigmoid", "softmax"):
+            assert _kept(out) == [id(out.data)]
+        elif op == "transpose":
+            kept = [v for v in closure_values(out._backward_fn) if isinstance(v, np.ndarray)]
+            assert [v.tolist() for v in kept] == [[2, 0, 1]]    # the inverse permutation
+        elif op == "gather_rows":
+            assert _kept(out) == [id(rows)]
+        else:
+            assert _kept(out) == []
 
     def test_constant_has_no_node(self):
         t = ad.Tensor(np.ones(3))

@@ -745,6 +745,24 @@ class TestCheckpoint:
         # a byte that is not UTF-8 is reported where it is, any other fault at the header's start
         assert info.value.offset == (20 if corrupt == "byte 20" else 14)
 
+    @pytest.mark.parametrize("best, dropped", [
+        ({"epoch": 7}, 0),                  # a best epoch after the file's epoch 1
+        ({"saved": False}, 1),              # best epoch 0 without its parameters
+        ({"epoch": -1}, 0),                 # no best epoch, but parameters saved
+    ], ids=["best after last", "best not saved", "saved without best"])
+    def test_contradictory_best_rejected(self, dataset, tmp_path, best, dropped):
+        # each file is otherwise valid: its payload holds the vectors its "saved" names
+        state, _ = train.train(tiny_config(epochs=1), dataset)
+        assert (state.epoch, state.best_epoch) == (1, 0) and state.best_params is not None
+        path = tmp_path / "ckpt"
+        train.save_checkpoint(state, path)
+        blob = path.read_bytes()
+        blob = blob[:len(blob) - dropped * state.adam.m.nbytes]
+        path.write_bytes(_edit_header(blob, lambda h: h["best"].update(best)))
+        with pytest.raises(FormatError, match="contradicts epoch 1") as info:
+            train.load_checkpoint(path)
+        assert info.value.offset == 14
+
     def test_header_syntax_error_reports_its_byte(self, dataset, tmp_path):
         state, _ = train.train(tiny_config(epochs=1), dataset)
         path = tmp_path / "ckpt"
