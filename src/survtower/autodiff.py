@@ -30,7 +30,9 @@ Threads: ``overlap(side, main)`` runs ``side()`` on a worker thread
 that lives only for the call while ``main()`` runs on the calling
 thread, and returns when both are done, so two independent numpy-heavy
 computations use two cores (numpy releases the GIL inside GEMMs and
-large copies). It is the package's only way into threads. Work is split
+large copies). A lane's numpy calls must each be long enough that the
+GIL handoffs between them do not dominate, which is why conv3d batches
+its kernel offsets. It is the package's only way into threads. Work is split
 by lane, the way data-parallel training splits a batch over replicas.
 Every node belongs to the caller's lane unless it was made inside
 ``worker_lane()``: ``model.forward_batch`` runs every ensemble view's
@@ -47,6 +49,7 @@ it, so every result is the same bits whichever thread ran what, and with
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 from concurrent import futures
 
@@ -56,7 +59,8 @@ from .errors import DimensionError, ConfigError, UsageError
 
 DEFAULT_DTYPE = np.float32
 # conv3d sums all kernel offsets into one output tile of about this size
-# before it moves to the next (loop tiling, Goto & van de Geijn 2008)
+# before it moves to the next (loop tiling, Goto & van de Geijn 2008); its
+# scratch holds several kernel offsets' products of one tile at once
 BLOCK_BYTES = 1 << 18
 # layer_norm adds this to the variance before its square root
 LN_EPS = 1e-5
@@ -549,15 +553,26 @@ def _window(arr, offset, stride, dims, samples=slice(None), frame=0) -> np.ndarr
     return arr[samples, of:of + sf * df:sf, oh:oh + sh * dh:sh, ow:ow + sw * dw:sw]
 
 
-def _tiles(arr, width):
+def _windows(arr, ksize, stride, dims) -> np.ndarray:
+    """The read-only (kf, kh, kw, n, *dims, c) view of a channels-last array
+    whose ``[offset]`` is ``_window(arr, offset, stride, dims)``: every
+    kernel offset's window at once, without a copy. A tile's windows are
+    its slice ``[:, :, :, samples, frame:frame + len]``."""
+    (sf, sh, sw), (df, dh, dw) = stride, dims
+    view = np.lib.stride_tricks.sliding_window_view(arr, ksize, axis=(1, 2, 3))
+    return view[:, :sf * df:sf, :sh * dh:sh, :sw * dw:sw].transpose(5, 6, 7, 0, 1, 2, 3, 4)
+
+
+def _tiles(arr, width, lead=(), split=1):
     """Split a channels-last (n, f, h, w, k) array into tiles of about
-    BLOCK_BYTES: runs of whole samples when one sample fits, else runs of
-    frames of one sample. Yields ``(samples, frame, tile, tmp)``: ``tile``
-    is the contiguous view ``arr[samples, frame:frame + len]`` and ``tmp``
-    a (*tile.shape[:-1], width) view of one scratch buffer shared by all
-    tiles."""
+    BLOCK_BYTES // split: runs of whole samples when one sample fits, else
+    runs of frames of one sample, at least one frame. Yields ``(samples,
+    frame, tile, tmp)``: ``tile`` is the contiguous view ``arr[samples,
+    frame:frame + len]`` and ``tmp`` a contiguous (*lead,
+    *tile.shape[:-1], width) array in one scratch buffer shared by all
+    tiles, which holds the products of several kernel offsets at once."""
     n, f = arr.shape[:2]
-    step = max(1, BLOCK_BYTES // arr[0, 0].nbytes)      # frames per tile
+    step = max(1, BLOCK_BYTES // split // arr[0, 0].nbytes)     # frames per tile
     if step >= f:
         step //= f
         spans = [(slice(i, i + step), 0, f) for i in range(0, n, step)]
@@ -566,23 +581,29 @@ def _tiles(arr, width):
     scratch = None
     for samples, frame, frames in spans:
         tile = arr[samples, frame:frame + frames]
+        shape = (*lead, *tile.shape[:-1], width)
         if scratch is None:     # the first tile is the largest
-            scratch = np.empty((*tile.shape[:-1], width), dtype=arr.dtype)
-        yield samples, frame, tile, scratch[:tile.shape[0], :frames]
+            scratch = np.empty(math.prod(shape), dtype=arr.dtype)
+        yield samples, frame, tile, scratch[:math.prod(shape)].reshape(shape)
 
 
 def _correlate(src, kl, stride, dims) -> np.ndarray:
     """Channels-last cross-correlation of ``src`` with ``kl`` (kf, kh, kw, c, ko)
     into a new (n, *dims, ko) array, one output tile (``_tiles``) at a
-    time: each kernel offset's (..., c) @ (c, ko) product over its window
-    goes into a tile-sized scratch buffer and is added to the tile, in
-    offset order. Every output element sums the same products in the same
-    order whatever the tile size, so the result equals an untiled sum."""
-    out = np.zeros((src.shape[0], *dims, kl.shape[-1]), dtype=src.dtype)
-    for samples, frame, tile, tmp in _tiles(out, kl.shape[-1]):
-        for offset in np.ndindex(kl.shape[:3]):
-            window = _window(src, offset, stride, tile.shape[1:4], samples, frame)
-            tile += np.matmul(window, kl[offset], out=tmp)
+    time, in two numpy calls per tile: one batched matmul writes every
+    kernel offset's (..., c) @ (c, ko) product over its window into the
+    scratch, and one reduce adds them into the tile from zero, in offset
+    order. Every output element sums the same products in the same order
+    whatever the tile size, so the result equals an untiled sum, and the
+    tiles are cut at about BLOCK_BYTES / kf, so that the kf*kh*kw products
+    of one take about kh*kw * BLOCK_BYTES."""
+    ksize, ko = kl.shape[:3], kl.shape[-1]
+    out = np.empty((src.shape[0], *dims, ko), dtype=src.dtype)
+    windows = _windows(src, ksize, stride, dims)
+    kernels = kl[:, :, :, None, None, None]         # broadcast over each window's samples, f and h
+    for samples, frame, tile, tmp in _tiles(out, ko, ksize, ksize[0]):
+        np.matmul(windows[:, :, :, samples, frame:frame + tile.shape[1]], kernels, out=tmp)
+        np.add.reduce(tmp.reshape(-1, *tile.shape), axis=0, out=tile, initial=0)
     return out
 
 
@@ -591,28 +612,40 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
 
     Internally the input is copied once into a zero-padded channels-last
     buffer, (n,F,H,W,c), and each of the kf*kh*kw kernel offsets reads
-    one strided window of it. The forward pass sums one (..., c) @ (c, ko)
-    product per offset (``_correlate``). A one-channel input (the stem)
-    would give those products an inner dimension of 1, so it is lowered
-    to im2col instead: the windows are copied into an
-    (n, kf*kh*kw, of*oh*ow) column buffer, and one (ko, kf*kh*kw) @ buffer
-    GEMM writes the output in its [n,ko,...] layout.
+    one strided window of it; ``_windows`` views them all at once. The
+    forward pass sums one (..., c) @ (c, ko) product per offset
+    (``_correlate``). A one-channel input (the stem) would give those
+    products an inner dimension of 1, so it is lowered to im2col instead:
+    one copy of the windows fills an (n, kf*kh*kw, of*oh*ow) column
+    buffer, and one (ko, kf*kh*kw) @ buffer GEMM writes the output in its
+    [n,ko,...] layout.
 
-    The per-offset loops are tiled (Goto & van de Geijn, ACM TOMS 2008):
-    ``_tiles`` cuts the channels-last output, or output gradient, into
-    tiles of about BLOCK_BYTES, and each loop runs every kernel offset on
-    one tile before it moves to the next, so a tile is re-read from cache
-    rather than from memory. Every buffer the loops add is tile-sized.
+    The loops are tiled (Goto & van de Geijn, ACM TOMS 2008): ``_tiles``
+    cuts the channels-last output, or output gradient, into tiles of
+    about BLOCK_BYTES, and each loop runs every kernel offset on one tile
+    before it moves to the next, so a tile is re-read from cache rather
+    than from memory. Each loop makes a few batched numpy calls per tile,
+    each over many offsets' products, never one per offset (batched BLAS,
+    Dongarra et al., Procedia Computer Science 2017), so that another lane
+    runs while a call holds no GIL: the forward makes two per tile, the
+    kernel gradient three per tile and frame offset (a copy, a matmul and
+    an add), and the strided input gradient one matmul per tile and frame
+    offset, then kh*kw window adds. The backward's scratch holds kh*kw
+    tiles' products; the forward's tiles are about BLOCK_BYTES / kf, so
+    its kf*kh*kw products take about kh*kw * BLOCK_BYTES, or kf*kh*kw
+    frames when one frame is larger.
 
     The tape keeps no padded copy: the backward pass rebuilds it from x,
     and only when the kernel needs a gradient. For each tile of the output
-    gradient g and each offset, the kernel gradient adds
-    window(rows, c).T @ g(rows, ko) over the tile's rows. At stride 1 with
-    padding <= k-1 on every axis, the input gradient is the same
-    ``_correlate`` loop run on g zero-padded by k-1-padding, with the
-    kernel flipped and its channel axes swapped. Other convs scatter-add
-    g(rows, ko) @ kernel(c, ko).T, per tile of g, into each offset's
-    window.
+    gradient g and each frame offset, the kernel gradient copies the kh*kw
+    windows into the scratch, makes one batched matmul of their
+    window(rows, c).T @ g(rows, ko) products over the tile's rows, and
+    adds them to the kernel gradient. At stride 1 with padding <= k-1 on
+    every axis, the input gradient is the same ``_correlate`` loop run on
+    g zero-padded by k-1-padding, with the kernel flipped and its channel
+    axes swapped. Other convs make one batched matmul of g(rows, ko) @
+    kernel(c, ko).T per tile and frame offset, then scatter-add each of
+    its kh*kw products into its offset's window, in offset order.
 
     The output and the stride-1 input gradient equal an untiled sum bit
     for bit, whatever the tile size. The kernel gradient and the other
@@ -633,7 +666,8 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
             f"got {tuple(x.shape)} and {tuple(kernel.shape)}"
         )
     n, c, *in_dims = x.shape
-    ko, kc, *ksize = kernel.shape
+    ko, kc, kf, kh, kw = kernel.shape
+    ksize = (kf, kh, kw)
     if kc != c:
         raise DimensionError(f"conv3d channel mismatch: input has {c}, kernel expects {kc}")
     strides = _triple(stride, "conv3d stride", 1)
@@ -642,18 +676,15 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
     if min(dims) <= 0:
         raise ConfigError(
             f"conv3d output dims {dims} must be positive for input {tuple(in_dims)}, "
-            f"kernel {tuple(ksize)}, stride {strides}, padding {pads}"
+            f"kernel {ksize}, stride {strides}, padding {pads}"
         )
-    offsets = list(np.ndindex(*ksize))
     kl = np.ascontiguousarray(kernel.data.transpose(2, 3, 4, 1, 0), dtype=x.dtype)  # (kf,kh,kw,c,ko)
 
     xl = _padded(x.data.transpose(0, 2, 3, 4, 1), pads)                             # (n,F,H,W,c)
     if c == 1:
-        cols = np.empty((n, len(offsets), *dims), dtype=xl.dtype)
-        for i, offset in enumerate(offsets):
-            cols[:, i] = _window(xl, offset, strides, dims)[..., 0]
-        out_c = kl.reshape(-1, ko).T @ cols.reshape(n, len(offsets), -1)   # (n, ko, of*oh*ow)
-        out = Tensor(out_c.reshape(n, ko, *dims))
+        cols = _windows(xl, ksize, strides, dims)[..., 0].transpose(3, 0, 1, 2, 4, 5, 6)  # (n,kf,kh,kw,*dims)
+        # the reshape copies every window once
+        out = Tensor((kl.reshape(-1, ko).T @ cols.reshape(n, kf * kh * kw, -1)).reshape(n, ko, *dims))
     else:
         out = Tensor(np.ascontiguousarray(_correlate(xl, kl, strides, dims).transpose(0, 4, 1, 2, 3)))
 
@@ -670,10 +701,12 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
         def kernel_grad():
             xl = _padded(x_data.transpose(0, 2, 3, 4, 1), pads)   # local: the tape holds x, not xl
             dkl = np.zeros_like(kl)
-            for samples, frame, tile, tmp in _tiles(g2, c):
-                for offset in offsets:
-                    tmp[...] = _window(xl, offset, strides, tile.shape[1:4], samples, frame)
-                    dkl[offset] += tmp.reshape(-1, c).T @ tile.reshape(-1, ko)
+            windows = _windows(xl, ksize, strides, dims)
+            for samples, frame, tile, tmp in _tiles(g2, c, (kh, kw)):
+                rows = tile.reshape(-1, ko)
+                for a in range(kf):
+                    tmp[...] = windows[a, :, :, samples, frame:frame + tile.shape[1]]
+                    dkl[a] += (tmp.reshape(kh * kw, -1, c).transpose(0, 2, 1) @ rows).reshape(kh, kw, c, ko)
             return dkl.transpose(4, 3, 0, 1, 2)
 
         def input_grad():
@@ -682,10 +715,13 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
                 dxl = _correlate(_padded(g2, flip_pads), flipped, (1, 1, 1), in_dims)
                 return dxl.transpose(0, 4, 1, 2, 3)
             dxl = np.zeros((n, *(d + 2 * p for d, p in zip(in_dims, pads)), c), dtype=x_dtype)
-            for samples, frame, tile, tmp in _tiles(g2, c):
-                for offset in offsets:
-                    np.matmul(tile.reshape(-1, ko), kl[offset].T, out=tmp.reshape(-1, c))
-                    _window(dxl, offset, strides, tile.shape[1:4], samples, frame).__iadd__(tmp)
+            kernels = kl.swapaxes(3, 4)                                                # (kf,kh,kw,ko,c)
+            for samples, frame, tile, tmp in _tiles(g2, c, (kh, kw)):
+                rows = tile.reshape(-1, ko)
+                for a in range(kf):
+                    np.matmul(rows, kernels[a], out=tmp.reshape(kh, kw, -1, c))
+                    for b, e in np.ndindex(kh, kw):
+                        _window(dxl, (a, b, e), strides, tile.shape[1:4], samples, frame).__iadd__(tmp[b, e])
             return dxl[_interior(pads, in_dims)].transpose(0, 4, 1, 2, 3)
 
         if kn is not None:

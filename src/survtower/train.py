@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import sys
 import time
@@ -529,6 +530,14 @@ def load_checkpoint(path) -> TrainerState:
         if not -1 <= best["epoch"] < header["epoch"] or best["saved"] != (best["epoch"] >= 0):
             raise ValueError(f"best epoch {best['epoch']}, saved {best['saved']}, "
                              f"contradicts epoch {header['epoch']}")
+        # train's initial scores with no best epoch, else a C-index and an MSE it measured
+        if best["epoch"] < 0:
+            scored = best["c_index"] == -math.inf and best["mse"] == math.inf
+        else:
+            scored = 0 <= best["c_index"] <= 1 and 0 <= best["mse"] < math.inf
+        if not scored:
+            raise ValueError(f"best c_index {best['c_index']} and mse {best['mse']} "
+                             f"contradict best epoch {best['epoch']}")
         # the embedding row of each item: a dense index 0..n-1
         if not all(type(v) is int for v in vocab.values()) or sorted(vocab.values()) != list(range(len(vocab))):
             raise ValueError("vocab rows are not the indices 0..n-1")

@@ -259,6 +259,103 @@ class TestConv3d:
         _check_op(lambda a, b: ad.conv3d(a, b, stride=stride, padding=1), [x, k], rng, n_samples=8)
 
 
+def _reference_tiles(arr):
+    """The spans of the tiles that the kernel gradient and the strided input
+    gradient sum over, as ``ad._tiles`` cuts them."""
+    n, f = arr.shape[:2]
+    step = max(1, ad.BLOCK_BYTES // arr[0, 0].nbytes)
+    if step >= f:
+        return [(slice(i, i + step // f), 0, f) for i in range(0, n, step // f)]
+    return [(slice(i, i + 1), j, min(step, f - j)) for i in range(n) for j in range(0, f, step)]
+
+
+def _reference_conv3d(x, k, stride, padding, g):
+    """conv3d's output, input gradient and kernel gradient for output
+    gradient ``g``, made one kernel offset at a time: one product and one
+    add per offset and tile, in offset order, over the same tiles."""
+    strides, pads = ad._triple(stride, "stride", 1), ad._triple(padding, "padding", 0)
+    (n, c, *in_dims), (ko, _, *ksize), dims = x.shape, k.shape, g.shape[2:]
+    offsets = list(np.ndindex(*ksize))
+    kl = np.ascontiguousarray(k.transpose(2, 3, 4, 1, 0), dtype=x.dtype)
+    xl = ad._padded(x.transpose(0, 2, 3, 4, 1), pads)
+
+    def correlate(src, kernels, stride, dims):
+        out = np.zeros((src.shape[0], *dims, kernels.shape[-1]), src.dtype)
+        for samples, frame, frames in _reference_tiles(out):
+            tile = out[samples, frame:frame + frames]
+            for offset in offsets:
+                tile += ad._window(src, offset, stride, tile.shape[1:4], samples, frame) @ kernels[offset]
+        return out
+
+    if c == 1:
+        cols = np.stack([ad._window(xl, offset, strides, dims)[..., 0] for offset in offsets], axis=1)
+        out = (kl.reshape(-1, ko).T @ cols.reshape(n, len(offsets), -1)).reshape(n, ko, *dims)
+    else:
+        out = correlate(xl, kl, strides, dims).transpose(0, 4, 1, 2, 3)
+    g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))
+    dkl = np.zeros_like(kl)
+    for samples, frame, frames in _reference_tiles(g2):
+        tile = g2[samples, frame:frame + frames]
+        for offset in offsets:
+            window = np.ascontiguousarray(ad._window(xl, offset, strides, tile.shape[1:4], samples, frame))
+            dkl[offset] += window.reshape(-1, c).T @ tile.reshape(-1, ko)
+    flip_pads = tuple(s - 1 - p for s, p in zip(ksize, pads))
+    if strides == (1, 1, 1) and min(flip_pads) >= 0:
+        flipped = np.ascontiguousarray(kl[::-1, ::-1, ::-1].swapaxes(3, 4))
+        dx = correlate(ad._padded(g2, flip_pads), flipped, (1, 1, 1), in_dims).transpose(0, 4, 1, 2, 3)
+    else:
+        dxl = np.zeros((n, *(d + 2 * p for d, p in zip(in_dims, pads)), c), x.dtype)
+        for samples, frame, frames in _reference_tiles(g2):
+            tile = g2[samples, frame:frame + frames]
+            for offset in offsets:
+                prod = (tile.reshape(-1, ko) @ kl[offset].T).reshape(*tile.shape[:-1], c)
+                ad._window(dxl, offset, strides, tile.shape[1:4], samples, frame).__iadd__(prod)
+        dx = dxl[ad._interior(pads, in_dims)].transpose(0, 4, 1, 2, 3)
+    return out, dx, dkl.transpose(4, 3, 0, 1, 2)
+
+
+class TestConvLoops:
+    @pytest.mark.parametrize("stride", [1, (1, 2, 2), (2, 1, 3)])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_window_view_is_each_offsets_window(self, stride, padding):
+        rng = np.random.default_rng(10)
+        strides, pads, ksize = ad._triple(stride, "stride", 1), (padding,) * 3, (3, 2, 3)
+        arr = ad._padded(rng.standard_normal((4, 9, 7, 8, 2)), pads)
+        dims = tuple((d - k) // s + 1 for d, k, s in zip(arr.shape[1:4], ksize, strides))
+        view = ad._windows(arr, ksize, strides, dims)
+        assert view.shape == (*ksize, 4, *dims, 2) and not view.flags.writeable
+        assert np.shares_memory(view, arr)
+        # the whole array, and a tile of two samples whose frames start inside them
+        for samples, frame in ((slice(None), 0), (slice(1, 3), 1)):
+            tile_dims = (dims[0] - frame, *dims[1:])
+            for offset in np.ndindex(ksize):
+                np.testing.assert_array_equal(view[offset][samples, frame:],
+                                              ad._window(arr, offset, strides, tile_dims, samples, frame))
+
+    # desk's stride-1 c16-16 layer, a (1, 2, 2)-strided c16-32 one and the stem
+    @pytest.mark.parametrize("x_shape, k_shape, stride", [
+        ((4, 16, 8, 12, 12), (16, 16, 3, 3, 3), 1),
+        ((4, 16, 8, 12, 12), (32, 16, 3, 3, 3), (1, 2, 2)),
+        ((4, 1, 8, 24, 24), (16, 1, 3, 3, 3), (1, 2, 2)),
+    ], ids=["c16-16.s1", "c16-32.s2", "stem"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("block_bytes", [None, 512])
+    def test_same_bytes_as_one_call_per_offset(self, monkeypatch, x_shape, k_shape, stride, dtype, block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(ad, "BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(12)
+        x, k = rng.standard_normal(x_shape).astype(dtype), rng.standard_normal(k_shape).astype(dtype)
+        leaves = [ad.Tensor(a, requires_grad=True) for a in (x, k)]
+        out = ad.conv3d(*leaves, stride=stride, padding=1)
+        g = rng.standard_normal(out.shape).astype(dtype)
+        ad.backward(ad.sum_over(ad.mul(out, g)))
+        got = [out.data, *(leaf.grad for leaf in leaves)]
+        for name, a, b in zip(("output", "input gradient", "kernel gradient"), got,
+                              _reference_conv3d(x, k, stride, 1, g)):
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == np.ascontiguousarray(b).tobytes(), name
+
+
 class TestSoftmax:
     def test_uniform(self):
         out = ad.softmax(ad.Tensor([1.0, 1.0, 1.0]), axis=-1)

@@ -71,3 +71,27 @@ def asserts(path: Path) -> list[int]:
 def test_no_module_asserts(path):
     # python -O strips every assert, so a package check raises a package error
     assert asserts(path) == []
+
+
+def strided_views(path: Path) -> list[int]:
+    """The sorted lines of each name, attribute or import ``as_strided`` in ``path``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+            if isinstance(node, ast.Name) and node.id == "as_strided"
+            or isinstance(node, ast.Attribute) and node.attr == "as_strided"
+            or isinstance(node, ast.alias) and node.name == "as_strided")
+
+
+def test_strided_view_check_sees_each_spelling(tmp_path):
+    path = tmp_path / "views.py"
+    path.write_text("import numpy as np\n"
+                    "from numpy.lib.stride_tricks import as_strided\n"
+                    "v = np.lib.stride_tricks.as_strided(np.zeros(3), (2,), (8,))\n"
+                    "w = as_strided\n", encoding="utf-8")
+    assert strided_views(path) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_no_module_makes_unchecked_strided_views(path):
+    # as_strided reads whatever memory its strides reach; sliding_window_view
+    # checks its windows against the array's bounds
+    assert strided_views(path) == []

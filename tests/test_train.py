@@ -763,6 +763,39 @@ class TestCheckpoint:
             train.load_checkpoint(path)
         assert info.value.offset == 14
 
+    @pytest.mark.parametrize("epochs, best", [
+        (0, {"c_index": 2.0}),              # no best epoch, but scores
+        (0, {"mse": 0.5}),
+        (1, {"c_index": 2.0}),              # a best epoch with scores no validation gives
+        (1, {"c_index": -0.5}),
+        (1, {"c_index": float("nan")}),
+        (1, {"c_index": float("-inf")}),
+        (1, {"mse": -1.0}),
+        (1, {"mse": float("inf")}),
+        (1, {"mse": float("nan")}),
+    ], ids=["unscored c_index", "unscored mse", "c_index 2", "c_index -0.5", "c_index nan",
+            "c_index -inf", "mse -1", "mse inf", "mse nan"])
+    def test_best_scores_that_contradict_best_epoch_rejected(self, dataset, tmp_path, epochs, best):
+        # each file is otherwise valid; without the check, a resume from a
+        # best epoch -1 with a C-index of 2 never finds a better epoch
+        state, _ = train.train(tiny_config(epochs=epochs), dataset)
+        assert state.best_epoch == epochs - 1
+        path = tmp_path / "ckpt"
+        train.save_checkpoint(state, path)
+        path.write_bytes(_edit_header(path.read_bytes(), lambda h: h["best"].update(best)))
+        with pytest.raises(FormatError, match=f"contradict best epoch {epochs - 1}") as info:
+            train.load_checkpoint(path)
+        assert info.value.offset == 14
+
+    @pytest.mark.parametrize("best", [{"c_index": 0, "mse": 0}, {"c_index": 1.0, "mse": 1e300}])
+    def test_best_scores_at_their_bounds_load(self, dataset, tmp_path, best):
+        state, _ = train.train(tiny_config(epochs=1), dataset)
+        path = tmp_path / "ckpt"
+        train.save_checkpoint(state, path)
+        path.write_bytes(_edit_header(path.read_bytes(), lambda h: h["best"].update(best)))
+        loaded = train.load_checkpoint(path)
+        assert (loaded.best_c_index, loaded.best_mse) == (best["c_index"], best["mse"])
+
     def test_header_syntax_error_reports_its_byte(self, dataset, tmp_path):
         state, _ = train.train(tiny_config(epochs=1), dataset)
         path = tmp_path / "ckpt"
