@@ -626,11 +626,11 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
     before it moves to the next, so a tile is re-read from cache rather
     than from memory. Each loop makes a few batched numpy calls per tile,
     each over many offsets' products, never one per offset (batched BLAS,
-    Dongarra et al., Procedia Computer Science 2017), so that another lane
-    runs while a call holds no GIL: the forward makes two per tile, the
-    kernel gradient three per tile and frame offset (a copy, a matmul and
-    an add), and the strided input gradient one matmul per tile and frame
-    offset, then kh*kw window adds. The backward's scratch holds kh*kw
+    Dongarra et al., Procedia Computer Science 2017), so that each call
+    runs long without the GIL and the other lane seldom waits for it: the
+    forward makes two per tile, the kernel gradient three per tile and
+    frame offset (a copy, a matmul and an add), and the strided input
+    gradient one matmul per tile and frame offset, then kh*kw window adds. The backward's scratch holds kh*kw
     tiles' products; the forward's tiles are about BLOCK_BYTES / kf, so
     its kf*kh*kw products take about kh*kw * BLOCK_BYTES, or kf*kh*kw
     frames when one frame is larger.
