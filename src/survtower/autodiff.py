@@ -26,24 +26,14 @@ Conventions:
   ``sub`` and ``mul``, and ``_record(out, parents, backward_fn)`` for
   several inputs. A gradient function binds only the arrays it reads.
 
-Threads: ``overlap(side, main)`` runs ``side()`` on a worker thread
-that lives only for the call while ``main()`` runs on the calling
-thread, and returns when both are done, so two independent numpy-heavy
-computations use two cores (numpy releases the GIL inside GEMMs and
-large copies). A lane's numpy calls must each be long enough that the
-GIL handoffs between them do not dominate, which is why conv3d batches
-its kernel offsets. It is the package's only way into threads. Work is split
-by lane, the way data-parallel training splits a batch over replicas.
-Every node belongs to the caller's lane unless it was made inside
-``worker_lane()``: ``model.forward_batch`` runs every ensemble view's
-backbone over one half of a batch on the caller and over the other half
-on a worker, inside ``worker_lane()``, and joins the two halves with
-``concat``. ``backward`` then walks the worker's lane on a worker and
-the caller's lane here (see there), and adds every gradient that the
-worker's walk sends out of its lane after both are done, in walk order.
-A node's lane is the tag it was recorded with, not the thread that made
-it, so every result is the same bits whichever thread ran what, and with
-``overlap`` run inline.
+Threads: ``overlap(side, main)``, the package's only way into threads,
+runs ``side()`` on a worker thread that lives only for the call while
+``main()`` runs here, so two numpy-heavy computations use two cores
+(numpy releases the GIL inside GEMMs and large copies, which is why
+conv3d batches its kernel offsets into few long calls). The tape is
+single-threaded: training runs each half of a batch on its own replica
+of the parameters (``ParameterStore.replica``), so the halves record
+tapes that share no node, and ``backward`` walks the second on a worker.
 """
 
 from __future__ import annotations
@@ -67,41 +57,25 @@ LN_EPS = 1e-5
 
 
 class _State(threading.local):
-    """Per-thread settings: grad mode, the lane new nodes are recorded in,
-    and the list a worker-lane walk sets aside out-of-lane gradients in
-    (None outside one)."""
+    """Per-thread settings: grad mode."""
 
     grad_enabled = True
-    lane = 0
-    aside = None
 
 
 _state = _State()
 
 
 @contextlib.contextmanager
-def _setting(name: str, value):
-    """Set this thread's ``name`` setting to ``value`` inside the block and
-    restore the previous value on the way out, also when the block raises."""
-    prev = getattr(_state, name)
-    setattr(_state, name, value)
+def no_grad():
+    """Disable tape recording on this thread inside the block (used for
+    evaluation); the previous mode returns on the way out, also when the
+    block raises."""
+    prev = _state.grad_enabled
+    _state.grad_enabled = False
     try:
         yield
     finally:
-        setattr(_state, name, prev)
-
-
-def no_grad():
-    """Disable tape recording inside the block (used for evaluation)."""
-    return _setting("grad_enabled", False)
-
-
-def worker_lane():
-    """Record the nodes made inside the block, on this thread, in the
-    worker's lane, so that ``backward`` runs their closures on a worker
-    thread. A parameter leaf stays in the caller's lane wherever it is
-    used."""
-    return _setting("lane", 1)
+        _state.grad_enabled = prev
 
 
 def overlap(side, main):
@@ -125,26 +99,19 @@ def overlap(side, main):
 class _Node:
     """One tape entry: a tensor's gradient, its parents' nodes and its
     backward closure, without its value. ``shape`` and ``dtype`` size the
-    zero-filled gradient that the first contribution is added into;
-    ``lane`` is 1 for a node recorded inside ``worker_lane`` and 0
-    otherwise."""
+    zero-filled gradient that the first contribution is added into."""
 
-    __slots__ = ("grad", "parents", "backward_fn", "released", "shape", "dtype", "lane")
+    __slots__ = ("grad", "parents", "backward_fn", "released", "shape", "dtype")
 
-    def __init__(self, shape, dtype, parents=(), backward_fn=None, lane=0):
+    def __init__(self, shape, dtype, parents=(), backward_fn=None):
         self.grad = None
         self.parents = parents
         self.backward_fn = backward_fn
         self.released = False
         self.shape = shape
         self.dtype = dtype
-        self.lane = lane
 
     def accumulate(self, grad: np.ndarray):
-        aside = _state.aside
-        if aside is not None and not self.lane:
-            aside.append((self, grad))      # added by the caller after the worker's walk
-            return
         if self.grad is None:
             self.grad = np.zeros(self.shape, self.dtype)
         self.grad += grad
@@ -222,7 +189,7 @@ def _record(out: Tensor, parents, backward_fn):
     if _state.grad_enabled:
         nodes = tuple(p for p in parents if p is not None)
         if nodes:
-            out._node = _Node(out.data.shape, out.data.dtype, nodes, backward_fn, _state.lane)
+            out._node = _Node(out.data.shape, out.data.dtype, nodes, backward_fn)
     return out
 
 
@@ -298,7 +265,13 @@ def matmul(a, b) -> Tensor:
     """Product (..., d) @ (d, k) of an array and a matrix: a's leading axes
     fold into rows, so the forward is one (-1, d) @ (d, k) GEMM, and the
     backward is one GEMM per operand, (g @ b.T) reshaped to a's shape and
-    a(-1, d).T @ g(-1, k). A b of any other rank is a DimensionError."""
+    a(-1, d).T @ g(-1, k). A b of any other rank is a DimensionError.
+
+    The forward gives each row the same bits whatever the other rows. BLAS
+    sums a row differently in gemv than in gemm, and in a transposed-operand
+    gemm as the row count grows, so both operands are made C-contiguous, a
+    one-column product is an ``einsum``, and a one-row product runs
+    through gemm as that row stacked twice."""
     a, b = as_tensor(a), as_tensor(b)
     if a.data.ndim < 2 or b.data.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise DimensionError(f"cannot matmul shapes {tuple(a.shape)} and {tuple(b.shape)}")
@@ -313,8 +286,14 @@ def matmul(a, b) -> Tensor:
         if bn is not None:
             bn.accumulate(a_data.reshape(-1, d).T @ g2)
 
-    out = (a.data.reshape(-1, d) @ b.data).reshape(*a_shape[:-1], k)
-    return _record(Tensor(out), (an, bn), backward_fn)
+    rows, w = np.ascontiguousarray(a.data.reshape(-1, d)), np.ascontiguousarray(b.data)
+    if k == 1:
+        out = np.einsum("ij,jk->ik", rows, w)
+    elif len(rows) == 1:
+        out = (np.concatenate([rows, rows]) @ w)[:1]
+    else:
+        out = rows @ w
+    return _record(Tensor(out.reshape(*a_shape[:-1], k)), (an, bn), backward_fn)
 
 
 def relu(t) -> Tensor:
@@ -627,7 +606,7 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
     than from memory. Each loop makes a few batched numpy calls per tile,
     each over many offsets' products, never one per offset (batched BLAS,
     Dongarra et al., Procedia Computer Science 2017), so that each call
-    runs long without the GIL and the other lane seldom waits for it: the
+    runs long without the GIL and the other thread seldom waits for it: the
     forward makes two per tile, the kernel gradient three per tile and
     frame offset (a copy, a matmul and an add), and the strided input
     gradient one matmul per tile and frame offset, then kh*kw window adds. The backward's scratch holds kh*kw
@@ -654,10 +633,7 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
     dtype; the kernel is cast to it for the products.
 
     Both passes run on the thread that runs the op or walks its node, the
-    kernel gradient first: a conv recorded inside ``worker_lane`` runs its
-    backward on the worker thread of ``backward``'s ``overlap`` call, and
-    its kernel gradient is added to the kernel after the caller's lane, in
-    the worker's walk order (``backward``).
+    kernel gradient first.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 5 or kernel.data.ndim != 5:
@@ -732,33 +708,47 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
     return _record(out, (xn, kn), backward_fn)
 
 
-def backward(loss: Tensor):
-    """Populate .grad on every requires_grad tensor reachable from loss.
+def backward(loss: Tensor, *more: Tensor):
+    """Populate .grad on every requires_grad tensor reachable from the losses.
 
-    The loss must be scalar (a single element). The tape is consumed,
+    Each loss must be scalar (a single element). The tape is consumed,
     even by a backward pass that raised: calling backward again on the
     same graph raises UsageError.
 
-    A tape with nodes in the worker's lane (``worker_lane``) is walked in
-    two lanes. First this thread runs every caller-lane node that reads
-    a worker-lane node, directly or through others: the loss, the head
-    and the ``concat`` that joins the halves. Then a worker thread
-    (``overlap``) walks the worker's lane while this thread walks the rest
-    of the caller's lane. A gradient that the worker's walk would add to a
-    caller-lane node, a shared parameter leaf, is set aside and added here
-    after both walks end, in the worker's walk order, so the result does
-    not depend on thread timing. An error in either walk is raised after
-    both end. A tape whose worker lane reads a caller-lane node other than
-    a leaf is walked on this thread alone.
+    Several losses, such as those of a batch's halves on two parameter
+    replicas (``ParameterStore.replica``), must have tapes that share no
+    node, leaves included: a shared node is a UsageError, raised before any
+    walk. This thread walks the first tape while a worker (``overlap``)
+    walks the others in turn, so each leaf's gradient is summed by one
+    thread in its tape's order, whatever the timing. An error in either
+    walk is raised after both end.
     """
-    if loss.data.size != 1:
-        raise UsageError(f"backward needs a scalar loss, got shape {tuple(loss.shape)}")
-    root = loss._node
-    if root is None:
+    losses = (loss, *more)
+    for t in losses:
+        if t.data.size != 1:
+            raise UsageError(f"backward needs a scalar loss, got shape {tuple(t.shape)}")
+    live = [t for t in losses if t._node is not None]
+    if not live:
         return
-    if root.released:
-        raise UsageError("backward was already run on this tape; re-run the forward pass")
+    tapes = [_tape(t._node) for t in live]
+    reached = [ids for _, ids in tapes]
+    if len(set().union(*reached)) < sum(map(len, reached)):
+        raise UsageError("the losses' tapes share a node; run each half on its own parameter replica")
 
+    for t in live:
+        t._node.grad = np.ones_like(t.data)
+    (first, _), *rest = tapes
+    if rest:
+        overlap(lambda: [_walk(order) for order, _ in rest], lambda: _walk(first))
+    else:
+        _walk(first)
+    for t in live:
+        t._node.grad = np.ones_like(t.data)
+
+
+def _tape(root: _Node) -> tuple[list[_Node], set[int]]:
+    """The nodes ``backward`` walks from ``root``, each after every node that
+    reads it, and the ids of every node reached, leaves included."""
     order: list[_Node] = []
     seen: set[int] = set()
     stack: list[tuple[_Node, bool]] = [(root, False)]
@@ -774,40 +764,12 @@ def backward(loss: Tensor):
             raise UsageError("tape already consumed by a previous backward; re-run the forward pass")
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen and (p.backward_fn is not None or p.released):
+            if p.backward_fn is None and not p.released:
+                seen.add(id(p))         # a leaf: reached, never walked
+            elif id(p) not in seen:
                 stack.append((p, False))
-
-    seed = np.ones_like(loss.data)
-    root.grad = seed
     order.reverse()
-    lanes = _lanes(order)
-    if lanes is None:
-        _walk(order)
-    else:
-        joined, worker, caller = lanes
-        _walk(joined)
-        aside, _ = overlap(lambda: _walk_aside(worker), lambda: _walk(caller))
-        for node, grad in aside:
-            node.accumulate(grad)
-    root.grad = seed
-
-
-def _lanes(order):
-    """``(joined, worker, caller)``: the nodes of a reverse-topological
-    ``order`` that ``backward`` walks first, on the worker and on the
-    caller, each in walk order; None when it walks them on one thread."""
-    if not any(node.lane for node in order):
-        return None
-    joined: set[int] = set()        # caller-lane nodes that read a worker-lane node
-    for node in reversed(order):    # parents first
-        if node.lane:
-            if any(not p.lane and p.backward_fn is not None for p in node.parents):
-                return None
-        elif any(p.lane or id(p) in joined for p in node.parents):
-            joined.add(id(node))
-    return ([node for node in order if id(node) in joined],
-            [node for node in order if node.lane],
-            [node for node in order if not node.lane and id(node) not in joined])
+    return order, seen
 
 
 def _walk(nodes):
@@ -822,12 +784,3 @@ def _walk(nodes):
         node.backward_fn = None
         node.parents = ()
         node.grad = None
-
-
-def _walk_aside(nodes) -> list:
-    """``_walk`` that returns, in order, the ``(node, grad)`` contributions
-    it would have added to caller-lane nodes."""
-    aside = []
-    with _setting("aside", aside):
-        _walk(nodes)
-    return aside

@@ -74,12 +74,18 @@ def ensemble_views(frame_diff: str, omega: float) -> list[tuple[str | None, floa
     return [(None, float(omega))] + [(d, share) for d in directions]
 
 
-def mse_loss(predictions: ad.Tensor, targets: np.ndarray) -> ad.Tensor:
+def mse_loss(predictions: ad.Tensor, targets: np.ndarray, count: int | None = None) -> ad.Tensor:
+    """The mean squared error; with ``count``, the squared errors' sum
+    divided by ``count``: these rows' share of the mean over a batch of
+    ``count`` samples."""
     if predictions.data.size == 0:
         raise UsageError("loss needs a non-empty batch")
     t = np.asarray(targets, dtype=predictions.dtype).reshape(predictions.shape)
     resid = ad.sub(predictions, ad.Tensor(t, dtype=predictions.dtype))
-    return ad.mean_over(ad.mul(resid, resid), tuple(range(resid.data.ndim)))
+    squares, axes = ad.mul(resid, resid), tuple(range(resid.data.ndim))
+    if count is None:
+        return ad.mean_over(squares, axes)
+    return ad.mul(ad.sum_over(squares, axes), 1.0 / count)
 
 
 def training_loss(
@@ -87,10 +93,13 @@ def training_loss(
     targets: np.ndarray,
     store: ParameterStore,
     lam: float,
+    count: int | None = None,
 ) -> tuple[ad.Tensor, ad.Tensor]:
     """``(loss, mse)``: the loss is the mean squared error plus lam * sum of
-    squared decayed parameters, and ``mse`` is its first term, built once."""
-    mse = mse_loss(predictions, targets)
+    squared decayed parameters, and ``mse`` is its first term, built once.
+    With ``count``, ``mse`` is these rows' share of a ``count``-sample
+    batch's mean (``mse_loss``)."""
+    mse = mse_loss(predictions, targets, count)
     if not lam:
         return mse, mse
     return ad.add(mse, ad.mul(store.l2_penalty(), float(lam))), mse

@@ -8,6 +8,7 @@ shared weights through every pass.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,59 +111,49 @@ def make_batch(
     return BatchInputs(tokens, ages, volumes, targets)
 
 
+def halves(batch: BatchInputs) -> list[BatchInputs]:
+    """The parts a batch runs as, one per thread: its first n // 2 samples
+    and the rest when it has volumes and n >= 2, else the batch alone.
+    ``train.train_step`` and ``predict_times`` both split by this rule."""
+    n = len(batch)
+    if batch.volumes is None or n < 2:
+        return [batch]
+    return [BatchInputs(batch.tokens[rows], batch.ages[rows], batch.volumes[rows], batch.targets[rows])
+            for rows in (slice(None, n // 2), slice(n // 2, None))]
+
+
+def map_parts(fn, *args) -> list:
+    """``list(map(fn, *args))`` over one or two parts (``halves``): with
+    two, ``fn`` runs on the second on a worker thread (``ad.overlap``)
+    while it runs on the first here. One part starts no thread."""
+    calls = [functools.partial(fn, *a) for a in zip(*args)]
+    if len(calls) == 1:
+        return [calls[0]()]
+    second, first = ad.overlap(calls[1], calls[0])
+    return [first, second]
+
+
 def forward_batch(store: ParameterStore, config: ModelConfig, batch: BatchInputs) -> ad.Tensor:
     """Ensembled (n, 1) predictions: one shared-weight pass per view.
 
     Each view of ``fu.ensemble_views`` differences the raw volumes in its
     direction and adds its weighted prediction. A single view (omega=1,
     frame_diff="off" or no visual tower) returns its pass unweighted, so
-    omega=1 is bit-equal to frame differencing switched off.
-
-    A batch of n >= 2 samples with volumes is split in two halves, as
-    data-parallel training splits a batch over replicas: this thread
-    encodes the clinical tokens and runs every view's backbone over the
-    first n // 2 samples, while a worker thread of ``ad.overlap``, alive
-    for this call only, runs every view's backbone over the rest inside
-    ``ad.worker_lane``, so that ``ad.backward`` walks that half's nodes
-    on a worker thread too. Each view's two feature blocks are joined by
-    one ``concat`` on the batch axis, first half first, and the head and
-    the weighted sum then run here in view order. A batch of one runs on
-    this thread alone.
+    omega=1 is bit-equal to frame differencing switched off. The whole
+    pass runs on the calling thread; the callers split a batch over two
+    threads (``halves``).
     """
     views = fu.ensemble_views(config.frame_diff, config.omega)
-
-    def clinical():
-        if config.runs_clinical:
-            return cl.encode_clinical(store, config.clinical, cl.embed_tokens(store, batch.tokens, batch.ages))
-        return None
-
-    def backbones(volumes):
-        return [
-            vz.backbone_forward(
-                store, config.visual, ad.as_tensor(volumes if d is None else fu.frame_difference(volumes, d))
-            )
-            for d, _ in views
-        ]
-
-    def worker_half(volumes):
-        with ad.worker_lane():
-            return backbones(volumes)
-
-    if batch.volumes is None:
-        clinical_feats, visual_feats = clinical(), [None] * len(views)
-    elif len(batch) == 1:
-        clinical_feats, visual_feats = clinical(), backbones(batch.volumes)
-    else:
-        half = len(batch) // 2
-        second, (clinical_feats, first) = ad.overlap(
-            lambda: worker_half(batch.volumes[half:]),
-            lambda: (clinical(), backbones(batch.volumes[:half])),
-        )
-        visual_feats = [ad.concat(pair, axis=0) for pair in zip(first, second)]
+    clinical_feats = None
+    if config.runs_clinical:
+        clinical_feats = cl.encode_clinical(store, config.clinical, cl.embed_tokens(store, batch.tokens, batch.ages))
 
     ensembled = None
-    for (_, weight), visual in zip(views, visual_feats):
-        parts = [p for p in (clinical_feats, visual) if p is not None]
+    for direction, weight in views:
+        parts = [clinical_feats] if clinical_feats is not None else []
+        if batch.volumes is not None:
+            volumes = batch.volumes if direction is None else fu.frame_difference(batch.volumes, direction)
+            parts.append(vz.backbone_forward(store, config.visual, ad.as_tensor(volumes)))
         features = parts[0] if len(parts) == 1 else ad.concat(parts, axis=1)
         pred = fu.fuse_predict(store, features)
         if len(views) == 1:
@@ -178,12 +169,14 @@ def predict_times(
     dataset: SurvivalDataset,
     samples: list[Sample],
 ) -> np.ndarray:
-    """Ensembled predictions for a sample list, without building a tape."""
+    """Ensembled predictions for a sample list, without building a tape:
+    up to PREDICT_BATCH samples at a time, each batch's ``halves`` on two
+    threads. A sample's prediction does not depend on its batch."""
     out = np.empty(len(samples), dtype=np.float64)
     with ad.no_grad():
         for start in range(0, len(samples), PREDICT_BATCH):
             chunk = samples[start:start + PREDICT_BATCH]
-            batch = make_batch(dataset, chunk, config)
-            pred = forward_batch(store, config, batch)
-            out[start:start + len(chunk)] = pred.data.reshape(-1)
+            parts = halves(make_batch(dataset, chunk, config))
+            preds = map_parts(lambda part: forward_batch(store, config, part), parts)
+            out[start:start + len(chunk)] = np.concatenate([pred.data.reshape(-1) for pred in preds])
     return out

@@ -46,6 +46,22 @@ class ParameterStore:
         for t in self._params.values():
             t.grad = None
 
+    def replica(self) -> "ParameterStore":
+        """A store whose Tensors share this store's arrays and decay flags
+        but have leaf nodes of their own, so its tape shares no node with
+        this store's. An optimizer step rebinds ``data``: one step each."""
+        twin = ParameterStore()
+        for name, t in self._params.items():
+            twin.add(name, t.data, self._decay[name])
+        return twin
+
+    def add_grads(self, replica: "ParameterStore"):
+        """Add ``replica``'s gradients into this store's, this store's first."""
+        for name, t in self._params.items():
+            g = replica[name].grad
+            if g is not None:
+                t.grad = g if t.grad is None else t.grad + g
+
     def l2_penalty(self) -> ad.Tensor:
         """Sum of squared entries over every decayed parameter tensor, in
         registration order, as one ``sum_of_squares`` tape node."""

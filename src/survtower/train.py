@@ -30,7 +30,8 @@ from . import visual as vz
 from .data import AUGMENTATIONS, N_FOLDS, SPLITS, SurvivalDataset, apply_split, check_object, read_json, write_atomic
 from .errors import ConfigError, FormatError, MetricUndefinedError, TrainingDivergedError, UsageError
 from .metrics import concordance_index, mae
-from .model import TOWER_MODES, ModelConfig, forward_batch, init_model_params, make_batch, predict_times
+from .model import (TOWER_MODES, BatchInputs, ModelConfig, forward_batch, halves, init_model_params, make_batch,
+                    map_parts, predict_times)
 from .params import ParameterStore
 
 
@@ -364,17 +365,12 @@ def train(
             idx = order[start:start + config.batch_size]
             samples = [train_samples[i] for i in idx]
             batch = make_batch(ds, samples, model_cfg)
-            pred = forward_batch(state.store, model_cfg, batch)
-            loss, mse_t = fu.training_loss(pred, batch.targets, state.store, config.lam)
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise TrainingDivergedError(
-                    f"non-finite loss {loss_value} at epoch {state.epoch}, batch {n_batches}"
-                )
-            state.store.zero_grad()
-            ad.backward(loss)
+            try:
+                loss_value, mse_value = train_step(state.store, model_cfg, batch, config.lam)
+            except TrainingDivergedError as err:
+                raise TrainingDivergedError(f"{err} at epoch {state.epoch}, batch {n_batches}") from None
             state.adam.step(state.store, lr)
-            sse += mse_t.item() * len(samples)
+            sse += mse_value * len(samples)
             loss_sum += loss_value
             n_seen += len(samples)
             n_batches += 1
@@ -403,6 +399,38 @@ def train(
         state.epoch += 1
         state.rng_state = rng.bit_generator.state
     return state, history
+
+
+def train_step(store: ParameterStore, model_cfg: ModelConfig, batch: BatchInputs, lam: float) -> tuple[float, float]:
+    """The loss and MSE of one training step, leaving every parameter's
+    gradient in ``store``; TrainingDivergedError, before any gradient, on a
+    non-finite loss.
+
+    Each part of ``halves(batch)`` runs on its own replica of ``store``,
+    the second on a worker (``map_parts``), as data-parallel replicas do
+    (Li et al., VLDB 2020). A part's loss is its share of the batch loss:
+    its squared errors over the batch's size, plus the L2 term on the first
+    part only. One ``ad.backward`` walks both tapes, and the replica's
+    gradients are added into ``store``'s.
+    """
+    parts = halves(batch)
+    stores = [store] + [store.replica() for _ in parts[1:]]
+    count = len(batch) if len(parts) > 1 else None
+    lams = [lam] + [0.0] * (len(parts) - 1)
+
+    def part_loss(part_store, part, part_lam):
+        pred = forward_batch(part_store, model_cfg, part)
+        return fu.training_loss(pred, part.targets, part_store, part_lam, count)
+
+    losses = map_parts(part_loss, stores, parts, lams)
+    loss_value = sum(loss.item() for loss, _ in losses)
+    if not np.isfinite(loss_value):
+        raise TrainingDivergedError(f"non-finite loss {loss_value}")
+    store.zero_grad()
+    ad.backward(*(loss for loss, _ in losses))
+    for replica in stores[1:]:
+        store.add_grads(replica)
+    return loss_value, sum(mse.item() for _, mse in losses)
 
 
 def _score(store, model_cfg, ds, samples):

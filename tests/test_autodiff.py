@@ -18,7 +18,7 @@ from survtower.errors import DimensionError, ConfigError, UsageError
 
 
 # every public function of autodiff but these is a differentiable op
-NOT_OPS = {"as_tensor", "backward", "no_grad", "worker_lane", "overlap"}
+NOT_OPS = {"as_tensor", "backward", "no_grad", "overlap"}
 OPS = sorted(name for name, fn in vars(ad).items()
              if inspect.isfunction(fn) and fn.__module__ == ad.__name__
              and not name.startswith("_") and name not in NOT_OPS)
@@ -801,58 +801,49 @@ class TestOverlap:
 
 
 class TestSettings:
-    """``no_grad`` and ``worker_lane`` set this thread's grad mode and lane
-    for their block only."""
+    """``no_grad`` sets this thread's grad mode for its block only."""
 
     @staticmethod
     def settings():
-        return ad._state.grad_enabled, ad._state.lane
+        return {"grad_enabled": ad._state.grad_enabled}
 
-    @pytest.mark.parametrize("block, inside", [(ad.no_grad, (False, 0)), (ad.worker_lane, (True, 1))])
+    @pytest.mark.parametrize("block, inside", [(ad.no_grad, {"grad_enabled": False})])
     def test_block_raising_restores_the_setting(self, block, inside):
         with pytest.raises(ConfigError, match="block failed"):
             with block():
                 assert self.settings() == inside
                 raise ConfigError("block failed")
-        assert self.settings() == (True, 0)
+        assert self.settings() == {"grad_enabled": True}
 
     def test_nested_blocks_restore_in_order(self):
         with ad.no_grad():
-            with ad.worker_lane():
-                with ad.no_grad(), ad.worker_lane():
-                    assert self.settings() == (False, 1)
-                assert self.settings() == (False, 1)
-            assert self.settings() == (False, 0)
+            with ad.no_grad():
+                assert self.settings() == {"grad_enabled": False}
+            assert self.settings() == {"grad_enabled": False}
             with pytest.raises(ConfigError):
-                with ad.worker_lane(), ad.no_grad():
+                with ad.no_grad():
                     raise ConfigError("inner block failed")
-            assert self.settings() == (False, 0)
-        assert self.settings() == (True, 0)
+            assert self.settings() == {"grad_enabled": False}
+        assert self.settings() == {"grad_enabled": True}
 
 
-class TestLanes:
-    """``backward`` over a tape whose second half was recorded in the worker's lane."""
+class TestTwoTapes:
+    """``backward`` over two losses whose tapes share no node."""
 
     @staticmethod
-    def halves(w, worker_lane=True, share=False):
-        """sum(relu(x @ w)**2) over 4 rows, rows 2-3 recorded by the worker, in
-        its lane when ``worker_lane``; with ``share`` the worker reads the
-        caller's w * 1 instead of the leaf w. Returns the loss and each
+    def halves(w1, w2):
+        """sum(relu(x @ w)**2) over rows 0-1 with w1 and over rows 2-3 with
+        w2, the second half recorded on a worker; the two losses and each
         half's x @ w."""
         x = np.random.default_rng(3).standard_normal((4, 3))
-        shared = ad.mul(w, 1.0) if share else w
 
-        def half(rows, weight):
-            h = ad.matmul(ad.Tensor(x[rows]), weight)
-            return h, ad.relu(h)
+        def half(rows, w):
+            h = ad.matmul(ad.Tensor(x[rows]), w)
+            r = ad.relu(h)
+            return ad.sum_over(ad.mul(r, r)), h
 
-        def worker():
-            with ad.worker_lane() if worker_lane else contextlib.nullcontext():
-                return half(slice(2, None), shared)
-
-        (h2, second), (h1, first) = ad.overlap(worker, lambda: half(slice(None, 2), w))
-        out = ad.concat([first, second], axis=0)
-        return ad.sum_over(ad.mul(out, out)), h1, h2
+        (loss2, h2), (loss1, h1) = ad.overlap(lambda: half(slice(2, None), w2), lambda: half(slice(None, 2), w1))
+        return loss1, loss2, h1, h2
 
     @staticmethod
     def leaf():
@@ -869,23 +860,24 @@ class TestLanes:
 
         t._backward_fn = run
 
-    def test_worker_lane_runs_on_the_worker_and_matches_one_lane(self):
-        w, log = self.leaf(), []
-        loss, h1, h2 = self.halves(w)
-        self.spy(h1, log, "caller")
-        self.spy(h2, log, "worker")
-        ad.backward(loss)
+    def test_second_tape_runs_on_a_worker_and_matches_one_tape(self):
+        w1, w2, log = self.leaf(), self.leaf(), []
+        loss1, loss2, h1, h2 = self.halves(w1, w2)
+        self.spy(h1, log, "first")
+        self.spy(h2, log, "second")
+        ad.backward(loss1, loss2)
         threads = dict(log)
-        assert threads["caller"] is threading.current_thread() and threads["worker"] is not threads["caller"]
+        assert threads["first"] is threading.current_thread() and threads["second"] is not threads["first"]
         one = self.leaf()
-        ad.backward(self.halves(one, worker_lane=False)[0])
-        np.testing.assert_allclose(w.grad, one.grad, rtol=1e-12, atol=0)
+        loss1, loss2, _, _ = self.halves(one, one)
+        ad.backward(ad.add(loss1, loss2))
+        np.testing.assert_allclose(w1.grad + w2.grad, one.grad, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("failing", ["worker", "caller"])
-    def test_error_in_a_lane_surfaces_after_the_other_lane_ends(self, failing):
-        w, log = self.leaf(), []
-        loss, h1, h2 = self.halves(w)
-        slow, broken = (h1, h2) if failing == "worker" else (h2, h1)
+    @pytest.mark.parametrize("failing", ["second", "first"])
+    def test_error_in_a_walk_surfaces_after_the_other_walk_ends(self, failing):
+        w1, w2, log = self.leaf(), self.leaf(), []
+        loss1, loss2, h1, h2 = self.halves(w1, w2)
+        slow, broken = (h1, h2) if failing == "second" else (h2, h1)
         self.spy(slow, log, "slow")
         inner = slow._backward_fn
 
@@ -895,21 +887,28 @@ class TestLanes:
             log.append(("ended", None))
 
         def fail(g):
-            raise ConfigError(f"{failing} lane failed")
+            raise ConfigError(f"{failing} walk failed")
 
         slow._backward_fn, broken._backward_fn = slow_fn, fail
-        with pytest.raises(ConfigError, match=f"{failing} lane failed"):
-            ad.backward(loss)
+        with pytest.raises(ConfigError, match=f"{failing} walk failed"):
+            ad.backward(loss1, loss2)
         assert [name for name, _ in log] == ["slow", "ended"]
         with pytest.raises(UsageError):
-            ad.backward(loss)
+            ad.backward(loss1, loss2)
 
-    def test_worker_lane_that_reads_a_caller_node_walks_on_one_thread(self):
-        w, log = self.leaf(), []
-        loss, h1, h2 = self.halves(w, share=True)
-        self.spy(h2, log, "worker")
-        ad.backward(loss)
-        assert log == [("worker", threading.current_thread())]
-        one = self.leaf()
-        ad.backward(self.halves(one, worker_lane=False, share=True)[0])
-        assert np.array_equal(w.grad, one.grad)
+    @pytest.mark.parametrize("shared", ["leaf", "node", "loss"])
+    def test_tapes_that_share_a_node_are_rejected_before_any_walk(self, shared):
+        w = self.leaf()
+        if shared == "leaf":
+            loss1, loss2, _, _ = self.halves(w, w)
+        elif shared == "node":
+            w2 = ad.mul(w, 1.0)
+            loss1, loss2, _, _ = self.halves(w2, w2)
+        else:
+            loss1, _, _, _ = self.halves(w, self.leaf())
+            loss2 = loss1
+        with pytest.raises(UsageError, match="share a node"):
+            ad.backward(loss1, loss2)
+        assert w.grad is None
+        ad.backward(loss1)                  # nothing was consumed
+        assert w.grad is not None

@@ -10,6 +10,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -86,26 +87,46 @@ def _inline_overlap(side, main):
     return side(), main_result
 
 
+def _step(dataset, config, n, dtype=np.float32):
+    """Loss, MSE and every parameter gradient of one seeded training step
+    (``train.train_step``) on the first n samples."""
+    store = model.init_model_params(config, len(dataset.vocab), seed=0, dtype=dtype)
+    batch = model.make_batch(dataset, dataset.samples[:n], config, dtype=dtype)
+    loss, mse = train.train_step(store, config, batch, 1e-3)
+    return loss, mse, {name: t.grad for name, t in store.items()}
+
+
 def test_worker_changes_no_bit(dataset, monkeypatch):
     config = tiny_config(towers="both", frame_diff="on").model_config()
     samples = dataset.samples[:8]
 
     def run():
         store = model.init_model_params(config, len(dataset.vocab), seed=0)
-        batch = model.make_batch(dataset, samples, config)
-        loss, _ = fusion.training_loss(model.forward_batch(store, config, batch), batch.targets, store, 1e-3)
-        ad.backward(loss)
-        grads = {name: t.grad for name, t in store.items()}
-        return loss.data, grads, model.predict_times(store, config, dataset, samples)
+        return _step(dataset, config, 8), model.predict_times(store, config, dataset, samples)
 
-    loss, grads, preds = run()
+    (loss, mse, grads), preds = run()
     monkeypatch.setattr(ad, "overlap", _inline_overlap)
-    inline_loss, inline_grads, inline_preds = run()
-    assert np.array_equal(loss, inline_loss)
+    (inline_loss, inline_mse, inline_grads), inline_preds = run()
+    assert (loss, mse) == (inline_loss, inline_mse)
     assert grads.keys() == inline_grads.keys()
     for name, grad in grads.items():
         assert np.array_equal(grad, inline_grads[name]), name
     assert np.array_equal(preds, inline_preds)
+
+
+@pytest.mark.parametrize("towers", ["both", "visual"])
+def test_replica_step_sums_to_the_one_tape_gradient(dataset, towers):
+    # the halves' shares of the loss, walked on two replicas and summed,
+    # give the gradient of one tape over the whole batch
+    config = tiny_config(towers=towers, frame_diff="on").model_config()
+    loss, mse, grads = _step(dataset, config, 5, np.float64)
+    store = model.init_model_params(config, len(dataset.vocab), seed=0, dtype=np.float64)
+    batch = model.make_batch(dataset, dataset.samples[:5], config, dtype=np.float64)
+    one_loss, one_mse = fusion.training_loss(model.forward_batch(store, config, batch), batch.targets, store, 1e-3)
+    ad.backward(one_loss)
+    np.testing.assert_allclose([loss, mse], [one_loss.item(), one_mse.item()], rtol=1e-12, atol=0)
+    for name, t in store.items():
+        np.testing.assert_allclose(grads[name], t.grad, rtol=0, atol=1e-12 * np.abs(t.grad).max(), err_msg=name)
 
 
 def test_predict_times_records_no_tape_on_the_worker(dataset, monkeypatch):
@@ -141,12 +162,10 @@ def test_view_error_surfaces_after_every_view_ends(dataset, monkeypatch, failing
 
     monkeypatch.setattr(visual, "backbone_forward", view)
     config = tiny_config(towers="both", frame_diff="on").model_config()
-    store = model.init_model_params(config, len(dataset.vocab), seed=0)
-    batch = model.make_batch(dataset, dataset.samples[:3], config)
     with pytest.raises(ConfigError, match=f"{failing} view failed"):
-        model.forward_batch(store, config, batch)
-    # each lane runs all three views over its half: the failing lane stops at
-    # its first view, and the other lane has ended all three when it surfaces
+        _step(dataset, config, 3)
+    # each thread runs all three views over its half: the failing one stops
+    # at its first view, and the other has ended all three when it surfaces
     assert ended == [failing == "caller"] * 3
 
 
@@ -156,13 +175,9 @@ def test_no_thread_outlives_training(dataset, no_thread_outlives):
 
 
 def _desk_step(dataset, n):
-    """Loss and every parameter gradient of one seeded desk-shaped step on n samples."""
-    config = train.desk_preset(seed=0).model_config()
-    store = model.init_model_params(config, len(dataset.vocab), seed=0)
-    batch = model.make_batch(dataset, dataset.samples[:n], config)
-    loss, _ = fusion.training_loss(model.forward_batch(store, config, batch), batch.targets, store, 1e-3)
-    ad.backward(loss)
-    return loss.data, {name: t.grad for name, t in store.items()}
+    """Loss and every parameter gradient of one seeded desk-shaped training step on n samples."""
+    loss, _, grads = _step(dataset, train.desk_preset(seed=0).model_config(), n)
+    return loss, grads
 
 
 def test_two_lane_steps_repeat_bit_for_bit_under_fast_thread_switching(dataset):
@@ -175,7 +190,7 @@ def test_two_lane_steps_repeat_bit_for_bit_under_fast_thread_switching(dataset):
         sys.setswitchinterval(interval)
     loss, grads = runs[0]
     for other_loss, other_grads in runs[1:]:
-        assert np.array_equal(loss, other_loss)
+        assert loss == other_loss
         for name, grad in grads.items():
             assert np.array_equal(grad, other_grads[name]), name
 
@@ -206,8 +221,8 @@ def test_a_closure_runs_on_the_caller_exactly_when_recorded_there(dataset, monke
 
 @pytest.mark.parametrize("towers", ["both", "visual"])
 def test_each_samples_features_do_not_depend_on_its_batch(dataset, monkeypatch, towers):
-    # the head's input row of every view, per sample: split into halves,
-    # worked on two threads and joined, it equals the sample's row alone
+    # the head's input row of every view, per sample: in a batch of any
+    # size it equals the sample's row alone
     seen = []
     fuse_predict = fusion.fuse_predict
 
@@ -229,6 +244,47 @@ def test_each_samples_features_do_not_depend_on_its_batch(dataset, monkeypatch, 
     alone = np.concatenate([features(slice(i, i + 1)) for i in range(5)], axis=1)
     for n in (1, 2, 3, 5):
         assert np.array_equal(features(slice(0, n)), alone[:, :n]), n
+
+
+@pytest.mark.parametrize("towers", model.TOWER_MODES)
+def test_predictions_do_not_depend_on_their_batch(dataset, towers):
+    # desk dims, with every parameter perturbed so that the zero-initialised
+    # heads are live: 16 samples scored alone and in batches of 2, 3, 5 and 16
+    config = train.desk_preset(towers=towers, seed=1).model_config()
+    store = model.init_model_params(config, len(dataset.vocab), seed=1)
+    rng = np.random.default_rng(1)
+    for _, t in store.items():
+        t.data = (t.data + 0.05 * rng.standard_normal(t.shape)).astype(t.dtype)
+    samples = dataset.samples[:16]
+
+    def scored(size):
+        return np.concatenate([model.predict_times(store, config, dataset, samples[i:i + size])
+                               for i in range(0, len(samples), size)])
+
+    alone = scored(1)
+    for size in (2, 3, 5, 16):
+        assert np.array_equal(scored(size), alone), size
+
+
+def test_paper_default_step_fits_the_memory_budget(dataset):
+    # numpy reports its buffers to tracemalloc, and a step's peak is linear
+    # in the batch: batches 2 and 4 extrapolate to the paper's batch of 64,
+    # which must fit well inside 8 GB
+    config = train.TrainConfig(seed=0).model_config()
+    store = model.init_model_params(config, len(dataset.vocab), seed=0)
+    peaks = []
+    for n in (2, 4):
+        batch = model.make_batch(dataset, dataset.samples[:n], config)
+        tracemalloc.start()
+        try:
+            train.train_step(store, config, batch, 1e-3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        store.zero_grad()
+    per_sample = (peaks[1] - peaks[0]) / 2
+    at_64 = peaks[0] + 62 * per_sample
+    assert at_64 < 4e9, f"{per_sample / 1e6:.1f} MB per sample, {at_64 / 1e9:.2f} GB at batch 64"
 
 
 @pytest.mark.parametrize("bad", [
