@@ -542,6 +542,24 @@ def _windows(arr, ksize, stride, dims) -> np.ndarray:
     return view[:, :sf * df:sf, :sh * dh:sh, :sw * dw:sw].transpose(5, 6, 7, 0, 1, 2, 3, 4)
 
 
+def _flat_rows(arr, pads, m) -> tuple[np.ndarray, np.ndarray]:
+    """``_padded(arr, pads)`` and its read-only (n, F, H, W, c, m) view of
+    flat rows: ``[s, a, b, e]`` is the (c, m) transpose of the m
+    consecutive rows of sample s's padded buffer, flattened over (F, H, W),
+    from row ``a*H*W + b*W + e`` on. A run of rows crosses line ends, as
+    in the padded-row ("garbage column") GEMM convolution of Anderson et
+    al. (arXiv 1709.03395). The buffer is followed by m - 1 spare zero
+    rows, so that every start has m rows to read."""
+    n, *dims, c = arr.shape
+    shape = (n, *(d + 2 * p for d, p in zip(dims, pads)), c)
+    size = math.prod(shape[:-1])
+    flat = np.zeros((size + m - 1, c), dtype=arr.dtype)
+    padded = flat[:size].reshape(shape)
+    padded[_interior(pads, dims)] = arr
+    view = np.lib.stride_tricks.sliding_window_view(flat, m, axis=0)
+    return padded, view[:size].reshape(*shape, m)
+
+
 def _tiles(arr, width, lead=(), split=1):
     """Split a channels-last (n, f, h, w, k) array into tiles of about
     BLOCK_BYTES // split: runs of whole samples when one sample fits, else
@@ -607,30 +625,49 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
     each over many offsets' products, never one per offset (batched BLAS,
     Dongarra et al., Procedia Computer Science 2017), so that each call
     runs long without the GIL and the other thread seldom waits for it: the
-    forward makes two per tile, the kernel gradient three per tile and
-    frame offset (a copy, a matmul and an add), and the strided input
-    gradient one matmul per tile and frame offset, then kh*kw window adds. The backward's scratch holds kh*kw
-    tiles' products; the forward's tiles are about BLOCK_BYTES / kf, so
-    its kf*kh*kw products take about kh*kw * BLOCK_BYTES, or kf*kh*kw
-    frames when one frame is larger.
+    forward makes two per tile, the strided kernel gradient three per tile
+    and frame offset (a copy, a matmul and an add), and the strided input
+    gradient one matmul per tile and frame offset, then kh*kw window adds.
+    The backward's scratch holds kh*kw tiles' products; the forward's
+    tiles are about BLOCK_BYTES / kf, so its kf*kh*kw products take about
+    kh*kw * BLOCK_BYTES, or kf*kh*kw frames when one frame is larger.
 
     The tape keeps no padded copy: the backward pass rebuilds it from x,
-    and only when the kernel needs a gradient. For each tile of the output
-    gradient g and each frame offset, the kernel gradient copies the kh*kw
-    windows into the scratch, makes one batched matmul of their
-    window(rows, c).T @ g(rows, ko) products over the tile's rows, and
-    adds them to the kernel gradient. At stride 1 with padding <= k-1 on
-    every axis, the input gradient is the same ``_correlate`` loop run on
-    g zero-padded by k-1-padding, with the kernel flipped and its channel
-    axes swapped. Other convs make one batched matmul of g(rows, ko) @
-    kernel(c, ko).T per tile and frame offset, then scatter-add each of
-    its kh*kw products into its offset's window, in offset order.
+    and only when the kernel needs a gradient. At stride 1 with padding
+    <= k-1 on every axis, g is zero-padded once by k-1-padding, and:
+
+    - the kernel gradient needs no window copy. In the padded input,
+      flattened to rows of c channels, the m = (oh-1)*W + ow rows from
+      row (f+a)*H*W + b*W + e on are offset (a, b, e)'s window of output
+      frame f, with kw-1 extra rows at each line end (``_flat_rows``). The
+      output-gradient rows are laid on that row grid too, zero off the
+      outputs: for "same" padding (2*padding = kw-1) the padded g is
+      already on it, else g is copied into a zero grid. Then each output
+      frame of each sample makes one batched matmul of the kf*kh*kw
+      rows(c, m) @ g(m, ko) products, and BLAS sums over the rows,
+      extra rows included; the products are added to the kernel gradient
+      in frame order (padded-row GEMM convolution, Anderson et al., arXiv
+      1709.03395). A chunk is one frame: at the model's shapes one
+      frame's products stay within OpenBLAS's small-matrix kernels
+      (c*ko*m <= 1e6), and chunks of 2-8 frames, which leave them,
+      measured 1.5-1.9x slower;
+    - the input gradient is the same ``_correlate`` loop run on the
+      padded g, with the kernel flipped and its channel axes swapped.
+
+    Other convs, the stem among them, go tile by tile. For each tile of g
+    and each frame offset, the kernel gradient copies the kh*kw windows
+    into the scratch, makes one batched matmul of their window(rows, c).T
+    @ g(rows, ko) products over the tile's rows, and adds them to the
+    kernel gradient. The input gradient makes one batched matmul of
+    g(rows, ko) @ kernel(c, ko).T per tile and frame offset, then
+    scatter-adds each of its kh*kw products into its offset's window, in
+    offset order.
 
     The output and the stride-1 input gradient equal an untiled sum bit
-    for bit, whatever the tile size. The kernel gradient and the other
-    input gradients sum tile by tile, so they differ from an untiled sum
-    only in summation order. The output and the input gradient keep x's
-    dtype; the kernel is cast to it for the products.
+    for bit, whatever the tile size, and the stride-1 kernel gradient does
+    not depend on it. The other gradients sum tile by tile, so they differ
+    from an untiled sum only in summation order. The output and the input
+    gradient keep x's dtype; the kernel is cast to it for the products.
 
     Both passes run on the thread that runs the op or walks its node, the
     kernel gradient first.
@@ -672,24 +709,41 @@ def conv3d(x, kernel, stride=1, padding=0) -> Tensor:
     x_data = x.data if kn is not None else None        # read only by the kernel gradient
 
     def backward_fn(g):
-        g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))                   # (n,of,oh,ow,ko)
+        gl = g.transpose(0, 2, 3, 4, 1)                                         # (n,of,oh,ow,ko)
+        # stride 1 pads g once, for both gradients
+        g2 = _padded(gl, flip_pads) if correlate_dx else np.ascontiguousarray(gl)
 
         def kernel_grad():
-            xl = _padded(x_data.transpose(0, 2, 3, 4, 1), pads)   # local: the tape holds x, not xl
             dkl = np.zeros_like(kl)
-            windows = _windows(xl, ksize, strides, dims)
-            for samples, frame, tile, tmp in _tiles(g2, c, (kh, kw)):
-                rows = tile.reshape(-1, ko)
-                for a in range(kf):
-                    tmp[...] = windows[a, :, :, samples, frame:frame + tile.shape[1]]
-                    dkl[a] += (tmp.reshape(kh * kw, -1, c).transpose(0, 2, 1) @ rows).reshape(kh, kw, c, ko)
+            if correlate_dx:
+                wp = in_dims[2] + 2 * pads[2]
+                m = (dims[1] - 1) * wp + dims[2]       # output rows on x's padded row grid
+                _, rows = _flat_rows(x_data.transpose(0, 2, 3, 4, 1), pads, m)
+                if g2.shape[3] == wp:                  # "same" padding: padded g is on that grid
+                    (qf, qh, qw), grid = flip_pads, g2
+                else:
+                    (qf, qh, qw), grid = (0, 0, 0), np.zeros((n, *dims[:2], wp, ko), gl.dtype)
+                    grid[..., :dims[2], :] = gl
+                start = qh * wp + qw
+                g_rows = grid.reshape(*grid.shape[:2], -1, ko)[:, qf:qf + dims[0], start:start + m]
+                tmp = np.empty_like(kl)
+                for s, f in np.ndindex(n, dims[0]):
+                    np.matmul(rows[s, f:f + kf, :kh, :kw], g_rows[s, f], out=tmp)
+                    dkl += tmp
+            else:
+                xl = _padded(x_data.transpose(0, 2, 3, 4, 1), pads)   # local: the tape holds x, not xl
+                windows = _windows(xl, ksize, strides, dims)
+                for samples, frame, tile, tmp in _tiles(g2, c, (kh, kw)):
+                    rows = tile.reshape(-1, ko)
+                    for a in range(kf):
+                        tmp[...] = windows[a, :, :, samples, frame:frame + tile.shape[1]]
+                        dkl[a] += (tmp.reshape(kh * kw, -1, c).transpose(0, 2, 1) @ rows).reshape(kh, kw, c, ko)
             return dkl.transpose(4, 3, 0, 1, 2)
 
         def input_grad():
             if correlate_dx:
                 flipped = np.ascontiguousarray(kl[::-1, ::-1, ::-1].swapaxes(3, 4))     # (kf,kh,kw,ko,c)
-                dxl = _correlate(_padded(g2, flip_pads), flipped, (1, 1, 1), in_dims)
-                return dxl.transpose(0, 4, 1, 2, 3)
+                return _correlate(g2, flipped, (1, 1, 1), in_dims).transpose(0, 4, 1, 2, 3)
             dxl = np.zeros((n, *(d + 2 * p for d, p in zip(in_dims, pads)), c), dtype=x_dtype)
             kernels = kl.swapaxes(3, 4)                                                # (kf,kh,kw,ko,c)
             for samples, frame, tile, tmp in _tiles(g2, c, (kh, kw)):

@@ -183,6 +183,9 @@ def op_checks(seed: int = 0, instances: int = 20) -> list[CheckResult]:
         lambda: [rng.standard_normal((2, 2, 3, 5, 5)), rng.standard_normal((3, 2, 2, 3, 3))])
     run("conv3d[s1]", lambda x, k: ad.conv3d(x, k, stride=1, padding=1),
         lambda: [rng.standard_normal((2, 2, 3, 5, 5)), rng.standard_normal((3, 2, 3, 3, 3))])
+    # the kernel gradient's flat rows off the "same" padding, with an even kh
+    run("conv3d[s1,pad0]", lambda x, k: ad.conv3d(x, k, stride=1, padding=0),
+        lambda: [rng.standard_normal((2, 2, 4, 4, 5)), rng.standard_normal((3, 2, 3, 2, 3))])
     run("conv3d[stem]", lambda x, k: ad.conv3d(x, k, stride=(1, 2, 2), padding=1),
         lambda: [rng.standard_normal((2, 1, 3, 5, 5)), rng.standard_normal((3, 1, 3, 3, 3))])
     # at the default BLOCK_BYTES the output spans four tiles of 4 + 3 frames;

@@ -272,7 +272,10 @@ def _reference_tiles(arr):
 def _reference_conv3d(x, k, stride, padding, g):
     """conv3d's output, input gradient and kernel gradient for output
     gradient ``g``, made one kernel offset at a time: one product and one
-    add per offset and tile, in offset order, over the same tiles."""
+    add per offset and tile, in offset order, over the same tiles. The
+    stride-1 kernel gradient instead makes one product per offset and
+    output frame, in frame order, of the offset's m flat rows of the padded
+    input with g's rows laid on that row grid, zero off the outputs."""
     strides, pads = ad._triple(stride, "stride", 1), ad._triple(padding, "padding", 0)
     (n, c, *in_dims), (ko, _, *ksize), dims = x.shape, k.shape, g.shape[2:]
     offsets = list(np.ndindex(*ksize))
@@ -294,17 +297,25 @@ def _reference_conv3d(x, k, stride, padding, g):
         out = correlate(xl, kl, strides, dims).transpose(0, 4, 1, 2, 3)
     g2 = np.ascontiguousarray(g.transpose(0, 2, 3, 4, 1))
     dkl = np.zeros_like(kl)
-    for samples, frame, frames in _reference_tiles(g2):
-        tile = g2[samples, frame:frame + frames]
-        for offset in offsets:
-            window = np.ascontiguousarray(ad._window(xl, offset, strides, tile.shape[1:4], samples, frame))
-            dkl[offset] += window.reshape(-1, c).T @ tile.reshape(-1, ko)
     flip_pads = tuple(s - 1 - p for s, p in zip(ksize, pads))
     if strides == (1, 1, 1) and min(flip_pads) >= 0:
+        hp, wp = xl.shape[2:4]
+        m = (dims[1] - 1) * wp + dims[2]
+        for s, f in np.ndindex(n, dims[0]):
+            grid = np.zeros((dims[1], wp, ko), x.dtype)
+            grid[:, :dims[2]] = g2[s, f]
+            for a, b, e in offsets:
+                start = ((f + a) * hp + b) * wp + e
+                dkl[a, b, e] += xl[s].reshape(-1, c)[start:start + m].T @ grid.reshape(-1, ko)[:m]
         flipped = np.ascontiguousarray(kl[::-1, ::-1, ::-1].swapaxes(3, 4))
         dx = correlate(ad._padded(g2, flip_pads), flipped, (1, 1, 1), in_dims).transpose(0, 4, 1, 2, 3)
     else:
         dxl = np.zeros((n, *(d + 2 * p for d, p in zip(in_dims, pads)), c), x.dtype)
+        for samples, frame, frames in _reference_tiles(g2):
+            tile = g2[samples, frame:frame + frames]
+            for offset in offsets:
+                window = np.ascontiguousarray(ad._window(xl, offset, strides, tile.shape[1:4], samples, frame))
+                dkl[offset] += window.reshape(-1, c).T @ tile.reshape(-1, ko)
         for samples, frame, frames in _reference_tiles(g2):
             tile = g2[samples, frame:frame + frames]
             for offset in offsets:
@@ -332,26 +343,51 @@ class TestConvLoops:
                 np.testing.assert_array_equal(view[offset][samples, frame:],
                                               ad._window(arr, offset, strides, tile_dims, samples, frame))
 
-    # desk's stride-1 c16-16 layer, a (1, 2, 2)-strided c16-32 one and the stem
-    @pytest.mark.parametrize("x_shape, k_shape, stride", [
-        ((4, 16, 8, 12, 12), (16, 16, 3, 3, 3), 1),
-        ((4, 16, 8, 12, 12), (32, 16, 3, 3, 3), (1, 2, 2)),
-        ((4, 1, 8, 24, 24), (16, 1, 3, 3, 3), (1, 2, 2)),
-    ], ids=["c16-16.s1", "c16-32.s2", "stem"])
+    @pytest.mark.parametrize("padding", [0, 1])
+    def test_flat_rows_are_each_offsets_window(self, padding):
+        rng = np.random.default_rng(11)
+        ksize, pads = (3, 2, 3), (padding,) * 3
+        arr = rng.standard_normal((2, 5, 6, 7, 3))
+        dims = tuple(d + 2 * padding - k + 1 for d, k in zip(arr.shape[1:4], ksize))
+        wp = arr.shape[3] + 2 * padding
+        m = (dims[1] - 1) * wp + dims[2]
+        padded, rows = ad._flat_rows(arr, pads, m)
+        np.testing.assert_array_equal(padded, ad._padded(arr, pads))
+        assert rows.shape == (*padded.shape, m) and not rows.flags.writeable
+        assert np.shares_memory(rows, padded)
+        # the rows of the outputs, skipping the k-1 columns of each line that have none
+        out_rows = (np.arange(dims[1])[:, None] * wp + np.arange(dims[2])).ravel()
+        for s, f in np.ndindex(2, dims[0]):
+            for a, b, e in np.ndindex(ksize):
+                window = ad._window(padded, (a, b, e), (1, 1, 1), (1, *dims[1:]), slice(s, s + 1), f)
+                np.testing.assert_array_equal(rows[s, f + a, b, e].T[out_rows], window.reshape(-1, 3))
+
+    # desk's stride-1 c16-16 layer, a (1, 2, 2)-strided c16-32 one and the
+    # stem; the stride-1 flat rows without padding, over an output of one
+    # frame, and over desk's 3x3 plane
+    @pytest.mark.parametrize("x_shape, k_shape, stride, padding", [
+        ((4, 16, 8, 12, 12), (16, 16, 3, 3, 3), 1, 1),
+        ((4, 16, 8, 12, 12), (32, 16, 3, 3, 3), (1, 2, 2), 1),
+        ((4, 1, 8, 24, 24), (16, 1, 3, 3, 3), (1, 2, 2), 1),
+        ((3, 5, 6, 7, 9), (4, 5, 3, 2, 3), 1, 0),
+        ((3, 8, 1, 7, 5), (6, 8, 3, 3, 3), 1, 1),
+        ((16, 64, 8, 3, 3), (64, 64, 3, 3, 3), 1, 1),
+    ], ids=["c16-16.s1", "c16-32.s2", "stem", "s1.pad0", "s1.one-frame", "c64-64.p3.s1"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("block_bytes", [None, 512])
-    def test_same_bytes_as_one_call_per_offset(self, monkeypatch, x_shape, k_shape, stride, dtype, block_bytes):
+    def test_same_bytes_as_one_call_per_offset(self, monkeypatch, x_shape, k_shape, stride, padding, dtype,
+                                               block_bytes):
         if block_bytes is not None:
             monkeypatch.setattr(ad, "BLOCK_BYTES", block_bytes)
         rng = np.random.default_rng(12)
         x, k = rng.standard_normal(x_shape).astype(dtype), rng.standard_normal(k_shape).astype(dtype)
         leaves = [ad.Tensor(a, requires_grad=True) for a in (x, k)]
-        out = ad.conv3d(*leaves, stride=stride, padding=1)
+        out = ad.conv3d(*leaves, stride=stride, padding=padding)
         g = rng.standard_normal(out.shape).astype(dtype)
         ad.backward(ad.sum_over(ad.mul(out, g)))
         got = [out.data, *(leaf.grad for leaf in leaves)]
         for name, a, b in zip(("output", "input gradient", "kernel gradient"), got,
-                              _reference_conv3d(x, k, stride, 1, g)):
+                              _reference_conv3d(x, k, stride, padding, g)):
             assert a.dtype == b.dtype and a.shape == b.shape, name
             assert a.tobytes() == np.ascontiguousarray(b).tobytes(), name
 

@@ -11,7 +11,7 @@ from survtower.errors import UsageError
 def test_op_checks_pass():
     results = gradcheck.op_checks(0)
     failed = [f"{r.name}: {r.max_rel_error:.2e}" for r in results if not r.passed]
-    assert len(results) == 23 and not failed, failed
+    assert len(results) == 24 and not failed, failed
 
 
 def test_model_check_passes():
